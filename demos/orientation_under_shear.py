@@ -46,7 +46,6 @@ def make_state(rate, d_rot):
     return FluidState(
         rho=ScalarField(grid, np.full(48, 0.9)),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, np.ones(48)),
         f=OrientationField(grid, basis, coeffs),
         t=0.0,
         law=PressureLaw(5.0),

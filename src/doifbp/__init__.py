@@ -40,12 +40,10 @@ from .integrator import (
     step,
 )
 from .kinetics import (
-    KineticMoments,
     VelocityGradient,
     entropy_and_fisher,
     eta_moment,
     fp_rhs,
-    kinetic_moments,
     projection_drift,
     stress_moment,
     velocity_gradient,
@@ -80,7 +78,6 @@ __all__ = [
     "FluidState",
     "GammaDiagnostics",
     "Grid",
-    "KineticMoments",
     "NumericalError",
     "OrientationField",
     "PERIODIC",
@@ -108,7 +105,6 @@ __all__ = [
     "grad",
     "incompressibility_defect",
     "integral",
-    "kinetic_moments",
     "laplacian",
     "load_config",
     "load_snapshot",

@@ -1,9 +1,10 @@
 """Pressure laws, conservative transport, and the viscous momentum update.
 
 The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
-the total pressure adds the polymer contributions eta + eta^2.  Scalars are
-transported with donor-cell upwind fluxes plus explicit centered diffusion,
-which keeps them nonnegative and exactly conservative on periodic grids.
+the total pressure adds the polymer contributions eta + eta^2, where eta is
+the zeroth orientation moment of f.  Scalars are transported with donor-cell
+upwind fluxes plus explicit centered diffusion, which keeps them nonnegative
+and exactly conservative on periodic grids.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
@@ -32,7 +33,7 @@ from .grid import (
     grad,
     upwind_divergence,
 )
-from .kinetics import stress_moment, velocity_gradient
+from .kinetics import eta_moment, stress_moment, velocity_gradient
 
 #: densities below this are treated as vacuum; velocity is forced to zero there
 RHO_FLOOR = 1e-10
@@ -196,8 +197,9 @@ def _viscous_solve(grid, rho_hat, b, dt, mu, lam, max_iter=2000):
 def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> VectorField:
     """Advance m = rho u by advection, pressure, stress, and implicit viscosity.
 
-    Uses the state's density for both the momentum and the viscous operator
-    (the coupled integrator passes the freshest scalar fields).  Total
+    Uses the state's density for both the momentum and the viscous operator,
+    and the zeroth moment of its distribution f as the number density in the
+    pressure (the coupled integrator passes the freshest rho and f).  Total
     momentum is conserved on periodic grids to the CG tolerance: advective
     fluxes telescope and centered gradients of periodic fields sum to zero.
     """
@@ -207,7 +209,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     m = np.moveaxis(rho * u, 0, -1)  # channels-last for the shared donor flux
     m = m - dt * upwind_divergence(g, m, u, ghost="zero")
 
-    pressure = total_pressure(fluid_pressure(state.rho, law), state.eta)
+    pressure = total_pressure(fluid_pressure(state.rho, law), eta_moment(state.f))
     gp = grad(pressure, ghost="edge").values
     sigma = stress_moment(state.f)
     for i in range(g.dim):
@@ -232,7 +234,7 @@ def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
 
     advective  h / max|u|            (per axis)
     acoustic   h / sqrt(gamma max rho^(gamma-1))
-    diffusive  h^2 / (2 d max(D, 1))   for the explicit eta and f diffusion
+    diffusive  h^2 / (2 d max(D, 1))   for the explicit translational diffusion of f
     drift      1 / (L(L+1) max|grad u|)  for the spectral sphere drift
 
     The acoustic bound shrinks like gamma^(-1/2) at rho = 1: the documented

@@ -1,9 +1,10 @@
 """Operator-split time stepping of the coupled system and its energy ledger.
 
-One step applies Lie splitting in a fixed order: density transport, number
-density transport-diffusion, the explicit Fokker-Planck substep for the
-orientation distribution, and finally the momentum update driven by the
-freshest scalar fields.  The energy ledger records
+One step applies Lie splitting in a fixed order: density transport, the
+explicit Fokker-Planck substep for the orientation distribution, and finally
+the momentum update driven by the freshest fields.  The rod number density
+eta is not a state field: it is always the zeroth moment int f dtau of the
+orientation distribution.  The energy ledger records
 
     E = int rho |u|^2 / 2 + rho^gamma / (gamma - 1) + eta^2 + psi
 
@@ -37,31 +38,31 @@ from .sphere import OrientationField
 
 @dataclass(frozen=True)
 class FluidState:
-    """The unknown tuple (rho, u, eta, f) at one time, plus its parameters."""
+    """The unknown tuple (rho, u, f) at one time, plus its parameters."""
 
     rho: ScalarField
     u: VectorField
-    eta: ScalarField
     f: OrientationField
     t: float
     law: PressureLaw
     coeffs: PhysCoeffs
 
     def __post_init__(self):
-        grids = {id(x.grid) for x in (self.rho, self.u, self.eta, self.f)}
-        if any(x.grid != self.rho.grid for x in (self.u, self.eta, self.f)):
+        if any(x.grid != self.rho.grid for x in (self.u, self.f)):
             raise ValueError("state fields live on different grids")
-        del grids
         if float(np.min(self.rho.values)) < 0.0:
             raise ValueError("state density is negative")
-        if float(np.min(self.eta.values)) < 0.0:
-            raise ValueError("state number density is negative")
         if not np.isfinite(self.t):
             raise ValueError("state time is not finite")
 
     @property
     def grid(self):
         return self.rho.grid
+
+    @property
+    def eta(self) -> ScalarField:
+        """Rod number density, the zeroth orientation moment of f."""
+        return eta_moment(self.f)
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,13 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     g = state.grid
     vol = g.cell_volume
     c = state.coeffs
-    rho, u, eta = state.rho.values, state.u.values, state.eta.values
+    eta = state.eta
+    rho, u = state.rho.values, state.u.values
 
     e_kin = 0.5 * float(np.sum(rho * np.sum(u * u, axis=0))) * vol
     pi = fluid_pressure(state.rho, state.law)
     e_press = float(np.sum(pi.values)) * vol / (state.law.gamma - 1.0)
-    e_eta = float(np.sum(eta * eta)) * vol
+    e_eta = float(np.sum(eta.values * eta.values)) * vol
     psi, fisher_tau, fisher_x = entropy_and_fisher(state.f)
     e_entropy = integral(psi)
 
@@ -137,7 +139,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
     divu = div(state.u, ghost="zero").values
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
-    geta = grad(state.eta, ghost="zero").values
+    geta = grad(eta, ghost="zero").values
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
 
     return DiagnosticsRecord(
@@ -153,7 +155,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
         diss_div_u=diss_div_u,
         diss_grad_eta=diss_grad_eta,
         mass=integral(state.rho),
-        rod_mass=integral(eta_moment(state.f)),
+        rod_mass=integral(eta),
     )
 
 
@@ -165,19 +167,16 @@ def _substep(name, t, fn):
 
 
 def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidState:
-    """One Lie-split step: rho, eta, f, then the momentum update.
+    """One Lie-split step: rho, f, then the momentum update.
 
-    The momentum substep sees the post-transport scalar fields.  With
-    `freeze_velocity` the velocity is held fixed (the pure-diffusion
+    The momentum substep sees the post-transport density and distribution.
+    With `freeze_velocity` the velocity is held fixed (the pure-diffusion
     configuration used by the energy-monotonicity checks).
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
     t = state.t
     rho1 = _substep("density transport", t, lambda: transport_step(state.rho, state.u, dt, 0.0, ghost="edge"))
-    eta1 = _substep(
-        "number-density transport", t, lambda: transport_step(state.eta, state.u, dt, state.coeffs.d_trans, ghost="zero")
-    )
 
     def fp_update():
         rhs = fp_rhs(state.f, state.u, state.coeffs.d_trans, state.coeffs.d_rot)
@@ -190,11 +189,11 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     if freeze_velocity:
         u1 = state.u
     else:
-        fresh = SimpleNamespace(rho=rho1, u=state.u, eta=eta1, f=f1)
+        fresh = SimpleNamespace(rho=rho1, u=state.u, f=f1)
         u1 = _substep("momentum", t, lambda: momentum_step(fresh, dt, state.coeffs, state.law))
 
     return _substep(
-        "state assembly", t, lambda: replace(state, rho=rho1, u=u1, eta=eta1, f=f1, t=t + dt)
+        "state assembly", t, lambda: replace(state, rho=rho1, u=u1, f=f1, t=t + dt)
     )
 
 

@@ -47,15 +47,6 @@ class VelocityGradient:
         object.__setattr__(self, "values", arr)
 
 
-@dataclass(frozen=True)
-class KineticMoments:
-    """Bundle of the three moment fields extracted from one distribution."""
-
-    eta: ScalarField
-    sigma: np.ndarray  # cells + (3, 3), symmetric and trace-free
-    psi: ScalarField
-
-
 def velocity_gradient(u: VectorField) -> VelocityGradient:
     """Centered-difference gradient of the velocity, zero-padded to 3x3."""
     g = u.grid
@@ -105,7 +96,8 @@ def fp_rhs(f: OrientationField, u: VectorField, d_trans: float, d_rot: float) ->
     + d_trans Lap_x f as a coefficient field.  Physical-space advection uses
     the same donor-cell flux as the scalar transport step, applied to every
     harmonic channel with one donor pattern, so the number-density moment of
-    this right-hand side reproduces the discrete eta equation exactly.
+    this right-hand side is exactly the donor-cell advection-diffusion of eta
+    (the drift row and the eigenvalue of the constant harmonic are zero).
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
@@ -168,9 +160,3 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
         grad_sq += _centered_diff(sqrt_f, a, g.h[a], g.bc, "zero") ** 2
     fisher_x = g.cell_volume * float(np.sum(grad_sq * basis.weights))
     return psi, fisher_tau, fisher_x
-
-
-def kinetic_moments(f: OrientationField) -> KineticMoments:
-    """All three moment fields of one distribution."""
-    psi, _, _ = entropy_and_fisher(f)
-    return KineticMoments(eta=eta_moment(f), sigma=stress_moment(f), psi=psi)

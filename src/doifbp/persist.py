@@ -3,13 +3,16 @@
 CSV files carry a fixed header row and floats printed with 17 significant
 digits (enough to round-trip IEEE double exactly).
 
-Snapshots are little-endian binary: an 8-byte magic "DOIFBP01", a fixed
+Snapshots are little-endian binary: an 8-byte magic "DOIFBP02", a fixed
 header (grid metadata, spectral degree, physical parameters, time), then the
-raw float64 payloads of rho, u, eta, and the orientation coefficients, in
-that order and in C order.  Loading validates the magic, every header field,
-and the exact payload length; a truncated file reports the section that came
-up short.  A snapshot restores the full state bit-exactly, so re-running
-from a snapshot reproduces the original trajectory to the last bit.
+raw float64 payloads of rho, u, and the orientation coefficients, in that
+order and in C order.  The number density is the zeroth moment of f and is
+not stored; files of the older "DOIFBP01" format, which carried a separate
+eta section, are rejected.  Loading validates the magic, every header field,
+the exact payload length, and nodal positivity of f; a truncated file reports
+the section that came up short.  A snapshot restores the full state
+bit-exactly, so re-running from a snapshot reproduces the original trajectory
+to the last bit.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .integrator import DiagnosticsRecord, FluidState
 from .limits import GammaDiagnostics, SweepResult
 from .sphere import OrientationField, make_sphere_basis
 
-MAGIC = b"DOIFBP01"
+MAGIC = b"DOIFBP02"
+_MAGIC_V1 = b"DOIFBP01"
 _BC_CODES = {PERIODIC: 0, DIRICHLET: 1}
 _BC_NAMES = {code: name for name, code in _BC_CODES.items()}
 
@@ -97,7 +101,7 @@ def snapshot(state: FluidState, path) -> None:
     with open(path, "wb") as fh:
         for chunk in header:
             fh.write(chunk)
-        for values in (state.rho.values, state.u.values, state.eta.values, state.f.coeffs):
+        for values in (state.rho.values, state.u.values, state.f.coeffs):
             fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
@@ -112,6 +116,11 @@ def load_snapshot(path) -> FluidState:
     """Rebuild a FluidState from a snapshot file, validating everything."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC), "magic")
+        if magic == _MAGIC_V1:
+            raise SnapshotError(
+                f"snapshot format {_MAGIC_V1!r} carries a separate eta section and is no "
+                f"longer read; this version reads {MAGIC!r}"
+            )
         if magic != MAGIC:
             raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
         dim, bc_code = struct.unpack("<II", _read_exact(fh, 8, "header"))
@@ -147,24 +156,25 @@ def load_snapshot(path) -> FluidState:
 
         rho = read_array("rho", grid.cells)
         u = read_array("u", (dim,) + grid.cells)
-        eta = read_array("eta", grid.cells)
         f = read_array("f", grid.cells + (basis.n_coeff,))
         if fh.read(1):
             raise SnapshotError("trailing data after the final section")
 
     if np.min(rho) < 0.0:
         raise SnapshotError("snapshot payload inconsistent: negative density")
-    if np.min(eta) < 0.0:
-        raise SnapshotError("snapshot payload inconsistent: negative number density")
     if not np.all(np.isfinite(u)):
         raise SnapshotError("snapshot payload inconsistent: non-finite velocity")
     if not np.all(np.isfinite(f)):
         raise SnapshotError("snapshot payload inconsistent: non-finite coefficients")
+    orientation = OrientationField(grid, basis, f)
+    try:
+        orientation.check_positive()
+    except ValueError as err:
+        raise SnapshotError(f"snapshot payload inconsistent: {err}") from err
     return FluidState(
         rho=ScalarField(grid, rho),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, eta),
-        f=OrientationField(grid, basis, f),
+        f=orientation,
         t=t,
         law=PressureLaw(gamma),
         coeffs=PhysCoeffs(mu=mu, lam=lam, d_trans=d_trans, d_rot=d_rot),

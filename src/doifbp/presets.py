@@ -66,12 +66,10 @@ def build_initial_state(cfg: RunConfig, basis: SphereBasis = None) -> FluidState
 
     rho = ScalarField(grid, rho_values)
     u = VectorField(grid, _velocity_values(cfg, grid))
-    eta = ScalarField(grid, np.full(grid.cells, float(cfg.eta0)))
     f = uniform_orientation(grid, basis, cfg.eta0)
     return FluidState(
         rho=rho,
         u=u,
-        eta=eta,
         f=f,
         t=0.0,
         law=PressureLaw(cfg.gamma),

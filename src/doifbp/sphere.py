@@ -55,7 +55,7 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
     y : ndarray, shape (K, (L+1)^2)
     grad_y : ndarray, shape (K, (L+1)^2, 3)
         Cartesian components of the surface gradient at each node.
-    l_index, m_index : ndarray of int
+    l_index : ndarray of int
     """
     K = theta.size
     Q = (L + 1) ** 2
@@ -65,7 +65,6 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
     d_theta = np.zeros((K, Q))  # dY/dtheta
     d_phi_over_s = np.zeros((K, Q))  # (1/sin theta) dY/dphi
     l_index = np.zeros(Q, dtype=int)
-    m_index = np.zeros(Q, dtype=int)
 
     for l in range(L + 1):
         for m in range(l + 1):
@@ -82,7 +81,7 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
                 q = l * l + l
                 y[:, q] = norm * p
                 d_theta[:, q] = norm * dp_dtheta
-                l_index[q], m_index[q] = l, 0
+                l_index[q] = l
             else:
                 c = math.sqrt(2.0) * norm
                 cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
@@ -94,15 +93,14 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
                 d_theta[:, q_neg] = c * dp_dtheta * sin_m
                 d_phi_over_s[:, q_pos] = -c * p * m * sin_m / s
                 d_phi_over_s[:, q_neg] = c * p * m * cos_m / s
-                l_index[q_pos], m_index[q_pos] = l, m
-                l_index[q_neg], m_index[q_neg] = l, -m
+                l_index[q_pos] = l_index[q_neg] = l
 
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
     e_theta = np.stack([ct * cp, ct * sp, -st], axis=1)
     e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=1)
     grad_y = d_theta[:, :, None] * e_theta[:, None, :] + d_phi_over_s[:, :, None] * e_phi[:, None, :]
-    return y, grad_y, l_index, m_index
+    return y, grad_y, l_index
 
 
 @dataclass(frozen=True)
@@ -116,7 +114,6 @@ class SphereBasis:
     grad_y: np.ndarray     # (K, Q, 3) tangential gradients at nodes
     lap_eig: np.ndarray    # (Q,) Laplace-Beltrami eigenvalues -l(l+1)
     l_index: np.ndarray    # (Q,)
-    m_index: np.ndarray    # (Q,)
     drift_mats: np.ndarray  # (3, 3, Q, Q) weak drift matrices
     stress_map: np.ndarray  # (Q, 3, 3) coefficients -> second-moment stress
 
@@ -151,12 +148,12 @@ def make_sphere_basis(L: int) -> SphereBasis:
     if L < 2:
         raise ValueError(f"sphere basis degree must be at least 2, got {L}")
     theta, phi, nodes, weights = _gauss_product_nodes(L + 1, 2 * L + 2)
-    y, grad_y, l_index, m_index = _harmonic_tables(L, theta, phi)
+    y, grad_y, l_index = _harmonic_tables(L, theta, phi)
     lap_eig = -(l_index * (l_index + 1)).astype(float)
 
     # assembly quadrature exact through degree 2L+3 >= deg(tau_b dY_p Y_q)
     th_f, ph_f, nodes_f, w_f = _gauss_product_nodes(L + 3, 2 * L + 6)
-    y_f, gy_f, _, _ = _harmonic_tables(L, th_f, ph_f)
+    y_f, gy_f, _ = _harmonic_tables(L, th_f, ph_f)
     drift_mats = np.einsum("k,kb,kpa,kq->abpq", w_f, nodes_f, gy_f, y_f, optimize=True)
 
     outer = 3.0 * nodes[:, :, None] * nodes[:, None, :] - np.eye(3)
@@ -170,7 +167,6 @@ def make_sphere_basis(L: int) -> SphereBasis:
         grad_y=grad_y,
         lap_eig=lap_eig,
         l_index=l_index,
-        m_index=m_index,
         drift_mats=drift_mats,
         stress_map=stress_map,
     )

@@ -30,7 +30,6 @@ def _uniform_state(grid, basis, rho=0.8, eta=0.1, gamma=5.0, u=None, coeffs=None
     return FluidState(
         rho=ScalarField(grid, np.full(grid.cells, rho)),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, np.full(grid.cells, eta)),
         f=uniform_orientation(grid, basis, eta),
         t=0.0,
         law=PressureLaw(gamma),
@@ -122,7 +121,6 @@ def test_momentum_conserved_per_step_periodic():
     state = FluidState(
         rho=ScalarField(g, rho),
         u=VectorField(g, u),
-        eta=ScalarField(g, np.zeros(64)),
         f=uniform_orientation(g, basis, 0.0),
         t=0.0,
         law=PressureLaw(2.0),
@@ -145,7 +143,6 @@ def test_momentum_zeroes_vacuum_cells():
     state = FluidState(
         rho=ScalarField(g, rho),
         u=VectorField(g, u),
-        eta=ScalarField(g, np.zeros(16)),
         f=uniform_orientation(g, basis, 0.0),
         t=0.0,
         law=PressureLaw(2.0),
@@ -175,7 +172,9 @@ def test_momentum_one_step_consistency_first_order():
         u = 0.2 + 0.1 * np.cos(k * x)
         eta = 0.1 + 0.05 * np.sin(2.0 * k * x)
         c_x = 0.05 * np.sin(k * x)
-        nodal_shape = (1.0 + np.outer(c_x, 3.0 * basis.nodes[:, 2] ** 2 - 1.0)) / (4.0 * np.pi)
+        # eta_moment(f) = eta; the l = 2 part leaves sigma_11 = -(2/5) c(x)
+        p2 = 3.0 * basis.nodes[:, 2] ** 2 - 1.0
+        nodal_shape = (eta[:, None] + np.outer(c_x, p2)) / (4.0 * np.pi)
         f = OrientationField(g, basis, basis.analyze(nodal_shape))
 
         rho_x = 0.3 * k * np.cos(k * x)
@@ -191,7 +190,6 @@ def test_momentum_one_step_consistency_first_order():
         state = FluidState(
             rho=ScalarField(g, rho),
             u=VectorField(g, u.reshape(1, -1)),
-            eta=ScalarField(g, eta),
             f=f,
             t=0.0,
             law=law,

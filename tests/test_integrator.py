@@ -8,6 +8,7 @@ import pytest
 from doifbp import (
     Grid,
     NumericalError,
+    OrientationField,
     PhysCoeffs,
     PressureLaw,
     ScalarField,
@@ -19,19 +20,19 @@ from doifbp import (
     renormalized_residual,
     run,
     step,
-    uniform_orientation,
 )
 from doifbp.integrator import FluidState
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
-def _state(grid, basis, rho, u, eta, gamma=5.0, coeffs=None, f=None):
+def _state(grid, basis, rho, u, eta, gamma=5.0, coeffs=None):
+    f_coeffs = np.zeros(grid.cells + (basis.n_coeff,))
+    f_coeffs[..., 0] = eta / SQRT_4PI  # isotropic, with number density eta
     return FluidState(
         rho=ScalarField(grid, rho),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, eta),
-        f=f if f is not None else uniform_orientation(grid, basis, float(np.mean(eta))),
+        f=OrientationField(grid, basis, f_coeffs),
         t=0.0,
         law=PressureLaw(gamma),
         coeffs=coeffs if coeffs is not None else PhysCoeffs(),
@@ -45,12 +46,7 @@ def _smooth_state(n=32, gamma=5.0):
     rho = 0.8 + 0.1 * np.sin(2.0 * np.pi * x)
     u = (0.1 * np.cos(2.0 * np.pi * x)).reshape(1, -1)
     eta = 0.1 + 0.02 * np.cos(2.0 * np.pi * x)
-    f_coeffs = np.zeros(g.cells + (basis.n_coeff,))
-    f_coeffs[..., 0] = eta / SQRT_4PI  # moment-consistent with eta
-    from doifbp import OrientationField
-
-    f = OrientationField(g, basis, f_coeffs)
-    return _state(g, basis, rho, u, eta, gamma=gamma, f=f)
+    return _state(g, basis, rho, u, eta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +86,6 @@ def test_energy_kinetic_homogeneity():
     doubled = FluidState(
         rho=state.rho,
         u=VectorField(state.grid, 2.0 * state.u.values),
-        eta=state.eta,
         f=state.f,
         t=0.0,
         law=state.law,
@@ -123,7 +118,6 @@ def test_step_with_zero_velocity_only_diffuses():
     frozen = FluidState(
         rho=state.rho,
         u=VectorField(state.grid, np.zeros_like(state.u.values)),
-        eta=state.eta,
         f=state.f,
         t=0.0,
         law=state.law,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doifbp import (
     Grid,
@@ -14,11 +16,12 @@ from doifbp import (
     eta_moment,
     fp_rhs,
     integral,
-    kinetic_moments,
+    laplacian,
     make_sphere_basis,
     projection_drift,
     stress_moment,
     uniform_orientation,
+    upwind_divergence,
     velocity_gradient,
 )
 
@@ -188,19 +191,6 @@ def test_entropy_rejects_genuinely_negative_f():
         entropy_and_fisher(OrientationField(grid, basis, bad))
 
 
-def test_kinetic_moments_bundle_consistent():
-    rng = np.random.default_rng(41)
-    basis, grid = _basis_and_grid()
-    base = uniform_orientation(grid, basis, 1.0).coeffs
-    base += 0.01 * rng.standard_normal(base.shape)
-    f = OrientationField(grid, basis, base)
-    m = kinetic_moments(f)
-    assert np.array_equal(m.eta.values, eta_moment(f).values)
-    assert np.array_equal(m.sigma, stress_moment(f))
-    psi, _, _ = entropy_and_fisher(f)
-    assert np.array_equal(m.psi.values, psi.values)
-
-
 # ---------------------------------------------------------------------------
 # velocity gradient and the assembled right-hand side
 
@@ -240,6 +230,34 @@ def test_fp_rhs_preserves_rod_mass_pointwise():
     rhs = fp_rhs(f, u, 1.0, 1.0)
     cell_integrals = eta_moment(rhs).values
     assert np.max(np.abs(cell_integrals)) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    bc=st.sampled_from(("periodic", "dirichlet")),
+    n=st.integers(4, 12),
+    L=st.integers(2, 5),
+    d_trans=st.floats(0.01, 10.0),
+    d_rot=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fp_rhs_number_density_moment_is_scalar_transport(dim, bc, n, L, d_trans, d_rot, seed):
+    # the constant harmonic has a zero drift row and a zero eigenvalue, so the
+    # zeroth moment of the Fokker-Planck right-hand side is the donor-cell
+    # advection-diffusion of eta = int f dtau, for any velocity and boundary
+    rng = np.random.default_rng(seed)
+    basis = make_sphere_basis(L)
+    grid = Grid(cells=(n,) * dim, lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
+    nodal = rng.uniform(0.1, 1.0, grid.cells + (basis.n_nodes,))
+    f = OrientationField(grid, basis, basis.analyze(nodal))
+    u = VectorField(grid, rng.uniform(-2.0, 2.0, (dim,) + grid.cells))
+    eta = eta_moment(f)
+    advection = -upwind_divergence(grid, eta.values, u.values, ghost="zero")
+    diffusion = d_trans * laplacian(eta, ghost="zero").values
+    got = eta_moment(fp_rhs(f, u, d_trans, d_rot)).values
+    scale = max(np.max(np.abs(advection)), np.max(np.abs(diffusion)))
+    assert np.max(np.abs(got - (advection + diffusion))) <= 1e-12 * scale
 
 
 def test_fp_rhs_rejects_grid_mismatch():

@@ -38,7 +38,6 @@ def _state(rho, u=None, gamma=5.0, lengths=None):
     return FluidState(
         rho=ScalarField(grid, rho),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, np.full(grid.cells, 0.1)),
         f=uniform_orientation(grid, basis, 0.1),
         t=0.0,
         law=PressureLaw(gamma),

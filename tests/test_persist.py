@@ -48,7 +48,6 @@ def _make_state(n=8, degree=2, dim=1):
     return FluidState(
         rho=ScalarField(grid, rho),
         u=VectorField(grid, u),
-        eta=ScalarField(grid, eta),
         f=OrientationField(grid, basis, coeffs),
         t=0.25,
         law=PressureLaw(4.0),
@@ -189,6 +188,15 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         load_snapshot(path)
 
 
+def test_snapshot_rejects_old_format_with_eta_section(tmp_path):
+    state = _make_state()
+    path = tmp_path / "state.bin"
+    snapshot(state, path)
+    path.write_bytes(b"DOIFBP01" + path.read_bytes()[8:])
+    with pytest.raises(SnapshotError, match="DOIFBP01.*separate eta section.*no longer read"):
+        load_snapshot(path)
+
+
 def test_snapshot_rejects_corrupt_header_fields(tmp_path):
     state = _make_state()
     path = tmp_path / "state.bin"
@@ -219,6 +227,21 @@ def test_snapshot_rejects_trailing_and_bad_payload(tmp_path):
     negative_rho = full[:84] + struct.pack("<d", -1.0) + full[92:]
     path.write_bytes(negative_rho)
     with pytest.raises(SnapshotError, match="negative density"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_negative_orientation_payload(tmp_path):
+    state = _make_state()
+    path = tmp_path / "state.bin"
+    snapshot(state, path)
+    full = path.read_bytes()
+    # the f payload is the last n * Q doubles; a large l = 2 coefficient in
+    # cell 0 drives some nodal values of f far below zero
+    n_q = state.f.basis.n_coeff
+    start = len(full) - 8 * state.grid.n_cells * n_q
+    coeff = start + 8 * 6
+    path.write_bytes(full[:coeff] + struct.pack("<d", 1.0) + full[coeff + 8 :])
+    with pytest.raises(SnapshotError, match="payload inconsistent: orientation distribution dips"):
         load_snapshot(path)
 
 

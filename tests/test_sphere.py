@@ -117,10 +117,10 @@ def test_gradient_tables_match_finite_differences():
     theta = np.arccos(np.clip(b.nodes[:, 2], -1.0, 1.0))
     phi = np.arctan2(b.nodes[:, 1], b.nodes[:, 0])
     d = 1e-6
-    y_tp, _, _, _ = _harmonic_tables(L, theta + d, phi)
-    y_tm, _, _, _ = _harmonic_tables(L, theta - d, phi)
-    y_pp, _, _, _ = _harmonic_tables(L, theta, phi + d)
-    y_pm, _, _, _ = _harmonic_tables(L, theta, phi - d)
+    y_tp, _, _ = _harmonic_tables(L, theta + d, phi)
+    y_tm, _, _ = _harmonic_tables(L, theta - d, phi)
+    y_pp, _, _ = _harmonic_tables(L, theta, phi + d)
+    y_pm, _, _ = _harmonic_tables(L, theta, phi - d)
     dy_dtheta = (y_tp - y_tm) / (2.0 * d)
     dy_dphi = (y_pp - y_pm) / (2.0 * d)
 
