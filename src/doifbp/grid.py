@@ -17,10 +17,12 @@ pressure).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -65,11 +67,11 @@ class Grid:
     def dim(self) -> int:
         return len(self.cells)
 
-    @property
+    @functools.cached_property
     def h(self) -> tuple:
         return tuple(x / n for x, n in zip(self.lengths, self.cells))
 
-    @property
+    @functools.cached_property
     def cell_volume(self) -> float:
         return math.prod(self.h)
 
@@ -166,6 +168,17 @@ def _second_diff(arr: np.ndarray, axis: int, h: float, bc: str, ghost: str) -> n
     hi = p[_ax(p.ndim, axis, slice(2, None))]
     lo = p[_ax(p.ndim, axis, slice(None, -2))]
     return (hi - 2.0 * arr + lo) / (h * h)
+
+
+def _diff_matrix(grid: Grid, axis: int, second: bool) -> sp.csr_matrix:
+    """`_second_diff` (or `_centered_diff`) along `axis` with the zero ghost,
+    as a sparse matrix acting on fields flattened in C order."""
+    n, h = grid.cells[axis], grid.h[axis]
+    lo, mid, hi = (1.0 / (h * h), -2.0 / (h * h), 1.0 / (h * h)) if second else (-0.5 / h, 0.0, 0.5 / h)
+    offsets = [-1, 0, 1] + ([n - 1, 1 - n] if grid.bc == PERIODIC else [])  # + the wrap corners
+    stencil = sp.diags([lo, mid, hi, lo, hi][: len(offsets)], offsets, shape=(n, n))
+    eye = [sp.identity(m) for m in grid.cells]
+    return functools.reduce(sp.kron, eye[:axis] + [stencil] + eye[axis + 1 :]).tocsr()
 
 
 def grad(s: ScalarField, ghost: str = "zero") -> VectorField:

@@ -160,6 +160,8 @@ def load_snapshot(path) -> FluidState:
         if fh.read(1):
             raise SnapshotError("trailing data after the final section")
 
+    if not np.all(np.isfinite(rho)):
+        raise SnapshotError("snapshot payload inconsistent: non-finite density")
     if np.min(rho) < 0.0:
         raise SnapshotError("snapshot payload inconsistent: negative density")
     if not np.all(np.isfinite(u)):

@@ -5,22 +5,31 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doifbp import (
     Grid,
+    NumericalError,
     OrientationField,
     PhysCoeffs,
     PressureLaw,
     ScalarField,
     VectorField,
     cfl_dt,
+    div,
     fluid_pressure,
+    grad,
     integral,
+    laplacian,
     make_sphere_basis,
     momentum_step,
+    step,
     total_pressure,
     uniform_orientation,
 )
+from doifbp import hydro
 from doifbp.integrator import FluidState
 
 
@@ -110,14 +119,17 @@ def test_momentum_uniform_equilibrium_stays_at_rest():
     assert np.max(np.abs(u1.values)) == 0.0
 
 
-def test_momentum_conserved_per_step_periodic():
+@pytest.mark.parametrize("cells", [(64,), (32, 24)], ids=["1d", "2d"])
+def test_momentum_conserved_per_step_periodic(cells):
     # gamma = 2 gas, no rods (sigma = 0), smooth periodic fields: the donor
-    # fluxes telescope and centered gradients of periodic scalars sum to zero
+    # fluxes telescope, centered gradients of periodic scalars sum to zero, and
+    # so do the columns of the viscous operator
     basis = make_sphere_basis(2)
-    g = Grid(cells=(64,), lengths=(1.0,))
-    x = g.axis_centers(0)
-    rho = 0.9 + 0.2 * np.sin(2.0 * np.pi * x)
-    u = (0.3 + 0.15 * np.cos(2.0 * np.pi * x)).reshape(1, -1)
+    g = Grid(cells=cells, lengths=(1.0, 1.5)[: len(cells)])
+    x = g.meshes()
+    phase = sum(2.0 * np.pi * xa / ell for xa, ell in zip(x, g.lengths))
+    rho = 0.9 + 0.2 * np.sin(phase)
+    u = np.stack([0.3 + 0.15 * np.cos(phase + a) for a in range(g.dim)])
     state = FluidState(
         rho=ScalarField(g, rho),
         u=VectorField(g, u),
@@ -126,12 +138,13 @@ def test_momentum_conserved_per_step_periodic():
         law=PressureLaw(2.0),
         coeffs=PhysCoeffs(),
     )
-    m0 = integral(ScalarField(g, rho * u[0]))
     dt = cfl_dt(state, state.coeffs, state.law, 0.45)
     u1 = momentum_step(state, dt, state.coeffs, state.law)
     rho1 = rho  # the momentum step does not move the density
-    m1 = integral(ScalarField(g, rho1 * u1.values[0]))
-    assert abs(m1 - m0) <= 1e-12 * max(1.0, abs(m0))
+    for a in range(g.dim):
+        m0 = integral(ScalarField(g, rho * u[a]))
+        m1 = integral(ScalarField(g, rho1 * u1.values[a]))
+        assert abs(m1 - m0) <= 1e-12 * max(1.0, abs(m0))
 
 
 def test_momentum_zeroes_vacuum_cells():
@@ -200,6 +213,54 @@ def test_momentum_one_step_consistency_first_order():
         errs.append(float(np.max(np.abs(u1.values[0] - (u + dt * u_t)))) / dt)
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6, f"ratios {r1:.2f}, {r2:.2f}"
+
+
+# ---------------------------------------------------------------------------
+# the implicit viscous operator and its solve
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    bc=st.sampled_from(("periodic", "dirichlet")),
+    nx=st.integers(4, 12),
+    ny=st.integers(4, 12),
+    mu=st.floats(0.01, 10.0),
+    lam=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_viscous_operator_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, seed):
+    # K must be the grid's own Laplacian and grad(div) with the zero ghost,
+    # and symmetric, which is the premise of the conjugate-gradient solve
+    rng = np.random.default_rng(seed)
+    g = Grid(cells=(nx, ny)[:dim], lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
+    u = VectorField(g, rng.standard_normal((dim,) + g.cells))
+    k = hydro._viscous_operator(g, mu, lam)
+    got = (k @ u.values.ravel()).reshape(u.values.shape)
+    gd = grad(div(u)).values
+    lap = [laplacian(ScalarField(g, comp)).values for comp in u.values]
+    want = np.stack([mu * lap[i] + lam * gd[i] for i in range(dim)])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert abs(k - k.T).max() <= 1e-12 * abs(k).max()
+
+
+def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
+    # a non-finite right-hand side, and an operator whose strong skew band
+    # breaks the symmetry that CG needs, both fail the true-residual check
+    g = Grid(cells=(16,), lengths=(1.0,))
+    u = 0.1 * np.cos(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)
+    state = _uniform_state(g, make_sphere_basis(2), u=u)
+    dt = cfl_dt(state, state.coeffs, state.law, 0.45)
+    b = state.rho.values * state.u.values
+    with pytest.raises(NumericalError, match="relative residual nan"):
+        hydro._viscous_solve(g, state.rho.values, np.full_like(b, np.nan), dt, 1.0, 1.0)
+    k = hydro._viscous_operator(g, 1.0, 1.0)
+    skew = sp.diags([1e4, -1e4], [1, -1], shape=k.shape)
+    monkeypatch.setattr(hydro, "_viscous_operator", lambda *args: (k + skew).tocsr())
+    with pytest.raises(NumericalError, match="relative residual"):
+        hydro._viscous_solve(g, state.rho.values, b, dt, 1.0, 1.0)
+    with pytest.raises(NumericalError, match="substep 'momentum' failed at t=.*relative residual"):
+        step(state, dt)
 
 
 # ---------------------------------------------------------------------------

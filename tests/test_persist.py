@@ -245,6 +245,20 @@ def test_snapshot_rejects_negative_orientation_payload(tmp_path):
         load_snapshot(path)
 
 
+def test_snapshot_rejects_non_finite_density_payload(tmp_path):
+    state = _make_state()
+    path = tmp_path / "state.bin"
+    snapshot(state, path)
+    full = path.read_bytes()
+    # a 1D header is 84 bytes: magic 8, dim and bc 8, cells 8, lengths 8,
+    # degree 4, six coefficients 48; the rho payload follows
+    start = 84
+    assert struct.unpack_from("<d", full, start)[0] == state.rho.values[0]
+    path.write_bytes(full[:start] + struct.pack("<d", math.nan) + full[start + 8 :])
+    with pytest.raises(SnapshotError, match="payload inconsistent: non-finite density"):
+        load_snapshot(path)
+
+
 def test_snapshot_replay_is_bit_exact(tmp_path):
     state = _make_state(n=16)
     dt = 0.25 * cfl_dt(state, state.coeffs, state.law, 0.45)
