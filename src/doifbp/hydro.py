@@ -157,8 +157,9 @@ def _viscous_solve(grid, rho_hat, b, dt, mu, lam):
     """Jacobi-preconditioned CG on (rho_hat I - dt K) x = b, K = `_viscous_operator`.
 
     Iterates to recursive relative residual 1e-13 (so conservation sums stay
-    at roundoff) or `_CG_MAX_ITER` steps, then accepts x only if its true
-    residual is below 1e-10 ||b||; anything else is a numerical failure.
+    at roundoff) or `_CG_MAX_ITER` steps, stopping at once on a NaN residual,
+    then accepts x only if its true residual is below 1e-10 ||b||; anything
+    else is a numerical failure.
     """
     k = _viscous_operator(grid, mu, lam)
     w = np.broadcast_to(rho_hat, b.shape).ravel()
@@ -173,7 +174,7 @@ def _viscous_solve(grid, rho_hat, b, dt, mu, lam):
     r = b - apply(x)
     p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
     for _ in range(_CG_MAX_ITER):
-        if np.linalg.norm(r) <= 1e-13 * b_norm:
+        if not np.linalg.norm(r) > 1e-13 * b_norm:  # converged, or NaN
             break
         z = inv_diag * r
         rz, rz_old = r @ z, rz

@@ -1,10 +1,12 @@
 """Operator-split time stepping of the coupled system and its energy ledger.
 
 One step applies Lie splitting in a fixed order: density transport, the
-explicit Fokker-Planck substep for the orientation distribution, and finally
-the momentum update driven by the freshest fields.  The rod number density
-eta is not a state field: it is always the zeroth moment int f dtau of the
-orientation distribution.  The energy ledger records
+Fokker-Planck substep for the orientation distribution (explicit transport,
+sphere drift and translational diffusion, then exact rotational diffusion
+through the integrating factor exp(-dt d_rot l(l+1)) per harmonic degree),
+and finally the momentum update driven by the freshest fields.  The rod
+number density eta is not a state field: it is always the zeroth moment
+int f dtau of the orientation distribution.  The energy ledger records
 
     E = int rho |u|^2 / 2 + rho^gamma / (gamma - 1) + eta^2 + psi
 
@@ -114,6 +116,12 @@ class DiagnosticsRecord:
         )
 
 
+def pressure_energy(state: FluidState) -> float:
+    """The ledger's pressure entry int rho^gamma / (gamma - 1) dx."""
+    pi = fluid_pressure(state.rho, state.law)
+    return float(np.sum(pi.values)) * state.grid.cell_volume / (state.law.gamma - 1.0)
+
+
 def energy_total(state: FluidState) -> DiagnosticsRecord:
     """Evaluate the energy ledger on one state.
 
@@ -129,8 +137,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     rho, u = state.rho.values, state.u.values
 
     e_kin = 0.5 * float(np.sum(rho * np.sum(u * u, axis=0))) * vol
-    pi = fluid_pressure(state.rho, state.law)
-    e_press = float(np.sum(pi.values)) * vol / (state.law.gamma - 1.0)
+    e_press = pressure_energy(state)
     e_eta = float(np.sum(eta.values * eta.values)) * vol
     psi, fisher_tau, fisher_x = entropy_and_fisher(state.f)
     e_entropy = integral(psi)
@@ -179,8 +186,10 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     rho1 = _substep("density transport", t, lambda: transport_step(state.rho, state.u, dt, 0.0, ghost="edge"))
 
     def fp_update():
-        rhs = fp_rhs(state.f, state.u, state.coeffs.d_trans, state.coeffs.d_rot)
-        f1 = OrientationField(state.f.grid, state.f.basis, state.f.coeffs + dt * rhs.coeffs)
+        f, c = state.f, state.coeffs
+        rhs = fp_rhs(f, state.u, c.d_trans, 0.0)
+        decay = np.exp(dt * c.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
+        f1 = OrientationField(f.grid, f.basis, (f.coeffs + dt * rhs.coeffs) * decay)
         f1.check_positive()
         return f1
 

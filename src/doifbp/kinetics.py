@@ -77,13 +77,18 @@ def projection_drift(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _drift_coefficients(basis, g_values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Weak-form coefficients of -div_tau(P_perp(g tau) f) per cell."""
+    """Weak-form coefficients of -div_tau(P_perp(g tau) f) per cell.
+
+    `g_values` is the leading k x k block of the per-cell velocity gradient,
+    cells + (k, k); the slots outside it are zero and are not contracted.
+    """
     cells = coeffs.shape[:-1]
     nq = coeffs.shape[-1]
+    k = g_values.shape[-1]
     c = coeffs.reshape(-1, nq)
-    g = g_values.reshape(-1, 9)
-    d = basis.drift_mats.reshape(9, nq, nq)
-    # t[x, n, p] = sum_q D[x, p, q] c[n, q], batched over the 9 gradient slots
+    g = g_values.reshape(-1, k * k)
+    d = basis.drift_mats[:k, :k].reshape(k * k, nq, nq)
+    # t[x, n, p] = sum_q D[x, p, q] c[n, q], batched over the k^2 gradient slots
     t = np.matmul(c, d.transpose(0, 2, 1))
     out = np.einsum("nx,xnp->np", g, t)
     return out.reshape(cells + (nq,))
@@ -98,18 +103,21 @@ def fp_rhs(f: OrientationField, u: VectorField, d_trans: float, d_rot: float) ->
     harmonic channel with one donor pattern, so the number-density moment of
     this right-hand side is exactly the donor-cell advection-diffusion of eta
     (the drift row and the eigenvalue of the constant harmonic are zero).
+    The integrator calls it with d_rot = 0, which skips the rotational term,
+    and applies rotational diffusion exactly.
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
     g = f.grid
     adv = upwind_divergence(g, f.coeffs, u.values, ghost="zero")
     gv = velocity_gradient(u)
-    drift = _drift_coefficients(f.basis, gv.values, f.coeffs)
-    rot = d_rot * f.coeffs * f.basis.lap_eig
+    drift = _drift_coefficients(f.basis, gv.values[..., :g.dim, :g.dim], f.coeffs)
     xdiff = np.zeros_like(f.coeffs)
     for a in range(g.dim):
         xdiff += _second_diff(f.coeffs, a, g.h[a], g.bc, "zero")
-    rhs = -adv + drift + rot + d_trans * xdiff
+    rhs = -adv + drift + d_trans * xdiff
+    if d_rot != 0.0:
+        rhs += d_rot * f.coeffs * f.basis.lap_eig
     return OrientationField(g, f.basis, rhs)
 
 

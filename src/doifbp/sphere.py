@@ -154,7 +154,10 @@ def make_sphere_basis(L: int) -> SphereBasis:
     # assembly quadrature exact through degree 2L+3 >= deg(tau_b dY_p Y_q)
     th_f, ph_f, nodes_f, w_f = _gauss_product_nodes(L + 3, 2 * L + 6)
     y_f, gy_f, _ = _harmonic_tables(L, th_f, ph_f)
-    drift_mats = np.einsum("k,kb,kpa,kq->abpq", w_f, nodes_f, gy_f, y_f, optimize=True)
+    # C order, so each (a, b) slot is a contiguous Q x Q matrix for the drift contraction
+    drift_mats = np.ascontiguousarray(
+        np.einsum("k,kb,kpa,kq->abpq", w_f, nodes_f, gy_f, y_f, optimize=True)
+    )
 
     outer = 3.0 * nodes[:, :, None] * nodes[:, None, :] - np.eye(3)
     stress_map = np.einsum("k,kij,kq->qij", weights, outer, y, optimize=True)

@@ -263,6 +263,28 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
         step(state, dt)
 
 
+def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side(monkeypatch):
+    # one application for the initial residual and one for the true-residual
+    # check; none for CG iterations on NaNs
+    g = Grid(cells=(64, 64), lengths=(1.0, 1.0))
+    k = hydro._viscous_operator(g, 1.0, 1.0)
+    applied = []
+
+    class CountingOperator:
+        def diagonal(self):
+            return k.diagonal()
+
+        def __matmul__(self, v):
+            applied.append(v.shape)
+            return k @ v
+
+    monkeypatch.setattr(hydro, "_viscous_operator", lambda *args: CountingOperator())
+    b = np.full((2, 64, 64), np.nan)
+    with pytest.raises(NumericalError, match="relative residual nan"):
+        hydro._viscous_solve(g, np.full(g.cells, 0.8), b, 1e-3, 1.0, 1.0)
+    assert len(applied) <= 3
+
+
 # ---------------------------------------------------------------------------
 # stable step size
 

@@ -1,18 +1,24 @@
 """Coupled stepping, the energy ledger, and the renormalized diagnostic."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doifbp import (
+    EPS_POS,
     Grid,
     NumericalError,
     OrientationField,
     PhysCoeffs,
     PressureLaw,
+    RunConfig,
     ScalarField,
     VectorField,
+    build_initial_state,
     cfl_dt,
     energy_total,
     integral,
@@ -141,6 +147,70 @@ def test_step_reports_failing_substep():
     state = _state(g, basis, np.full(8, 0.5), np.full((1, 8), 4.0), np.full(8, 0.1))
     with pytest.raises(NumericalError, match="substep 'density transport' failed at t="):
         step(state, 10.0 * g.h[0])  # violates the advective CFL on purpose
+
+
+def test_step_decays_each_degree_by_its_exact_rotational_factor():
+    # space-uniform f at rest: only rotational diffusion acts on it
+    basis = make_sphere_basis(4)
+    g = Grid(cells=(4,), lengths=(1.0,))
+    rng = np.random.default_rng(5)
+    coeffs = np.broadcast_to(rng.uniform(-0.01, 0.01, basis.n_coeff), (4, basis.n_coeff)).copy()
+    coeffs[:, 0] = 1.0
+    state = replace(
+        _state(g, basis, np.full(4, 0.8), np.zeros((1, 4)), np.full(4, 0.1)),
+        f=OrientationField(g, basis, coeffs),
+        coeffs=PhysCoeffs(d_rot=30.0),
+    )
+    dt = 1e-2
+    out = step(state, dt, freeze_velocity=True)
+    l = basis.l_index
+    np.testing.assert_allclose(out.f.coeffs, coeffs * np.exp(-dt * 30.0 * l * (l + 1)), rtol=1e-14)
+    assert np.array_equal(out.f.coeffs[:, 0], coeffs[:, 0])
+
+
+def test_stiff_rotational_diffusion_keeps_f_positive():
+    # dt d_rot L(L+1) is about 4.9 here; an explicit Euler update of the
+    # rotational diffusion dipped to -3.9e-4 at t = 0.0158
+    cfg = RunConfig(
+        cells=(16,), sphere_degree=7, d_rot=100.0, preset="colliding_streams",
+        amplitude=0.5, gamma=5.0, t_final=0.1,
+    )
+    _, final = run(build_initial_state(cfg), cfg.t_final)
+    assert final.t == pytest.approx(cfg.t_final, rel=1e-12)
+    assert final.f.min_nodal() >= -EPS_POS
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    n=st.integers(4, 8),
+    L=st.integers(2, 6),
+    d_rot=st.floats(1e-3, 1e4),
+    amplitude=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frozen_velocity_step_keeps_f_positive_for_any_rotational_diffusion(
+    dim, n, L, d_rot, amplitude, seed
+):
+    # f is positive on the whole sphere, not only at the nodes: its isotropic
+    # part 1 exceeds sum |c_lm| max|Y_lm| <= sum |c_lm| sqrt((2l + 1) / 4 pi)
+    rng = np.random.default_rng(seed)
+    basis = make_sphere_basis(L)
+    g = Grid(cells=(n,) * dim, lengths=(1.0,) * dim)
+    coeffs = rng.standard_normal(g.cells + (basis.n_coeff,))
+    coeffs[..., 0] = 0.0
+    y_max = np.sqrt((2 * basis.l_index + 1) / (4.0 * math.pi))
+    coeffs *= 0.5 / np.sum(np.abs(coeffs) * y_max, axis=-1, keepdims=True)
+    coeffs[..., 0] = SQRT_4PI
+    phase = rng.uniform(0.0, 2.0 * math.pi, dim)
+    u = np.stack([amplitude * np.sin(2.0 * math.pi * x + p) for x, p in zip(g.meshes(), phase)])
+    state = replace(
+        _state(g, basis, np.full(g.cells, 0.8), u, np.ones(g.cells)),
+        f=OrientationField(g, basis, coeffs),
+        coeffs=PhysCoeffs(d_rot=d_rot),
+    )
+    out = step(state, cfl_dt(state, state.coeffs, state.law, 0.45), freeze_velocity=True)
+    assert out.f.min_nodal() >= -EPS_POS
 
 
 def test_splitting_global_error_first_order():

@@ -24,6 +24,7 @@ from doifbp import (
     upwind_divergence,
     velocity_gradient,
 )
+from doifbp.kinetics import _drift_coefficients
 
 
 def _basis_and_grid(L=4, n=4):
@@ -258,6 +259,25 @@ def test_fp_rhs_number_density_moment_is_scalar_transport(dim, bc, n, L, d_trans
     got = eta_moment(fp_rhs(f, u, d_trans, d_rot)).values
     scale = max(np.max(np.abs(advection)), np.max(np.abs(diffusion)))
     assert np.max(np.abs(got - (advection + diffusion))) <= 1e-12 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    L=st.integers(2, 7),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_drift_on_the_dim_block_equals_the_padded_contraction(dim, L, n, seed):
+    # fp_rhs contracts only the dim x dim gradient block; the slots it skips
+    # are the zero padding of the 3 x 3 gradient, so the result is bit-equal
+    rng = np.random.default_rng(seed)
+    basis = make_sphere_basis(L)
+    coeffs = rng.standard_normal((n, basis.n_coeff))
+    g = np.zeros((n, 3, 3))
+    g[:, :dim, :dim] = rng.standard_normal((n, dim, dim))
+    block = _drift_coefficients(basis, g[:, :dim, :dim], coeffs)
+    assert np.array_equal(block, _drift_coefficients(basis, g, coeffs))
 
 
 def test_fp_rhs_rejects_grid_mismatch():

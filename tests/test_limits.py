@@ -14,8 +14,10 @@ from doifbp import (
     RunConfig,
     ScalarField,
     VectorField,
+    build_initial_state,
     gamma_sweep,
     make_sphere_basis,
+    run,
     uniform_orientation,
 )
 from doifbp.integrator import FluidState
@@ -198,6 +200,18 @@ def test_sweep_on_quiescent_state_has_closed_form():
         assert row.complementarity == pytest.approx(0.5**gamma * 0.5, rel=1e-12)
         assert row.incompressibility_defect == 0.0
         assert row.congested_volume == 0.0
+
+
+def test_sweep_pressure_integral_is_the_trapezoid_over_every_step_ledger_records():
+    cfg = replace(QUIET_CONFIG, preset="colliding_streams", amplitude=0.4, t_final=0.02)
+    result = gamma_sweep(cfg, workers=1)
+    for row in result.rows:
+        cfg_g = replace(cfg, gamma=row.gamma)
+        records, _ = run(build_initial_state(cfg_g), cfg_g.t_final, record_every=1, safety=cfg_g.cfl_safety)
+        assert len(records) > 2  # intermediate steps, not only the end points
+        ts = np.array([r.t for r in records])
+        pg = (row.gamma - 1.0) * np.array([r.e_pressure for r in records])
+        assert row.pressure_time_integral == float(np.trapezoid(pg, ts))
 
 
 def test_sweep_single_gamma():
