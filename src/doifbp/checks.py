@@ -103,9 +103,11 @@ def check_moment_consistency() -> tuple:
     """Suite 3: ||eta_moment(f) - eta_ref||_inf under (dt, h) halving.
 
     The state carries no number density of its own; eta_ref is a reference
-    evolved here, next to `step`, by the scalar donor-cell transport with
-    translational diffusion.  The zeroth orientation coefficient follows the
-    identical discrete operator, so the defect sits at roundoff on every
+    evolved here, next to `step`, by `transport_step` with translational
+    diffusion.  On these periodic grids both apply the same composition (the
+    explicit donor-cell step, then the exact heat propagator
+    `grid.heat_step`), so the zeroth orientation coefficient follows the
+    identical discrete operator and the defect sits at roundoff on every
     level; the halving test therefore carries a 1e-12 floor below which
     further decrease is not required.
     """

@@ -3,8 +3,10 @@
 The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
 the total pressure adds the polymer contributions eta + eta^2, where eta is
 the zeroth orientation moment of f.  Scalars are transported with donor-cell
-upwind fluxes plus explicit centered diffusion, which keeps them nonnegative
-and exactly conservative on periodic grids.
+upwind fluxes plus translational diffusion by the 3-point Laplacian: exact
+(`grid.heat_step`, no step-size bound) on periodic grids, explicit and bounded
+by the diffusive CFL term on Dirichlet grids.  Both keep them nonnegative, and
+exactly conservative on periodic grids.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
@@ -30,15 +32,17 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .grid import (
+    PERIODIC,
     ScalarField,
     VectorField,
     _centered_diff,
     _diff_matrix,
     _second_diff,
     grad,
+    heat_step,
     upwind_divergence,
 )
-from .kinetics import eta_moment, stress_moment, velocity_gradient
+from .kinetics import _gradient_block, eta_moment, stress_moment
 
 #: densities below this are treated as vacuum; velocity is forced to zero there
 RHO_FLOOR = 1e-10
@@ -108,11 +112,16 @@ def _advective_ok(grid, u: np.ndarray, dt: float) -> bool:
 def transport_step(
     s: ScalarField, u: VectorField, dt: float, diffusivity: float = 0.0, ghost: str = "zero"
 ) -> ScalarField:
-    """One explicit step of d_t s + div(s u) = diffusivity * Lap s.
+    """One step of d_t s + div(s u) = diffusivity * Lap s.
 
-    Donor-cell upwind flux plus centered diffusion: conservative (exact cell
-    sum on periodic grids for diffusivity compatible stencils), monotone for
-    pure advection, and nonnegativity-preserving under the CFL bound.
+    An explicit donor-cell upwind step, then the 3-point diffusion.  On
+    periodic grids the diffusion is exact, s* -> exp(dt diffusivity Lap_h) s*
+    (`grid.heat_step`, the composition the integrator applies to f), and needs
+    no step-size bound; on Dirichlet grids it is the explicit centered term of
+    the old state and needs the diffusive CFL bound.  Conservative (exact cell
+    sum on periodic grids), monotone for pure advection, and
+    nonnegativity-preserving under the advective (and, on Dirichlet grids,
+    diffusive) CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
@@ -121,12 +130,13 @@ def transport_step(
     g = s.grid
     if not _advective_ok(g, u.values, dt):
         raise NumericalError(f"advective CFL violated for dt={dt:.3e}")
-    if diffusivity > 0.0:
+    out = s.values - dt * upwind_divergence(g, s.values, u.values, ghost=ghost)
+    if diffusivity > 0.0 and g.bc == PERIODIC:
+        out = heat_step(g, out, dt * diffusivity)
+    elif diffusivity > 0.0:
         stiff = dt * diffusivity * sum(2.0 / h**2 for h in g.h)
         if stiff > _CFL_SLACK:
             raise NumericalError(f"explicit diffusion unstable for dt={dt:.3e}")
-    out = s.values - dt * upwind_divergence(g, s.values, u.values, ghost=ghost)
-    if diffusivity > 0.0:
         lap = np.zeros_like(s.values)
         for a in range(g.dim):
             lap += _second_diff(s.values, a, g.h[a], g.bc, ghost)
@@ -229,12 +239,17 @@ def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
 
     advective  h / max|u|            (per axis)
     acoustic   h / sqrt(gamma max rho^(gamma-1))
-    diffusive  h^2 / (2 d max(D, 1))   for the explicit translational diffusion of f
+    diffusive  h^2 / (2 d max(D, 1))   Dirichlet grids only
     drift      1 / (L(L+1) max|grad u|)  for the spectral sphere drift
 
-    The acoustic bound shrinks like gamma^(-1/2) at rho = 1: the documented
-    cost of the stiff pressure.  An all-zero state returns the pure-diffusion
-    bound (the other constraints degenerate to infinity).
+    The diffusive bound guards the explicit translational diffusion of f,
+    which only Dirichlet grids still take; periodic grids diffuse exactly and
+    have no such bound.  The acoustic bound shrinks like gamma^(-1/2) at
+    rho = 1: the documented cost of the stiff pressure.  A bound whose speed
+    is zero drops out, so a periodic state with zero velocity and zero
+    density has no finite bound and returns `math.inf`; `integrator.run`
+    then steps straight to its end time.  On Dirichlet grids the result is
+    always finite.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must lie in (0, 1], got {safety}")
@@ -249,10 +264,11 @@ def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
     if rho_max > 0.0:
         speed2 = law.gamma * math.exp((law.gamma - 1.0) * math.log(rho_max))
         bounds.append(h_min / math.sqrt(speed2))
-    bounds.append(h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0)))
-    gv = velocity_gradient(state.u).values
+    if g.bc != PERIODIC:
+        bounds.append(h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0)))
+    gv = _gradient_block(g, state.u.values)
     g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
     if g_max > 0.0:
         L = state.f.basis.degree
         bounds.append(1.0 / (L * (L + 1) * g_max))
-    return safety * min(bounds)
+    return safety * min(bounds, default=math.inf)

@@ -1,12 +1,16 @@
 """Operator-split time stepping of the coupled system and its energy ledger.
 
 One step applies Lie splitting in a fixed order: density transport, the
-Fokker-Planck substep for the orientation distribution (explicit transport,
-sphere drift and translational diffusion, then exact rotational diffusion
-through the integrating factor exp(-dt d_rot l(l+1)) per harmonic degree),
-and finally the momentum update driven by the freshest fields.  The rod
-number density eta is not a state field: it is always the zeroth moment
-int f dtau of the orientation distribution.  The energy ledger records
+Fokker-Planck substep for the orientation distribution, and finally the
+momentum update driven by the freshest fields.  The Fokker-Planck substep is
+an explicit step of physical transport and sphere drift, then translational
+diffusion, then exact rotational diffusion through the integrating factor
+exp(-dt d_rot l(l+1)) per harmonic degree.  Translational diffusion is exact
+on periodic grids (`grid.heat_step` of the explicit result, so `cfl_dt` has
+no diffusive bound there) and explicit on Dirichlet grids (part of the
+explicit step, under the diffusive CFL bound).  The rod number density eta
+is not a state field: it is always the zeroth moment int f dtau of the
+orientation distribution.  The energy ledger records
 
     E = int rho |u|^2 / 2 + rho^gamma / (gamma - 1) + eta^2 + psi
 
@@ -32,7 +36,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NumericalError
-from .grid import ScalarField, VectorField, div, grad, integral, lp_norm, upwind_divergence
+from .grid import (
+    PERIODIC,
+    ScalarField,
+    VectorField,
+    div,
+    grad,
+    heat_step,
+    integral,
+    lp_norm,
+    upwind_divergence,
+)
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, fluid_pressure, momentum_step, transport_step
 from .kinetics import entropy_and_fisher, eta_moment, fp_rhs, velocity_gradient
 from .sphere import OrientationField
@@ -187,9 +201,14 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
     def fp_update():
         f, c = state.f, state.coeffs
-        rhs = fp_rhs(f, state.u, c.d_trans, 0.0)
         decay = np.exp(dt * c.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
-        f1 = OrientationField(f.grid, f.basis, (f.coeffs + dt * rhs.coeffs) * decay)
+        if f.grid.bc == PERIODIC:
+            rhs = fp_rhs(f, state.u, 0.0, 0.0)
+            coeffs = heat_step(f.grid, f.coeffs + dt * rhs.coeffs, dt * c.d_trans)
+        else:
+            rhs = fp_rhs(f, state.u, c.d_trans, 0.0)
+            coeffs = f.coeffs + dt * rhs.coeffs
+        f1 = OrientationField(f.grid, f.basis, coeffs * decay)
         f1.check_positive()
         return f1
 

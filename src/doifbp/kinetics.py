@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, _centered_diff, _check_values, _second_diff, grad, upwind_divergence
+from .grid import ScalarField, VectorField, _centered_diff, _check_values, _second_diff, upwind_divergence
 from .sphere import EPS_POS, OrientationField
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -47,14 +47,25 @@ class VelocityGradient:
         object.__setattr__(self, "values", arr)
 
 
+def _gradient_block(grid, u: np.ndarray) -> np.ndarray:
+    """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
+
+    The zero-ghost centered differences of the raw velocity array, without the
+    3x3 padding and the finiteness validation of `velocity_gradient`; the step
+    path (`fp_rhs` and the drift bound of `hydro.cfl_dt`) reads this block.
+    """
+    out = np.empty(grid.cells + (grid.dim, grid.dim))
+    for i in range(grid.dim):
+        for j in range(grid.dim):
+            out[..., i, j] = _centered_diff(u[i], j, grid.h[j], grid.bc, "zero")
+    return out
+
+
 def velocity_gradient(u: VectorField) -> VelocityGradient:
     """Centered-difference gradient of the velocity, zero-padded to 3x3."""
     g = u.grid
     out = np.zeros(g.cells + (3, 3))
-    for i in range(g.dim):
-        gi = grad(ScalarField(g, u.values[i]), ghost="zero")
-        for j in range(g.dim):
-            out[..., i, j] = gi.values[j]
+    out[..., : g.dim, : g.dim] = _gradient_block(g, u.values)
     return VelocityGradient(g, out)
 
 
@@ -103,19 +114,22 @@ def fp_rhs(f: OrientationField, u: VectorField, d_trans: float, d_rot: float) ->
     harmonic channel with one donor pattern, so the number-density moment of
     this right-hand side is exactly the donor-cell advection-diffusion of eta
     (the drift row and the eigenvalue of the constant harmonic are zero).
-    The integrator calls it with d_rot = 0, which skips the rotational term,
-    and applies rotational diffusion exactly.
+    A zero d_rot or d_trans skips its term.  The integrator always passes
+    d_rot = 0 and applies rotational diffusion exactly; on periodic grids it
+    also passes d_trans = 0 and applies translational diffusion exactly
+    (`grid.heat_step`), while on Dirichlet grids it is this explicit term.
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
     g = f.grid
     adv = upwind_divergence(g, f.coeffs, u.values, ghost="zero")
-    gv = velocity_gradient(u)
-    drift = _drift_coefficients(f.basis, gv.values[..., :g.dim, :g.dim], f.coeffs)
-    xdiff = np.zeros_like(f.coeffs)
-    for a in range(g.dim):
-        xdiff += _second_diff(f.coeffs, a, g.h[a], g.bc, "zero")
-    rhs = -adv + drift + d_trans * xdiff
+    drift = _drift_coefficients(f.basis, _gradient_block(g, u.values), f.coeffs)
+    rhs = -adv + drift
+    if d_trans != 0.0:
+        xdiff = np.zeros_like(f.coeffs)
+        for a in range(g.dim):
+            xdiff += _second_diff(f.coeffs, a, g.h[a], g.bc, "zero")
+        rhs += d_trans * xdiff
     if d_rot != 0.0:
         rhs += d_rot * f.coeffs * f.basis.lap_eig
     return OrientationField(g, f.basis, rhs)

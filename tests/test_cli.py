@@ -10,7 +10,7 @@ from doifbp import load_snapshot
 from doifbp.persist import read_diagnostics, read_sweep
 
 FAST_RUN = """
-cells = 16
+cells = 64
 sphere_degree = 2
 amplitude = 0.3
 t_final = 0.02

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doifbp import (
     Grid,
@@ -18,6 +21,7 @@ from doifbp import (
     transport_step,
     upwind_divergence,
 )
+from doifbp.grid import _diff_matrix, heat_step
 
 
 def _sin_field(n, length=1.0):
@@ -215,3 +219,57 @@ def test_upwind_divergence_telescopes_with_channels():
     out = upwind_divergence(g, q, u, ghost="zero")
     sums = np.abs(np.sum(out, axis=0))
     assert np.max(sums) < 1e-12 * np.max(np.abs(q)) * 24 / g.h[0]
+
+
+# ---------------------------------------------------------------------------
+# exact periodic diffusion
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.integers(4, 32)),
+        st.tuples(st.integers(4, 16), st.integers(4, 16)),
+    ),
+    stiffness=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_heat_step_is_the_exact_periodic_heat_propagator(shape, stiffness, seed):
+    # stiffness = t max|symbol of Lap_h|; explicit Euler is stable only up to 2
+    rng = np.random.default_rng(seed)
+    g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))))
+    t = stiffness / sum(4.0 / h**2 for h in g.h)
+    q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
+    lap = sum(_diff_matrix(g, a, second=True) for a in range(g.dim)).toarray()
+    want = (scipy.linalg.expm(t * lap) @ q.reshape(g.n_cells, 3)).reshape(q.shape)
+    got = heat_step(g, q, t)
+    scale = max(float(np.max(q)), 1e-300)
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    cells = tuple(range(g.dim))
+    assert np.all(np.abs(got.sum(axis=cells) - q.sum(axis=cells)) <= 1e-14 * g.n_cells * scale)
+    assert np.min(got) >= -1e-15 * scale  # nonnegative up to roundoff
+
+
+def test_heat_step_needs_a_periodic_grid():
+    g = Grid(cells=(8,), lengths=(1.0,), bc="dirichlet")
+    with pytest.raises(ValueError, match="periodic"):
+        heat_step(g, np.ones(8), 0.1)
+
+
+def test_transport_diffusion_is_exact_on_periodic_and_bounded_on_dirichlet_grids():
+    # dt * D * 4 / h^2 = 400, far past the explicit limit of 2
+    for bc in ("periodic", "dirichlet"):
+        g = Grid(cells=(16,), lengths=(1.0,), bc=bc)
+        s = ScalarField(g, 1.0 + np.sin(2.0 * np.pi * g.axis_centers(0)))
+        u = VectorField(g, np.full((1, 16), 0.5))
+        dt = 0.1 * g.h[0]
+        d = 100.0 * g.h[0] ** 2 / dt
+        if bc == "dirichlet":
+            with pytest.raises(NumericalError, match="explicit diffusion unstable"):
+                transport_step(s, u, dt, d, ghost="zero")
+            continue
+        out = transport_step(s, u, dt, d, ghost="zero")
+        star = s.values - dt * upwind_divergence(g, s.values, u.values, ghost="zero")
+        assert np.array_equal(out.values, heat_step(g, star, dt * d))
+        assert integral(out) == pytest.approx(integral(s), rel=1e-14)
+        assert np.min(out.values) >= 0.0

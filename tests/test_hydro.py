@@ -1,6 +1,7 @@
 """Pressure laws, the momentum update, and the stable-step computation."""
 
 import math
+from dataclasses import replace
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -19,15 +20,18 @@ from doifbp import (
     VectorField,
     cfl_dt,
     div,
+    eta_moment,
     fluid_pressure,
     grad,
     integral,
     laplacian,
     make_sphere_basis,
     momentum_step,
+    run,
     step,
     total_pressure,
     uniform_orientation,
+    velocity_gradient,
 )
 from doifbp import hydro
 from doifbp.integrator import FluidState
@@ -290,13 +294,73 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side(monkeypatch):
 
 
 def test_cfl_direct_evaluation():
-    # u = 0, rho <= 1, gamma = 2, D = 1, h = 1/64, 1D, safety 1:
-    # min(acoustic 1/(64 sqrt(2)), diffusive 1/8192) = 1/8192
+    # periodic, u = 0, rho <= 1, gamma = 2, D = 1, h = 1/64, 1D, safety 1:
+    # diffusion is exact on periodic grids, so only acoustic 1/(64 sqrt(2)) binds
     basis = make_sphere_basis(2)
     g = Grid(cells=(64,), lengths=(1.0,))
     state = _uniform_state(g, basis, rho=1.0, gamma=2.0)
     dt = cfl_dt(state, state.coeffs, state.law, 1.0)
+    assert dt == pytest.approx(1.0 / (64.0 * math.sqrt(2.0)), rel=1e-14)
+
+
+def test_cfl_direct_evaluation_dirichlet():
+    # the same state on a Dirichlet grid, whose translational diffusion is explicit:
+    # min(acoustic 1/(64 sqrt(2)), diffusive 1/8192) = 1/8192
+    basis = make_sphere_basis(2)
+    g = Grid(cells=(64,), lengths=(1.0,), bc="dirichlet")
+    state = _uniform_state(g, basis, rho=1.0, gamma=2.0)
+    dt = cfl_dt(state, state.coeffs, state.law, 1.0)
     assert dt == pytest.approx(1.0 / 8192.0, rel=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(1, 2),
+    bc=st.sampled_from(["periodic", "dirichlet"]),
+    n=st.integers(4, 24),
+    degree=st.integers(2, 4),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, scale, seed):
+    # cfl_dt reads the dim x dim gradient block; the 3x3 zero-padded
+    # `velocity_gradient` it replaced must give the same bound to the last bit
+    rng = np.random.default_rng(seed)
+    g = Grid(cells=(n,) * dim, lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
+    u = scale * rng.standard_normal((dim,) + g.cells)
+    state = _uniform_state(g, make_sphere_basis(degree), rho=0.0, u=u)
+    gv = velocity_gradient(state.u).values
+    padded = np.sqrt(np.sum(gv * gv, axis=(-2, -1)))
+    block = hydro._gradient_block(g, u)
+    assert np.array_equal(np.sqrt(np.sum(block * block, axis=(-2, -1))), padded)
+
+    bounds = [g.h[a] / np.max(np.abs(u[a])) for a in range(dim)]
+    bounds.append(1.0 / (degree * (degree + 1) * float(np.max(padded))))
+    if bc == "dirichlet":
+        bounds.append(min(g.h) ** 2 / (2.0 * dim))
+    assert cfl_dt(state, state.coeffs, state.law, 0.45) == 0.45 * min(bounds)
+
+
+def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
+    # periodic, zero velocity and zero density: no advective, acoustic, drift or
+    # diffusive bound, so `run` takes one exact step of t_final - t
+    basis = make_sphere_basis(2)
+    g = Grid(cells=(16,), lengths=(1.0,))
+    x = g.axis_centers(0)
+    state = _uniform_state(g, basis, rho=0.0)
+    coeffs = state.f.coeffs.copy()
+    coeffs[..., 0] *= 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
+    state = replace(state, f=OrientationField(g, basis, coeffs), t=0.25)
+    assert cfl_dt(state, state.coeffs, state.law, 0.45) == math.inf
+    steps = []
+    records, final = run(state, 0.75, observer=lambda k, s: steps.append(s.t))
+    assert steps == [0.75] and final.t == 0.75 and len(records) == 2
+    rods = [integral(eta_moment(s.f)) for s in (state, final)]
+    assert rods[1] == pytest.approx(rods[0], rel=1e-12)
+    assert final.f.min_nodal() > 0.0
+    # the same state on a Dirichlet grid keeps its diffusive bound
+    walls = _uniform_state(Grid(cells=(16,), lengths=(1.0,), bc="dirichlet"), basis, rho=0.0)
+    assert cfl_dt(walls, walls.coeffs, walls.law, 0.45) == 0.45 / (2.0 * 16**2)
 
 
 def test_cfl_safety_scaling_and_acoustic_gamma():

@@ -203,7 +203,7 @@ def test_sweep_on_quiescent_state_has_closed_form():
 
 
 def test_sweep_pressure_integral_is_the_trapezoid_over_every_step_ledger_records():
-    cfg = replace(QUIET_CONFIG, preset="colliding_streams", amplitude=0.4, t_final=0.02)
+    cfg = replace(QUIET_CONFIG, preset="colliding_streams", amplitude=0.4, t_final=0.5)
     result = gamma_sweep(cfg, workers=1)
     for row in result.rows:
         cfg_g = replace(cfg, gamma=row.gamma)
