@@ -10,15 +10,20 @@ exactly conservative on periodic grids.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
-(implicit) viscous solve
+(implicit) viscous solve in which the stiff fluid pressure is linearized
+about the density of the next step,
 
-    (rho I - dt K) u_new = m_star,    K = mu Lap + lambda grad div,
+    (rho I - dt [mu Lap + grad((lambda + dt gamma rho^gamma) div .)]) u_new = m_star,
 
-with K assembled once per grid from the grid's stencil matrices.  Its `grad div`
-is the wide centered-of-centered stencil, which decouples odd and even modes and
-is kept on purpose.  The system is SPD for rho >= RHO_FLOOR; it is solved by
-Jacobi-preconditioned CG to relative residual 1e-13 and accepted only at a true
-residual below 1e-10.
+so gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity beside
+lambda, and the step needs no acoustic bound (the all-speed route of
+Degond-Tang).  The polymer pressure eta + eta^2 stays explicit.  The matrix
+is assembled per step as data on a CSR pattern cached per grid, built from
+the grid's stencil matrices.  Its `grad div` is the wide
+centered-of-centered stencil, which decouples odd and even modes and is kept
+on purpose.  The system is SPD for rho >= RHO_FLOOR; it is solved by
+Jacobi-preconditioned CG to relative residual 1e-13 and accepted only at a
+true residual below 1e-10.
 """
 
 from __future__ import annotations
@@ -153,35 +158,81 @@ def transport_step(
 
 
 @functools.lru_cache(maxsize=16)
-def _viscous_operator(grid, mu: float, lam: float) -> sp.csr_matrix:
-    """K = mu Lap + lambda grad div on the stacked velocity components: the
-    grid's zero-ghost `laplacian` and `grad(div(.))` stencils as one matrix,
-    symmetric because the centered matrices are antisymmetric and commute."""
-    d = [_diff_matrix(grid, a, second=False) for a in range(grid.dim)]
-    lap = sum(_diff_matrix(grid, a, second=True) for a in range(grid.dim))
-    grad_div = sp.bmat([[d[i] @ d[j] for j in range(grid.dim)] for i in range(grid.dim)])
-    return (mu * sp.block_diag([lap] * grid.dim) + lam * grad_div).tocsr()
+def _viscous_pattern(grid):
+    """The per-grid structure of the momentum matrix `_viscous_matrix`.
 
+    Returns (indptr, indices, to_data): one CSR pattern on the stacked
+    velocity components and a sparse map from the weights
+    (w per cell, nu, rho_hat per cell) to the data of
 
-def _viscous_solve(grid, rho_hat, b, dt, mu, lam):
-    """Jacobi-preconditioned CG on (rho_hat I - dt K) x = b, K = `_viscous_operator`.
+        divT diag(w) div - nu Lap + diag(rho_hat)
 
-    Iterates to recursive relative residual 1e-13 (so conservation sums stay
-    at roundoff) or `_CG_MAX_ITER` steps, stopping at once on a NaN residual,
-    then accepts x only if its true residual is below 1e-10 ||b||; anything
-    else is a numerical failure.
+    on it, where `div` and `Lap` are the grid's zero-ghost centered
+    divergence and 3-point Laplacian.  The zero ghost makes grad = -divT, so
+    -divT diag(w) div is grad(w div .), the wide centered-of-centered stencil.
+    Contributions to one position are summed, also where the +-2 offsets of
+    that stencil wrap onto each other (4 periodic cells).
     """
-    k = _viscous_operator(grid, mu, lam)
-    w = np.broadcast_to(rho_hat, b.shape).ravel()
-    b = b.ravel()
+    dim, n = grid.dim, grid.n_cells
+    size = dim * n
+    lap = sp.block_diag([sum(_diff_matrix(grid, a, second=True) for a in range(dim))] * dim).tocoo()
+    dv = sp.hstack([_diff_matrix(grid, a, second=False) for a in range(dim)]).tocsr()
+    dv.eliminate_zeros()
+    start, count = dv.indptr[:-1], np.diff(dv.indptr)
+    # every contribution: its (row, column) key, its value, and the column of
+    # the weight it scales with
+    keys, vals, wcol = [lap.row * np.int64(size) + lap.col], [-lap.data], [np.full(lap.nnz, n)]
+    # divT diag(w) div = sum_k w_k d_k d_kT over the rows d_k of div: every
+    # ordered pair of stored entries of row k adds w_k d_kr d_ks at (r, s)
+    for i in range(count.max()):
+        for j in range(count.max()):
+            k = np.flatnonzero(count > max(i, j))
+            p, q = start[k] + i, start[k] + j
+            keys.append(dv.indices[p] * np.int64(size) + dv.indices[q])
+            vals.append(dv.data[p] * dv.data[q])
+            wcol.append(k)
+    diag = np.arange(size)
+    keys.append(diag * np.int64(size + 1))
+    vals.append(np.ones(size))
+    wcol.append(n + 1 + diag % n)
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
+    to_data = sp.csr_matrix(
+        (np.concatenate(vals), (slot, np.concatenate(wcol))), shape=(keys.size, 2 * n + 1)
+    )
+    return indptr, (keys % size).astype(np.int32), to_data
 
-    def apply(v):
-        return w * v - dt * (k @ v)
 
-    inv_diag = 1.0 / (w - dt * k.diagonal())
+def _viscous_matrix(grid, rho_hat, dt, mu, lam, c) -> sp.csr_matrix:
+    """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
+
+    `c` is the per-cell linearized fluid pressure gamma rho^gamma = rho p'(rho);
+    at c = 0 this is the plain implicit-viscosity matrix.  Symmetric, and
+    positive definite for rho_hat > 0 and c >= 0.  Assembled as data on the
+    cached `_viscous_pattern` by one sparse product.
+    """
+    indptr, indices, to_data = _viscous_pattern(grid)
+    weights = np.concatenate((dt * lam + (dt * dt) * c.ravel(), [dt * mu], rho_hat.ravel()))
+    size = indptr.size - 1
+    return sp.csr_matrix((to_data @ weights, indices, indptr), shape=(size, size))
+
+
+def _viscous_solve(a, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Jacobi-preconditioned CG on a x = b, a = `_viscous_matrix`.
+
+    `b` and the initial guess `x` are shaped like a velocity array and are
+    flattened to the matrix ordering; `momentum_step` starts from
+    x = b / rho_hat, exact for dt -> 0.  Iterates to recursive relative
+    residual 1e-13 (so conservation sums stay at roundoff) or `_CG_MAX_ITER`
+    steps, stopping at once on a NaN residual, then accepts x only if its
+    true residual is below 1e-10 ||b||; anything else is a numerical failure.
+    """
+    shape = b.shape
+    b, x = b.ravel(), x.ravel()
+    inv_diag = 1.0 / a.diagonal()
     b_norm = np.linalg.norm(b)
-    x = b / w  # exact solution for dt -> 0
-    r = b - apply(x)
+    r = b - a @ x
     p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
     for _ in range(_CG_MAX_ITER):
         if not np.linalg.norm(r) > 1e-13 * b_norm:  # converged, or NaN
@@ -189,14 +240,14 @@ def _viscous_solve(grid, rho_hat, b, dt, mu, lam):
         z = inv_diag * r
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-        ap = apply(p)
+        ap = a @ p
         alpha = rz / (p @ ap)
         x = x + alpha * p
         r = r - alpha * ap
-    res = np.linalg.norm(b - apply(x))
+    res = np.linalg.norm(b - a @ x)
     if not res <= 1e-10 * b_norm:
         raise NumericalError(f"viscous solve failed at relative residual {res / b_norm:.3e}")
-    return x.reshape((grid.dim,) + grid.cells)
+    return x.reshape(shape)
 
 
 def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> VectorField:
@@ -204,9 +255,20 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
 
     Uses the state's density for both the momentum and the viscous operator,
     and the zeroth moment of its distribution f as the number density in the
-    pressure (the coupled integrator passes the freshest rho and f).  Total
-    momentum is conserved on periodic grids to the 1e-13 solve residual: fluxes
-    telescope, and centered gradients and viscous-operator columns sum to zero.
+    pressure (the coupled integrator passes the freshest rho and f).  The
+    fluid pressure is linearized about the density the next step will carry,
+
+        p(rho - dt div(rho u_new)) ~ p(rho) - dt gamma rho^gamma div u_new,
+
+    with gamma rho^gamma = rho p'(rho) taken at the state's density.  The
+    explicit force keeps the edge-ghost gradient of the whole total pressure
+    at rho; the correction enters the implicit solve as a variable bulk
+    viscosity dt gamma rho^gamma beside lambda (`_viscous_matrix`), so the
+    stiff pressure needs no acoustic step bound.  The polymer pressure
+    eta + eta^2 stays explicit.  Total momentum is conserved on periodic grids
+    to the 1e-13 solve residual: fluxes telescope, and centered gradients and
+    the columns of mu Lap + grad((lambda + dt gamma rho^gamma) div .) sum to
+    zero.
     """
     g = state.rho.grid
     rho = state.rho.values
@@ -214,8 +276,8 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     m = np.moveaxis(rho * u, 0, -1)  # channels-last for the shared donor flux
     m = m - dt * upwind_divergence(g, m, u, ghost="zero")
 
-    pressure = total_pressure(fluid_pressure(state.rho, law), eta_moment(state.f))
-    gp = grad(pressure, ghost="edge").values
+    pi = fluid_pressure(state.rho, law)
+    gp = grad(total_pressure(pi, eta_moment(state.f)), ghost="edge").values
     sigma = stress_moment(state.f)
     for i in range(g.dim):
         force = -gp[i]
@@ -228,47 +290,68 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     vacuum = rho < RHO_FLOOR
     if np.any(vacuum):
         m = np.where(vacuum, 0.0, m)
-    u_new = _viscous_solve(g, rho_hat, m, dt, coeffs.mu, coeffs.lam)
+    a = _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, law.gamma * pi.values)
+    u_new = _viscous_solve(a, m, m / rho_hat)
     if np.any(vacuum):
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)
 
 
-def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
-    """Stable step size: safety x min(advective, acoustic, diffusive, drift).
+def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
+    """The finite step-size bounds of `cfl_dt`, by name, before the safety factor.
 
-    advective  h / max|u|            (per axis)
-    acoustic   h / sqrt(gamma max rho^(gamma-1))
-    diffusive  h^2 / (2 d max(D, 1))   Dirichlet grids only
-    drift      1 / (L(L+1) max|grad u|)  for the spectral sphere drift
+    advective            min_a h_a / max|u_a|
+    polymer              h_min / c_p,  c_p^2 = max eta (1 + 2 eta) / rho
+    linearized_pressure  1 / (gamma max (div_h(rho u) / rho)_+)
+    diffusive            h^2 / (2 d max(D, 1))   Dirichlet grids only
+    drift                1 / (L(L+1) max|grad u|)  for the spectral sphere drift
 
-    The diffusive bound guards the explicit translational diffusion of f,
-    which only Dirichlet grids still take; periodic grids diffuse exactly and
-    have no such bound.  The acoustic bound shrinks like gamma^(-1/2) at
-    rho = 1: the documented cost of the stiff pressure.  A bound whose speed
-    is zero drops out, so a periodic state with zero velocity and zero
-    density has no finite bound and returns `math.inf`; `integrator.run`
-    then steps straight to its end time.  On Dirichlet grids the result is
-    always finite.
+    The polymer and linearized-pressure bounds read only cells with
+    rho >= RHO_FLOOR (the momentum update forces u = 0 below it).  A bound
+    whose speed or rate is zero is left out.
     """
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"safety factor must lie in (0, 1], got {safety}")
     g = state.rho.grid
-    bounds = []
-    for a in range(g.dim):
-        vmax = float(np.max(np.abs(state.u.values[a])))
-        if vmax > 0.0:
-            bounds.append(g.h[a] / vmax)
+    rho, u = state.rho.values, state.u.values
+    bounds = {}
+    vmax = [float(np.max(np.abs(u[a]))) for a in range(g.dim)]
+    advective = [h / v for h, v in zip(g.h, vmax) if v > 0.0]
+    if advective:
+        bounds["advective"] = min(advective)
     h_min = min(g.h)
-    rho_max = float(np.max(state.rho.values))
-    if rho_max > 0.0:
-        speed2 = law.gamma * math.exp((law.gamma - 1.0) * math.log(rho_max))
-        bounds.append(h_min / math.sqrt(speed2))
+    rho_live = np.where(rho >= RHO_FLOOR, rho, math.inf)  # vacuum cells add nothing
+    eta = eta_moment(state.f).values
+    c2 = float(np.max(eta * (1.0 + 2.0 * eta) / rho_live))
+    if c2 > 0.0:
+        bounds["polymer"] = h_min / math.sqrt(c2)
+    rate = float(np.max(upwind_divergence(g, rho, u, ghost="edge") / rho_live))
+    if rate > 0.0:
+        bounds["linearized_pressure"] = 1.0 / (law.gamma * rate)
     if g.bc != PERIODIC:
-        bounds.append(h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0)))
-    gv = _gradient_block(g, state.u.values)
+        bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0))
+    gv = _gradient_block(g, u)
     g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
     if g_max > 0.0:
         L = state.f.basis.degree
-        bounds.append(1.0 / (L * (L + 1) * g_max))
-    return safety * min(bounds, default=math.inf)
+        bounds["drift"] = 1.0 / (L * (L + 1) * g_max)
+    return bounds
+
+
+def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
+    """Stable step size: safety x the smallest of the `_cfl_bounds`.
+
+    The stiff fluid pressure is implicit (`momentum_step`), so no acoustic
+    bound caps the step.  Two bounds guard what stays explicit or linearized:
+    the polymer bound is the speed of the wave that the explicit gradient of
+    eta + eta^2 carries with the transported rods, and the
+    linearized-pressure bound keeps the linearized pressure
+    p(rho) (1 - dt gamma div_h(rho u) / rho) positive under the donor-cell
+    divergence that the density substep applies next.  The diffusive bound
+    guards the explicit translational diffusion of f, which only Dirichlet
+    grids still take; periodic grids diffuse exactly and have no such bound.
+    A state with no finite bound (periodic, no velocity, no rods) returns
+    `math.inf`; `integrator.run` then steps straight to its end time.  On
+    Dirichlet grids the result is always finite.
+    """
+    if not 0.0 < safety <= 1.0:
+        raise ValueError(f"safety factor must lie in (0, 1], got {safety}")
+    return safety * min(_cfl_bounds(state, coeffs, law).values(), default=math.inf)

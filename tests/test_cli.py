@@ -13,7 +13,7 @@ FAST_RUN = """
 cells = 64
 sphere_degree = 2
 amplitude = 0.3
-t_final = 0.02
+t_final = 0.1
 record_every = 2
 snapshot_every = 3
 outdir = {outdir}
@@ -71,7 +71,7 @@ def test_run_writes_diagnostics_and_snapshots(tmp_path):
     assert len(records) >= 2
     assert records[0].t == 0.0
     final = load_snapshot(outdir / "final.bin")
-    assert final.t == pytest.approx(0.02, rel=1e-12)
+    assert final.t == pytest.approx(0.1, rel=1e-12)
     assert (outdir / "snapshot_00000003.bin").exists()
     mid = load_snapshot(outdir / "snapshot_00000003.bin")
     assert 0.0 < mid.t < final.t

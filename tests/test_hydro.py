@@ -7,17 +7,20 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doifbp import (
+    EPS_POS,
     Grid,
     NumericalError,
     OrientationField,
     PhysCoeffs,
     PressureLaw,
+    RunConfig,
     ScalarField,
     VectorField,
+    build_initial_state,
     cfl_dt,
     div,
     eta_moment,
@@ -231,61 +234,73 @@ def test_momentum_one_step_consistency_first_order():
     ny=st.integers(4, 12),
     mu=st.floats(0.01, 10.0),
     lam=st.floats(0.01, 10.0),
+    dt=st.floats(1e-4, 1.0),
+    c_scale=st.sampled_from((0.0, 1.0, 1e3)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_viscous_operator_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, seed):
-    # K must be the grid's own Laplacian and grad(div) with the zero ghost,
-    # and symmetric, which is the premise of the conjugate-gradient solve
+# on 4 periodic cells the +-2 offsets of the wide grad-div stencil wrap onto
+# each other, so their pattern positions coincide
+@example(dim=1, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
+@example(dim=2, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=1)
+def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, dt, c_scale, seed):
+    # the assembled matrix must be rho_hat - dt (mu Lap + grad((lam + dt c) div))
+    # from the grid's own zero-ghost stencils, and symmetric, which is the
+    # premise of the conjugate-gradient solve
     rng = np.random.default_rng(seed)
     g = Grid(cells=(nx, ny)[:dim], lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
+    rho_hat = rng.uniform(0.1, 2.0, g.cells)
+    c = c_scale * rng.uniform(0.0, 1.0, g.cells)
     u = VectorField(g, rng.standard_normal((dim,) + g.cells))
-    k = hydro._viscous_operator(g, mu, lam)
-    got = (k @ u.values.ravel()).reshape(u.values.shape)
-    gd = grad(div(u)).values
+    a = hydro._viscous_matrix(g, rho_hat, dt, mu, lam, c)
+    got = (a @ u.values.ravel()).reshape(u.values.shape)
+    gd = grad(ScalarField(g, (lam + dt * c) * div(u).values)).values
     lap = [laplacian(ScalarField(g, comp)).values for comp in u.values]
-    want = np.stack([mu * lap[i] + lam * gd[i] for i in range(dim)])
+    want = np.stack([rho_hat * u.values[i] - dt * (mu * lap[i] + gd[i]) for i in range(dim)])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert abs(k - k.T).max() <= 1e-12 * abs(k).max()
+    assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
 
 
 def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
-    # a non-finite right-hand side, and an operator whose strong skew band
+    # a non-finite right-hand side, and a matrix whose strong skew band
     # breaks the symmetry that CG needs, both fail the true-residual check
     g = Grid(cells=(16,), lengths=(1.0,))
     u = 0.1 * np.cos(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)
     state = _uniform_state(g, make_sphere_basis(2), u=u)
     dt = cfl_dt(state, state.coeffs, state.law, 0.45)
-    b = state.rho.values * state.u.values
+    rho = state.rho.values
+    b = rho * state.u.values
+    c = state.law.gamma * fluid_pressure(state.rho, state.law).values
+    a = hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c)
+    nan = np.full_like(b, np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(g, state.rho.values, np.full_like(b, np.nan), dt, 1.0, 1.0)
-    k = hydro._viscous_operator(g, 1.0, 1.0)
-    skew = sp.diags([1e4, -1e4], [1, -1], shape=k.shape)
-    monkeypatch.setattr(hydro, "_viscous_operator", lambda *args: (k + skew).tocsr())
+        hydro._viscous_solve(a, nan, nan / rho)
+    skew = sp.diags([1e4, -1e4], [1, -1], shape=a.shape)
+    matrix = hydro._viscous_matrix
+    monkeypatch.setattr(hydro, "_viscous_matrix", lambda *args: (matrix(*args) + skew).tocsr())
     with pytest.raises(NumericalError, match="relative residual"):
-        hydro._viscous_solve(g, state.rho.values, b, dt, 1.0, 1.0)
+        hydro._viscous_solve(hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c), b, b / rho)
     with pytest.raises(NumericalError, match="substep 'momentum' failed at t=.*relative residual"):
         step(state, dt)
 
 
-def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side(monkeypatch):
+def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
     # one application for the initial residual and one for the true-residual
     # check; none for CG iterations on NaNs
     g = Grid(cells=(64, 64), lengths=(1.0, 1.0))
-    k = hydro._viscous_operator(g, 1.0, 1.0)
+    a = hydro._viscous_matrix(g, np.full(g.cells, 0.8), 1e-3, 1.0, 1.0, np.zeros(g.cells))
     applied = []
 
     class CountingOperator:
         def diagonal(self):
-            return k.diagonal()
+            return a.diagonal()
 
         def __matmul__(self, v):
             applied.append(v.shape)
-            return k @ v
+            return a @ v
 
-    monkeypatch.setattr(hydro, "_viscous_operator", lambda *args: CountingOperator())
     b = np.full((2, 64, 64), np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(g, np.full(g.cells, 0.8), b, 1e-3, 1.0, 1.0)
+        hydro._viscous_solve(CountingOperator(), b, b / 0.8)
     assert len(applied) <= 3
 
 
@@ -294,18 +309,25 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side(monkeypatch):
 
 
 def test_cfl_direct_evaluation():
-    # periodic, u = 0, rho <= 1, gamma = 2, D = 1, h = 1/64, 1D, safety 1:
-    # diffusion is exact on periodic grids, so only acoustic 1/(64 sqrt(2)) binds
+    # periodic, u = 0, eta = 0.1, h = 1/64, 1D, safety 1: the rods' polymer
+    # wave alone binds, c_p^2 = eta (1 + 2 eta) / rho = 0.12 over the cells with
+    # rho >= RHO_FLOOR; the vacuum cell, where u is forced to 0, does not count
     basis = make_sphere_basis(2)
     g = Grid(cells=(64,), lengths=(1.0,))
     state = _uniform_state(g, basis, rho=1.0, gamma=2.0)
+    rho = np.ones(64)
+    rho[7] = 0.5 * hydro.RHO_FLOOR
+    state = replace(state, rho=ScalarField(g, rho))
+    bounds = hydro._cfl_bounds(state, state.coeffs, state.law)
+    assert list(bounds) == ["polymer"]
+    assert bounds["polymer"] == pytest.approx(1.0 / (64.0 * math.sqrt(0.12)), rel=1e-14)
     dt = cfl_dt(state, state.coeffs, state.law, 1.0)
-    assert dt == pytest.approx(1.0 / (64.0 * math.sqrt(2.0)), rel=1e-14)
+    assert dt == pytest.approx(1.0 / (64.0 * math.sqrt(0.12)), rel=1e-14)
 
 
 def test_cfl_direct_evaluation_dirichlet():
     # the same state on a Dirichlet grid, whose translational diffusion is explicit:
-    # min(acoustic 1/(64 sqrt(2)), diffusive 1/8192) = 1/8192
+    # min(polymer 1/(64 sqrt(0.12)), diffusive 1/8192) = 1/8192
     basis = make_sphere_basis(2)
     g = Grid(cells=(64,), lengths=(1.0,), bc="dirichlet")
     state = _uniform_state(g, basis, rho=1.0, gamma=2.0)
@@ -342,8 +364,9 @@ def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, sca
 
 
 def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
-    # periodic, zero velocity and zero density: no advective, acoustic, drift or
-    # diffusive bound, so `run` takes one exact step of t_final - t
+    # periodic, zero velocity and zero density: no advective, polymer,
+    # linearized-pressure, drift or diffusive bound, so `run` takes one exact
+    # step of t_final - t
     basis = make_sphere_basis(2)
     g = Grid(cells=(16,), lengths=(1.0,))
     x = g.axis_centers(0)
@@ -363,17 +386,52 @@ def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
     assert cfl_dt(walls, walls.coeffs, walls.law, 0.45) == 0.45 / (2.0 * 16**2)
 
 
-def test_cfl_safety_scaling_and_acoustic_gamma():
-    basis = make_sphere_basis(2)
-    g = Grid(cells=(4,), lengths=(10.0,))  # large h: the acoustic bound binds
-    s2 = _uniform_state(g, basis, rho=1.0, gamma=2.0)
-    s4 = _uniform_state(g, basis, rho=1.0, gamma=4.0)
-    dt2 = cfl_dt(s2, s2.coeffs, s2.law, 1.0)
-    dt4 = cfl_dt(s4, s4.coeffs, s4.law, 1.0)
-    assert dt2 == pytest.approx(2.5 / math.sqrt(2.0), rel=1e-14)
-    assert dt4 == pytest.approx(dt2 / math.sqrt(2.0), rel=1e-14)
-    half = cfl_dt(s2, s2.coeffs, s2.law, 0.5)
-    assert half == pytest.approx(0.5 * dt2, rel=1e-14)
+def test_quiet_low_density_state_is_bounded_by_the_polymer_wave():
+    # a periodic state at rest whose fluid pressure rho^gamma is below 1e-30:
+    # bounded only by the sound speed, its step was ~1e15 and the viscous
+    # solve failed at once; the rods' polymer wave bounds it
+    cfg = RunConfig(
+        dim=2, cells=(5, 5), lengths=(1.0, 1.0), preset="uniform", rho0=0.102, gamma=39.4,
+        perturbation=0.051, seed=0,
+    )
+    state = build_initial_state(cfg)
+    eta = eta_moment(state.f).values
+    polymer = 0.2 / math.sqrt(float(np.max(eta * (1.0 + 2.0 * eta) / state.rho.values)))
+    bounds = hydro._cfl_bounds(state, state.coeffs, state.law)
+    assert bounds == {"polymer": pytest.approx(polymer, rel=1e-14)}
+    dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+    assert dt == pytest.approx(cfg.cfl_safety * polymer, rel=1e-14)
+    steps = []
+    _, final = run(state, 3.0 * dt, safety=cfg.cfl_safety, observer=lambda k, s: steps.append(k))
+    assert steps == [1, 2, 3] and final.t == pytest.approx(3.0 * dt, rel=1e-12)
+    assert final.f.min_nodal() >= -EPS_POS
+    assert integral(final.rho) == pytest.approx(integral(state.rho), rel=1e-12)
+
+
+def _compressing_state(gamma):
+    # h = 1, rho = 0.8, u = (0, 1, 0, -1): face velocities (1, 1, -1, -1)/2, so
+    # the donor divergence div_h(rho u) / rho is (1, 0, -1, 0) and the
+    # linearized-pressure bound is 1 / gamma; the advective bound is 1, the
+    # drift bound 1 / (2 * 3 * 1) and the polymer bound 1 / sqrt(0.12 / 0.8)
+    g = Grid(cells=(4,), lengths=(4.0,))
+    u = np.array([[0.0, 1.0, 0.0, -1.0]])
+    return _uniform_state(g, make_sphere_basis(2), rho=0.8, gamma=gamma, u=u)
+
+
+def test_cfl_safety_scaling_and_linearized_pressure_gamma():
+    s8, s16 = _compressing_state(8.0), _compressing_state(16.0)
+    bounds = hydro._cfl_bounds(s8, s8.coeffs, s8.law)
+    assert bounds["advective"] == 1.0
+    assert bounds["drift"] == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert bounds["polymer"] == pytest.approx(1.0 / math.sqrt(0.15), rel=1e-14)
+    assert bounds["linearized_pressure"] == pytest.approx(1.0 / 8.0, rel=1e-14)
+    assert set(bounds) == {"advective", "drift", "polymer", "linearized_pressure"}
+    dt8 = cfl_dt(s8, s8.coeffs, s8.law, 1.0)
+    dt16 = cfl_dt(s16, s16.coeffs, s16.law, 1.0)
+    assert dt8 == pytest.approx(1.0 / 8.0, rel=1e-14)
+    assert dt16 == pytest.approx(dt8 / 2.0, rel=1e-14)
+    half = cfl_dt(s8, s8.coeffs, s8.law, 0.5)
+    assert half == pytest.approx(0.5 * dt8, rel=1e-14)
 
 
 def test_cfl_rejects_bad_safety():

@@ -214,6 +214,21 @@ def test_sweep_pressure_integral_is_the_trapezoid_over_every_step_ledger_records
         assert row.pressure_time_integral == float(np.trapezoid(pg, ts))
 
 
+def test_stiffest_gamma_of_the_ladder_completes_with_a_bounded_pressure_integral():
+    # the criterion-6 colliding streams with a seeded density perturbation, at
+    # the two ends of the 5..640 ladder: with the pressure linearized into the
+    # implicit solve, the stiff run takes steps far beyond the sound-speed
+    # bound and still keeps f positive; the excess falls and the time-integrated
+    # pressure stays of order one
+    cfg = RunConfig(
+        dim=1, cells=(256,), lengths=(6.0,), sphere_degree=2, rho0=0.5, amplitude=2.6,
+        eta0=0.1, mu=0.1, lam=0.1, t_final=0.5, perturbation=0.02, seed=301,
+    )
+    soft, stiff = gamma_sweep(cfg, (5.0, 640.0), workers=1).rows
+    assert 0.0 < stiff.excess_l2 < soft.excess_l2
+    assert stiff.pressure_time_integral <= 2.0 * soft.pressure_time_integral
+
+
 def test_sweep_single_gamma():
     result = gamma_sweep(QUIET_CONFIG, gamma_list=(8.0,), t_final=0.01, workers=1)
     assert len(result.rows) == 1

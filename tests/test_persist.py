@@ -70,7 +70,7 @@ def test_diagnostics_csv_empty_is_header_only(tmp_path):
 
 def test_diagnostics_csv_round_trips_doubles_exactly(tmp_path):
     state = _make_state()
-    records, _ = run(state, state.t + 0.1, record_every=1)
+    records, _ = run(state, state.t + 0.3, record_every=1)
     path = tmp_path / "diag.csv"
     write_diagnostics(records, path)
     back = read_diagnostics(path)
