@@ -10,19 +10,22 @@ exactly conservative on periodic grids.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
-(implicit) viscous solve in which the stiff fluid pressure is linearized
-about the density of the next step,
+(implicit) viscous solve in which the part of the stiff fluid pressure that
+the step does not resolve is linearized about the density of the next step,
 
-    (rho I - dt [mu Lap + grad((lambda + dt gamma rho^gamma) div .)]) u_new = m_star,
+    (rho I - dt [mu Lap + grad((lambda + dt c) div .)]) u_new = m_star,
+    c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
 
-so gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity beside
-lambda, and the step needs no acoustic bound (the all-speed route of
-Degond-Tang).  The polymer pressure eta + eta^2 stays explicit.  The matrix
+so c <= gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity
+beside lambda (the all-speed route of Degond-Tang).  A step that resolves
+sound has c = 0 and is the explicit-pressure scheme; a longer one needs no
+acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The matrix
 is assembled per step as data on a CSR pattern cached per grid, built from
 the grid's stencil matrices.  Its `grad div` is the wide
 centered-of-centered stencil, which decouples odd and even modes and is kept
 on purpose.  The system is SPD for rho >= RHO_FLOOR; it is solved by
-Jacobi-preconditioned CG to relative residual 1e-13 and accepted only at a
+Jacobi-preconditioned CG to relative residual 1e-13, restarted from the true
+residual when the recursive one has drifted from it, and accepted only at a
 true residual below 1e-10.
 """
 
@@ -115,18 +118,24 @@ def _advective_ok(grid, u: np.ndarray, dt: float) -> bool:
 
 
 def transport_step(
-    s: ScalarField, u: VectorField, dt: float, diffusivity: float = 0.0, ghost: str = "zero"
+    s: ScalarField,
+    u: VectorField,
+    dt: float,
+    diffusivity: float = 0.0,
+    ghost: str = "zero",
+    flux: np.ndarray | None = None,
 ) -> ScalarField:
     """One step of d_t s + div(s u) = diffusivity * Lap s.
 
-    An explicit donor-cell upwind step, then the 3-point diffusion.  On
-    periodic grids the diffusion is exact, s* -> exp(dt diffusivity Lap_h) s*
-    (`grid.heat_step`, the composition the integrator applies to f), and needs
-    no step-size bound; on Dirichlet grids it is the explicit centered term of
-    the old state and needs the diffusive CFL bound.  Conservative (exact cell
-    sum on periodic grids), monotone for pure advection, and
-    nonnegativity-preserving under the advective (and, on Dirichlet grids,
-    diffusive) CFL bound.
+    An explicit donor-cell upwind step, then the 3-point diffusion; `flux`,
+    if given, is the donor divergence upwind_divergence(s, u, ghost) already
+    computed for these fields.  On periodic grids the diffusion is exact,
+    s* -> exp(dt diffusivity Lap_h) s* (`grid.heat_step`, the composition the
+    integrator applies to f), and needs no step-size bound; on Dirichlet grids
+    it is the explicit centered term of the old state and needs the diffusive
+    CFL bound.  Conservative (exact cell sum on periodic grids), monotone for
+    pure advection, and nonnegativity-preserving under the advective (and, on
+    Dirichlet grids, diffusive) CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
@@ -135,7 +144,9 @@ def transport_step(
     g = s.grid
     if not _advective_ok(g, u.values, dt):
         raise NumericalError(f"advective CFL violated for dt={dt:.3e}")
-    out = s.values - dt * upwind_divergence(g, s.values, u.values, ghost=ghost)
+    if flux is None:
+        flux = upwind_divergence(g, s.values, u.values, ghost=ghost)
+    out = s.values - dt * flux
     if diffusivity > 0.0 and g.bc == PERIODIC:
         out = heat_step(g, out, dt * diffusivity)
     elif diffusivity > 0.0:
@@ -207,8 +218,8 @@ def _viscous_pattern(grid):
 def _viscous_matrix(grid, rho_hat, dt, mu, lam, c) -> sp.csr_matrix:
     """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
 
-    `c` is the per-cell linearized fluid pressure gamma rho^gamma = rho p'(rho);
-    at c = 0 this is the plain implicit-viscosity matrix.  Symmetric, and
+    `c` is the per-cell linearized part of rho p'(rho) (`momentum_step`); at
+    c = 0 this is the plain implicit-viscosity matrix.  Symmetric, and
     positive definite for rho_hat > 0 and c >= 0.  Assembled as data on the
     cached `_viscous_pattern` by one sparse product.
     """
@@ -218,33 +229,40 @@ def _viscous_matrix(grid, rho_hat, dt, mu, lam, c) -> sp.csr_matrix:
     return sp.csr_matrix((to_data @ weights, indices, indptr), shape=(size, size))
 
 
-def _viscous_solve(a, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _viscous_solve(a, b: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
     """Jacobi-preconditioned CG on a x = b, a = `_viscous_matrix`.
 
-    `b` and the initial guess `x` are shaped like a velocity array and are
-    flattened to the matrix ordering; `momentum_step` starts from
-    x = b / rho_hat, exact for dt -> 0.  Iterates to recursive relative
-    residual 1e-13 (so conservation sums stay at roundoff) or `_CG_MAX_ITER`
-    steps, stopping at once on a NaN residual, then accepts x only if its
-    true residual is below 1e-10 ||b||; anything else is a numerical failure.
+    `b` is shaped like a velocity array and is flattened to the matrix
+    ordering; the iteration starts from b / rho_hat, exact for dt -> 0.
+    Iterates to recursive relative residual 1e-13 (so conservation sums stay
+    at roundoff) or `_CG_MAX_ITER` steps in all, stopping at once on a NaN
+    residual.  Where the recursive residual has drifted from the true one
+    (stiff, badly scaled systems), CG restarts from the true residual; x is
+    accepted only if its true residual is below 1e-10 ||b||, and anything
+    else is a numerical failure.
     """
     shape = b.shape
-    b, x = b.ravel(), x.ravel()
+    b = b.ravel()
+    x = b / np.broadcast_to(rho_hat, shape).ravel()
     inv_diag = 1.0 / a.diagonal()
     b_norm = np.linalg.norm(b)
     r = b - a @ x
-    p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
-    for _ in range(_CG_MAX_ITER):
-        if not np.linalg.norm(r) > 1e-13 * b_norm:  # converged, or NaN
+    budget = _CG_MAX_ITER
+    while True:
+        p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
+        while budget > 0 and np.linalg.norm(r) > 1e-13 * b_norm:  # stops on NaN too
+            budget -= 1
+            z = inv_diag * r
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+            ap = a @ p
+            alpha = rz / (p @ ap)
+            x = x + alpha * p
+            r = r - alpha * ap
+        r = b - a @ x
+        res = np.linalg.norm(r)
+        if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
             break
-        z = inv_diag * r
-        rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
-        ap = a @ p
-        alpha = rz / (p @ ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-    res = np.linalg.norm(b - a @ x)
     if not res <= 1e-10 * b_norm:
         raise NumericalError(f"viscous solve failed at relative residual {res / b_norm:.3e}")
     return x.reshape(shape)
@@ -256,19 +274,33 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     Uses the state's density for both the momentum and the viscous operator,
     and the zeroth moment of its distribution f as the number density in the
     pressure (the coupled integrator passes the freshest rho and f).  The
-    fluid pressure is linearized about the density the next step will carry,
+    explicit force is the edge-ghost gradient of the whole total pressure at
+    rho, plus the stress divergence.  The stiff fluid pressure is then
+    corrected toward the density the next step will carry,
 
-        p(rho - dt div(rho u_new)) ~ p(rho) - dt gamma rho^gamma div u_new,
+        p(rho - dt div(rho u_new)) ~ p(rho) - dt c div u_new,
 
-    with gamma rho^gamma = rho p'(rho) taken at the state's density.  The
-    explicit force keeps the edge-ghost gradient of the whole total pressure
-    at rho; the correction enters the implicit solve as a variable bulk
-    viscosity dt gamma rho^gamma beside lambda (`_viscous_matrix`), so the
-    stiff pressure needs no acoustic step bound.  The polymer pressure
-    eta + eta^2 stays explicit.  Total momentum is conserved on periodic grids
-    to the 1e-13 solve residual: fluxes telescope, and centered gradients and
-    the columns of mu Lap + grad((lambda + dt gamma rho^gamma) div .) sum to
-    zero.
+    which keeps only the compression part rho div u of div(rho u); the part
+    u . grad rho, which carries density rather than compressing it, is left
+    to the next step's explicit pressure (and to the pressure bound of
+    `cfl_dt`).  Only the part of rho p'(rho) = gamma rho^gamma whose sound
+    speed the step does not resolve is linearized,
+
+        c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
+
+    and it enters the implicit solve as a variable bulk viscosity dt c beside
+    lambda (`_viscous_matrix`).  At a step that resolves sound everywhere
+    (dt^2 gamma rho^(gamma-1) sum_a h_a^-2 <= 1) c vanishes, and the update is
+    the explicit-pressure scheme with no numerical bulk viscosity.  Beyond
+    it, the von Neumann analysis of the linearized acoustics of this split
+    (density moved by the old velocity, momentum pushed by the new density,
+    centered stencils of symbol k) has amplification determinant
+    1 / (1 + dt^2 c k^2 / rho) and is stable for any dt, because the explicit
+    remainder has Courant number at most 1; so no acoustic bound caps the
+    step.  The polymer pressure eta + eta^2 stays explicit.  Total momentum is
+    conserved on periodic grids to the 1e-13 solve residual: fluxes
+    telescope, and centered gradients and the columns of
+    mu Lap + grad((lambda + dt c) div .) sum to zero.
     """
     g = state.rho.grid
     rho = state.rho.values
@@ -290,8 +322,9 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     vacuum = rho < RHO_FLOOR
     if np.any(vacuum):
         m = np.where(vacuum, 0.0, m)
-    a = _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, law.gamma * pi.values)
-    u_new = _viscous_solve(a, m, m / rho_hat)
+    resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
+    c = np.maximum(law.gamma * pi.values - resolved, 0.0)
+    u_new = _viscous_solve(_viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m, rho_hat)
     if np.any(vacuum):
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)
@@ -300,15 +333,17 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
 def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     """The finite step-size bounds of `cfl_dt`, by name, before the safety factor.
 
-    advective            min_a h_a / max|u_a|
-    polymer              h_min / c_p,  c_p^2 = max eta (1 + 2 eta) / rho
-    linearized_pressure  1 / (gamma max (div_h(rho u) / rho)_+)
-    diffusive            h^2 / (2 d max(D, 1))   Dirichlet grids only
-    drift                1 / (L(L+1) max|grad u|)  for the spectral sphere drift
+    advective  min_a h_a / max|u_a|
+    polymer    h_min / c_p,  c_p^2 = max eta (1 + 2 eta) / rho
+    pressure   max(1 / (gamma max (div_h(rho u) / rho)_+),
+                   1 / (a sqrt(sum_a h_a^-2))),  a^2 = gamma max rho^(gamma-1)
+    diffusive  h^2 / (2 d max(D, 1))   Dirichlet grids only
+    drift      1 / (L(L+1) max|grad u|)  for the spectral sphere drift
 
-    The polymer and linearized-pressure bounds read only cells with
-    rho >= RHO_FLOOR (the momentum update forces u = 0 below it).  A bound
-    whose speed or rate is zero is left out.
+    The polymer and pressure bounds read only cells with rho >= RHO_FLOOR
+    (the momentum update forces u = 0 below it); div_h(rho u) is the
+    state's `density_flux`, the donor divergence the density substep applies
+    next.  A bound whose speed or rate is zero is left out.
     """
     g = state.rho.grid
     rho, u = state.rho.values, state.u.values
@@ -323,9 +358,12 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     c2 = float(np.max(eta * (1.0 + 2.0 * eta) / rho_live))
     if c2 > 0.0:
         bounds["polymer"] = h_min / math.sqrt(c2)
-    rate = float(np.max(upwind_divergence(g, rho, u, ghost="edge") / rho_live))
+    rate = float(np.max(state.density_flux / rho_live))
     if rate > 0.0:
-        bounds["linearized_pressure"] = 1.0 / (law.gamma * rate)
+        # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho
+        a2 = law.gamma * float(np.max(rho)) ** (law.gamma - 1.0)
+        acoustic = 1.0 / math.sqrt(a2 * sum(1.0 / h**2 for h in g.h))
+        bounds["pressure"] = max(1.0 / (law.gamma * rate), acoustic)
     if g.bc != PERIODIC:
         bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0))
     gv = _gradient_block(g, u)
@@ -339,16 +377,21 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
 def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
     """Stable step size: safety x the smallest of the `_cfl_bounds`.
 
-    The stiff fluid pressure is implicit (`momentum_step`), so no acoustic
-    bound caps the step.  Two bounds guard what stays explicit or linearized:
-    the polymer bound is the speed of the wave that the explicit gradient of
-    eta + eta^2 carries with the transported rods, and the
-    linearized-pressure bound keeps the linearized pressure
-    p(rho) (1 - dt gamma div_h(rho u) / rho) positive under the donor-cell
-    divergence that the density substep applies next.  The diffusive bound
-    guards the explicit translational diffusion of f, which only Dirichlet
-    grids still take; periodic grids diffuse exactly and have no such bound.
-    A state with no finite bound (periodic, no velocity, no rods) returns
+    The stiff fluid pressure is implicit beyond the sound speed the step
+    resolves (`momentum_step`), so no acoustic bound caps the step.  The
+    polymer bound is the speed of the wave that the explicit gradient of
+    eta + eta^2 carries with the transported rods.  The pressure bound is the
+    larger of two steps.  At the acoustic step the pressure update is wholly
+    explicit, as in a scheme without the linearization.  The compression
+    step 1 / (gamma max div_h(rho u) / rho) limits the relative density
+    change per step to 1 / gamma where the linearization is active.  It is an
+    empirical bound: nothing guarantees p(rho) - dt c div u_new >= 0, and the
+    linearization leaves out u . grad rho; without it the criterion-6 streams
+    passed gamma <= 80 but blew up at gamma = 320 and 640 (pressure time
+    integrals 409 and 3.0e8, against about 1.4).  The diffusive bound guards
+    the explicit translational diffusion of f, which only Dirichlet grids
+    still take; periodic grids diffuse exactly and have no such bound.  A
+    state with no finite bound (periodic, no velocity, no rods) returns
     `math.inf`; `integrator.run` then steps straight to its end time.  On
     Dirichlet grids the result is always finite.
     """

@@ -31,6 +31,7 @@ it reproduces the discrete continuity residual, which vanishes to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -79,6 +80,15 @@ class FluidState:
     def eta(self) -> ScalarField:
         """Rod number density, the zeroth orientation moment of f."""
         return eta_moment(self.f)
+
+    @cached_property
+    def density_flux(self) -> np.ndarray:
+        """div_h(rho u), the donor divergence of the density substep.
+
+        Read by both the pressure bound of `cfl_dt` and `step`, so it is
+        computed once per state.
+        """
+        return upwind_divergence(self.grid, self.rho.values, self.u.values, ghost="edge")
 
 
 @dataclass(frozen=True)
@@ -197,7 +207,11 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
     t = state.t
-    rho1 = _substep("density transport", t, lambda: transport_step(state.rho, state.u, dt, 0.0, ghost="edge"))
+    rho1 = _substep(
+        "density transport",
+        t,
+        lambda: transport_step(state.rho, state.u, dt, 0.0, ghost="edge", flux=state.density_flux),
+    )
 
     def fp_update():
         f, c = state.f, state.coeffs

@@ -12,11 +12,12 @@ largest three gamma values estimates the decay rate (the expected order is
 gamma^(-1/2)).
 
 The cost of a rung no longer grows with the sound speed: the momentum update
-treats the fluid pressure implicitly (`hydro.momentum_step`), so no acoustic
-bound caps the step.  What still grows with gamma is the linearized-pressure
-bound of `hydro.cfl_dt`, 1 / (gamma max div_h(rho u) / rho) over compressing
-cells; on the criterion-6 colliding streams it binds only from gamma ~ 80 on
-(90, 95, 100, 102, 130, 255, 493, 953 steps at gamma = 5, 10, ..., 640).
+linearizes the fluid pressure implicitly beyond the sound speed the step
+resolves (`hydro.momentum_step`), so no acoustic bound caps the step.  What
+still grows with gamma is the compression step of the pressure bound of
+`hydro.cfl_dt`, 1 / (gamma max div_h(rho u) / rho) over compressing cells; on
+the criterion-6 colliding streams it binds only from gamma ~ 80 on (91, 99,
+103, 104, 114, 221, 336, 895 steps at gamma = 5, 10, ..., 640).
 
 Per-gamma runs are independent and may execute concurrently (process pool,
 capped by the DOIFBP_THREADS environment variable); results are aggregated

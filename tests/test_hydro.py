@@ -273,12 +273,12 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
     a = hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c)
     nan = np.full_like(b, np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(a, nan, nan / rho)
+        hydro._viscous_solve(a, nan, rho)
     skew = sp.diags([1e4, -1e4], [1, -1], shape=a.shape)
     matrix = hydro._viscous_matrix
     monkeypatch.setattr(hydro, "_viscous_matrix", lambda *args: (matrix(*args) + skew).tocsr())
     with pytest.raises(NumericalError, match="relative residual"):
-        hydro._viscous_solve(hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c), b, b / rho)
+        hydro._viscous_solve(hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c), b, rho)
     with pytest.raises(NumericalError, match="substep 'momentum' failed at t=.*relative residual"):
         step(state, dt)
 
@@ -287,7 +287,8 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
     # one application for the initial residual and one for the true-residual
     # check; none for CG iterations on NaNs
     g = Grid(cells=(64, 64), lengths=(1.0, 1.0))
-    a = hydro._viscous_matrix(g, np.full(g.cells, 0.8), 1e-3, 1.0, 1.0, np.zeros(g.cells))
+    rho = np.full(g.cells, 0.8)
+    a = hydro._viscous_matrix(g, rho, 1e-3, 1.0, 1.0, np.zeros(g.cells))
     applied = []
 
     class CountingOperator:
@@ -300,8 +301,27 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
 
     b = np.full((2, 64, 64), np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(CountingOperator(), b, b / 0.8)
+        hydro._viscous_solve(CountingOperator(), b, rho)
     assert len(applied) <= 3
+
+
+def test_dense_stiff_state_at_rest_completes_through_a_cg_restart():
+    # 4x4 periodic, rho up to ~1.4, gamma = 28.27, at rest: only the polymer
+    # bound sets dt, dt^2 gamma rho^gamma / (rho h^2) reaches ~4e5, and CG's
+    # recursive residual converges while the true one stays at 1.1e-10; CG
+    # restarts from the true residual instead of failing
+    cfg = RunConfig(
+        dim=2, cells=(4, 4), lengths=(1.0, 1.0), preset="uniform", rho0=0.95,
+        gamma=28.266985956595992, amplitude=1.0821542335388885, d_trans=1e-3, d_rot=0.1,
+        mu=0.1, lam=0.1, sphere_degree=3, perturbation=0.475, seed=11647,
+    )
+    state = build_initial_state(cfg)
+    dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+    assert dt == cfg.cfl_safety * hydro._cfl_bounds(state, state.coeffs, state.law)["polymer"]
+    _, final = run(state, 4.0 * dt, safety=cfg.cfl_safety)
+    assert final.t == pytest.approx(4.0 * dt, rel=1e-12)
+    assert final.f.min_nodal() >= -EPS_POS
+    assert integral(final.rho) == pytest.approx(integral(state.rho), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +385,7 @@ def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, sca
 
 def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
     # periodic, zero velocity and zero density: no advective, polymer,
-    # linearized-pressure, drift or diffusive bound, so `run` takes one exact
+    # pressure, drift or diffusive bound, so `run` takes one exact
     # step of t_final - t
     basis = make_sphere_basis(2)
     g = Grid(cells=(16,), lengths=(1.0,))
@@ -408,30 +428,40 @@ def test_quiet_low_density_state_is_bounded_by_the_polymer_wave():
     assert integral(final.rho) == pytest.approx(integral(state.rho), rel=1e-12)
 
 
-def _compressing_state(gamma):
-    # h = 1, rho = 0.8, u = (0, 1, 0, -1): face velocities (1, 1, -1, -1)/2, so
-    # the donor divergence div_h(rho u) / rho is (1, 0, -1, 0) and the
-    # linearized-pressure bound is 1 / gamma; the advective bound is 1, the
-    # drift bound 1 / (2 * 3 * 1) and the polymer bound 1 / sqrt(0.12 / 0.8)
+def _compressing_state(gamma, rho):
+    # h = 1, u = (0, 1, 0, -1): face velocities (1, 1, -1, -1)/2, so the donor
+    # divergence div_h(rho u) / rho is (1, 0, -1, 0) and the compression step
+    # is 1 / gamma; the acoustic step is 1 / sqrt(gamma rho^(gamma-1)), the
+    # advective bound 1, the drift bound 1 / (2 * 3 * 1) and the polymer bound
+    # 1 / sqrt(0.12 / rho)
     g = Grid(cells=(4,), lengths=(4.0,))
     u = np.array([[0.0, 1.0, 0.0, -1.0]])
-    return _uniform_state(g, make_sphere_basis(2), rho=0.8, gamma=gamma, u=u)
+    return _uniform_state(g, make_sphere_basis(2), rho=rho, gamma=gamma, u=u)
 
 
-def test_cfl_safety_scaling_and_linearized_pressure_gamma():
-    s8, s16 = _compressing_state(8.0), _compressing_state(16.0)
+def test_cfl_safety_scaling_and_pressure_bound_gamma():
+    # dense (rho = 1.5): the acoustic steps 1/sqrt(8 * 1.5^7) and
+    # 1/sqrt(16 * 1.5^15) lie below the compression steps 1/8 and 1/16, which
+    # bind, so doubling gamma halves dt
+    s8, s16 = _compressing_state(8.0, 1.5), _compressing_state(16.0, 1.5)
     bounds = hydro._cfl_bounds(s8, s8.coeffs, s8.law)
     assert bounds["advective"] == 1.0
     assert bounds["drift"] == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert bounds["polymer"] == pytest.approx(1.0 / math.sqrt(0.15), rel=1e-14)
-    assert bounds["linearized_pressure"] == pytest.approx(1.0 / 8.0, rel=1e-14)
-    assert set(bounds) == {"advective", "drift", "polymer", "linearized_pressure"}
+    assert bounds["polymer"] == pytest.approx(1.0 / math.sqrt(0.08), rel=1e-14)
+    assert bounds["pressure"] == pytest.approx(1.0 / 8.0, rel=1e-14)
+    assert set(bounds) == {"advective", "drift", "polymer", "pressure"}
+    assert hydro._cfl_bounds(s16, s16.coeffs, s16.law)["pressure"] == pytest.approx(1.0 / 16.0, rel=1e-14)
     dt8 = cfl_dt(s8, s8.coeffs, s8.law, 1.0)
     dt16 = cfl_dt(s16, s16.coeffs, s16.law, 1.0)
     assert dt8 == pytest.approx(1.0 / 8.0, rel=1e-14)
     assert dt16 == pytest.approx(dt8 / 2.0, rel=1e-14)
     half = cfl_dt(s8, s8.coeffs, s8.law, 0.5)
     assert half == pytest.approx(0.5 * dt8, rel=1e-14)
+    # dilute (rho = 0.8): sound is slow, and the acoustic step 1/sqrt(8 * 0.8^7)
+    # exceeds the compression step 1/8 and replaces it
+    dilute = _compressing_state(8.0, 0.8)
+    pressure = hydro._cfl_bounds(dilute, dilute.coeffs, dilute.law)["pressure"]
+    assert pressure == pytest.approx(1.0 / math.sqrt(8.0 * 0.8**7), rel=1e-14)
 
 
 def test_cfl_rejects_bad_safety():

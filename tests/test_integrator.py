@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from doifbp import (
@@ -254,6 +254,11 @@ _DECADES = st.integers(-3, 3).map(lambda k: 10.0**k)
     mu=_DECADES,
     n_steps=st.integers(1, 4),
     seed=st.integers(0, 2**31 - 1),
+)
+# dense and stiff at rest: needs CG to restart from its true residual
+@example(
+    dim=2, bc="periodic", n=4, L=3, preset="uniform", gamma=28.266985956595992, rho0=0.95,
+    amplitude=1.0821542335388885, d_trans=1e-3, d_rot=0.1, mu=0.1, n_steps=4, seed=11647,
 )
 def test_every_valid_config_runs_with_its_invariants_or_fails_by_name(
     dim, bc, n, L, preset, gamma, rho0, amplitude, d_trans, d_rot, mu, n_steps, seed
