@@ -40,11 +40,9 @@ from .integrator import (
     step,
 )
 from .kinetics import (
-    VelocityGradient,
     entropy_and_fisher,
     eta_moment,
     fp_rhs,
-    projection_drift,
     stress_moment,
     velocity_gradient,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "SphereBasis",
     "SweepResult",
     "VectorField",
-    "VelocityGradient",
     "build_initial_state",
     "cfl_dt",
     "complementarity_residual",
@@ -112,7 +109,6 @@ __all__ = [
     "make_sphere_basis",
     "momentum_step",
     "parse_config",
-    "projection_drift",
     "read_diagnostics",
     "read_sweep",
     "renormalized_residual",

@@ -24,9 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .errors import NumericalError
+
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
 _GHOST_MODES = ("zero", "edge")
+#: relative slack of the explicit stability bounds, so a step at the bound passes
+_CFL_SLACK = 1.0 + 1e-12
 
 
 @dataclass(frozen=True)
@@ -171,20 +175,30 @@ def _second_diff(arr: np.ndarray, axis: int, h: float, bc: str, ghost: str) -> n
 
 
 def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
-    """exp(t Lap_h) q for the 3-point Laplacian Lap_h of a periodic grid.
+    """The translational-diffusion substep q -> exp(t Lap_h) q, 3-point Lap_h.
 
     `q` is shaped grid.cells plus any trailing channels, each propagated
-    independently.  Axis by axis the update is the flux form
+    independently.  On periodic grids the step is exact: axis by axis the
+    update is the flux form
 
         q + t Lap_h(phi1(t Lap_h) q),    phi1(z) = expm1(z) / z,  phi1(0) = 1,
 
     with phi1 applied through the rfft symbol -4 sin^2(pi k / n) / h^2 and the
     outer Lap_h applied by the stencil, so cell sums telescope and stay exact
-    to roundoff for any t >= 0.  The propagator is exact (no step-size bound)
-    and maps nonnegative data to nonnegative data up to roundoff.
+    to roundoff for any t >= 0, and nonnegative data stay nonnegative up to
+    roundoff.  On Dirichlet grids it is, until an exact Dirichlet propagator
+    replaces it, one explicit Euler step q + t Lap_h q with the zero ghost,
+    stable only under the diffusive bound t sum_a 2 / h_a^2 <= 1.  Under it the
+    update is a convex combination of neighbouring cells (so nonnegativity
+    holds); beyond it NumericalError is raised.
     """
     if grid.bc != PERIODIC:
-        raise ValueError("heat_step needs a periodic grid")
+        if t * sum(2.0 / h**2 for h in grid.h) > _CFL_SLACK:
+            raise NumericalError(f"explicit diffusion unstable for t={t:.3e}")
+        lap = np.zeros_like(q)
+        for a in range(grid.dim):
+            lap += _second_diff(q, a, grid.h[a], grid.bc, "zero")
+        return q + t * lap
     out = q
     for a in range(grid.dim):
         n, h = grid.cells[a], grid.h[a]

@@ -3,9 +3,9 @@
 The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
 the total pressure adds the polymer contributions eta + eta^2, where eta is
 the zeroth orientation moment of f.  Scalars are transported with donor-cell
-upwind fluxes plus translational diffusion by the 3-point Laplacian: exact
-(`grid.heat_step`, no step-size bound) on periodic grids, explicit and bounded
-by the diffusive CFL term on Dirichlet grids.  Both keep them nonnegative, and
+upwind fluxes, then diffused by the translational-diffusion substep
+`grid.heat_step` that f shares: exact on periodic grids, explicit under the
+diffusive CFL term on Dirichlet grids.  Both keep them nonnegative, and
 exactly conservative on periodic grids.
 
 The momentum update is split: explicit conservative advection of m = rho u,
@@ -40,22 +40,21 @@ import scipy.sparse as sp
 
 from .errors import NumericalError
 from .grid import (
+    _CFL_SLACK,
     PERIODIC,
     ScalarField,
     VectorField,
     _centered_diff,
     _diff_matrix,
-    _second_diff,
     grad,
     heat_step,
     upwind_divergence,
 )
-from .kinetics import _gradient_block, eta_moment, stress_moment
+from .kinetics import eta_moment, stress_moment, velocity_gradient
 
 #: densities below this are treated as vacuum; velocity is forced to zero there
 RHO_FLOOR = 1e-10
 
-_CFL_SLACK = 1.0 + 1e-12
 _CG_MAX_ITER = 2000
 
 
@@ -127,15 +126,15 @@ def transport_step(
 ) -> ScalarField:
     """One step of d_t s + div(s u) = diffusivity * Lap s.
 
-    An explicit donor-cell upwind step, then the 3-point diffusion; `flux`,
-    if given, is the donor divergence upwind_divergence(s, u, ghost) already
-    computed for these fields.  On periodic grids the diffusion is exact,
-    s* -> exp(dt diffusivity Lap_h) s* (`grid.heat_step`, the composition the
-    integrator applies to f), and needs no step-size bound; on Dirichlet grids
-    it is the explicit centered term of the old state and needs the diffusive
-    CFL bound.  Conservative (exact cell sum on periodic grids), monotone for
-    pure advection, and nonnegativity-preserving under the advective (and, on
-    Dirichlet grids, diffusive) CFL bound.
+    An explicit donor-cell upwind step s*, then, for a positive diffusivity,
+    the translational-diffusion substep `grid.heat_step(s*, dt diffusivity)`,
+    the composition the integrator applies to f: exact on periodic grids, and
+    explicit under the diffusive CFL bound (with the zero ghost) on Dirichlet
+    grids.  `ghost` is the ghost policy of the donor flux; `flux`, if given,
+    is the donor divergence upwind_divergence(s, u, ghost) already computed
+    for these fields.  Conservative (exact cell sum on periodic grids),
+    monotone for pure advection, and nonnegativity-preserving under the
+    advective (and, on Dirichlet grids, diffusive) CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
@@ -147,16 +146,8 @@ def transport_step(
     if flux is None:
         flux = upwind_divergence(g, s.values, u.values, ghost=ghost)
     out = s.values - dt * flux
-    if diffusivity > 0.0 and g.bc == PERIODIC:
+    if diffusivity > 0.0:
         out = heat_step(g, out, dt * diffusivity)
-    elif diffusivity > 0.0:
-        stiff = dt * diffusivity * sum(2.0 / h**2 for h in g.h)
-        if stiff > _CFL_SLACK:
-            raise NumericalError(f"explicit diffusion unstable for dt={dt:.3e}")
-        lap = np.zeros_like(s.values)
-        for a in range(g.dim):
-            lap += _second_diff(s.values, a, g.h[a], g.bc, ghost)
-        out = out + dt * diffusivity * lap
     # roundoff guard: the update is nonnegative in exact arithmetic under the
     # CFL bound, but mixed-sign rounding can land 1 ulp below zero
     tiny = 1e-13 * max(float(np.max(s.values)), 1.0)
@@ -366,7 +357,7 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
         bounds["pressure"] = max(1.0 / (law.gamma * rate), acoustic)
     if g.bc != PERIODIC:
         bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0))
-    gv = _gradient_block(g, u)
+    gv = velocity_gradient(state.u)
     g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
     if g_max > 0.0:
         L = state.f.basis.degree
@@ -389,11 +380,11 @@ def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
     linearization leaves out u . grad rho; without it the criterion-6 streams
     passed gamma <= 80 but blew up at gamma = 320 and 640 (pressure time
     integrals 409 and 3.0e8, against about 1.4).  The diffusive bound guards
-    the explicit translational diffusion of f, which only Dirichlet grids
-    still take; periodic grids diffuse exactly and have no such bound.  A
-    state with no finite bound (periodic, no velocity, no rods) returns
-    `math.inf`; `integrator.run` then steps straight to its end time.  On
-    Dirichlet grids the result is always finite.
+    the translational-diffusion substep `grid.heat_step`, which is explicit
+    on Dirichlet grids only; periodic grids diffuse exactly and have no such
+    bound.  A state with no finite bound (periodic, no velocity, no rods)
+    returns `math.inf`; `integrator.run` then steps straight to its end time.
+    On Dirichlet grids the result is always finite.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must lie in (0, 1], got {safety}")

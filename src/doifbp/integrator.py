@@ -3,12 +3,12 @@
 One step applies Lie splitting in a fixed order: density transport, the
 Fokker-Planck substep for the orientation distribution, and finally the
 momentum update driven by the freshest fields.  The Fokker-Planck substep is
-an explicit step of physical transport and sphere drift, then translational
-diffusion, then exact rotational diffusion through the integrating factor
-exp(-dt d_rot l(l+1)) per harmonic degree.  Translational diffusion is exact
-on periodic grids (`grid.heat_step` of the explicit result, so `cfl_dt` has
-no diffusive bound there) and explicit on Dirichlet grids (part of the
-explicit step, under the diffusive CFL bound).  The rod number density eta
+an explicit step of physical transport and sphere drift (`fp_rhs`), then the
+translational-diffusion substep `grid.heat_step` of its result, then exact
+rotational diffusion through the integrating factor exp(-dt d_rot l(l+1))
+per harmonic degree.  Translational diffusion is exact on periodic grids
+(so `cfl_dt` has no diffusive bound there) and an explicit Euler substep on
+Dirichlet grids, under the diffusive CFL bound.  The rod number density eta
 is not a state field: it is always the zeroth moment int f dtau of the
 orientation distribution.  The energy ledger records
 
@@ -38,7 +38,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .grid import (
-    PERIODIC,
     ScalarField,
     VectorField,
     div,
@@ -166,7 +165,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     psi, fisher_tau, fisher_x = entropy_and_fisher(state.f)
     e_entropy = integral(psi)
 
-    gv = velocity_gradient(state.u).values
+    gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
     divu = div(state.u, ghost="zero").values
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
@@ -200,9 +199,11 @@ def _substep(name, t, fn):
 def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidState:
     """One Lie-split step: rho, f, then the momentum update.
 
-    The momentum substep sees the post-transport density and distribution.
-    With `freeze_velocity` the velocity is held fixed (the pure-diffusion
-    configuration used by the energy-monotonicity checks).
+    The orientation update is f -> heat_step(f + dt fp_rhs(f, u), dt d_trans)
+    times the rotational factor exp(dt d_rot Lap_tau).  The momentum substep
+    sees the post-transport density and distribution.  With `freeze_velocity`
+    the velocity is held fixed (the pure-diffusion configuration used by the
+    energy-monotonicity checks).
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
@@ -216,12 +217,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     def fp_update():
         f, c = state.f, state.coeffs
         decay = np.exp(dt * c.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
-        if f.grid.bc == PERIODIC:
-            rhs = fp_rhs(f, state.u, 0.0, 0.0)
-            coeffs = heat_step(f.grid, f.coeffs + dt * rhs.coeffs, dt * c.d_trans)
-        else:
-            rhs = fp_rhs(f, state.u, c.d_trans, 0.0)
-            coeffs = f.coeffs + dt * rhs.coeffs
+        coeffs = heat_step(f.grid, f.coeffs + dt * fp_rhs(f, state.u).coeffs, dt * c.d_trans)
         f1 = OrientationField(f.grid, f.basis, coeffs * decay)
         f1.check_positive()
         return f1

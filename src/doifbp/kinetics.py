@@ -2,8 +2,9 @@
 
 The orientation distribution f(x, tau) evolves by physical-space advection,
 shear-induced drift on the sphere, rotational diffusion, and translational
-diffusion.  The drift velocity is the tangential projection of the macroscopic
-shear acting on a rod axis,
+diffusion.  Only the first two are a right-hand side here (`fp_rhs`); the
+integrator applies both diffusions as split substeps.  The drift velocity is
+the tangential projection of the macroscopic shear acting on a rod axis,
 
     P_perp(g tau) = g tau - (tau . g tau) tau,
 
@@ -20,71 +21,27 @@ with its two Fisher-information dissipation integrals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, _centered_diff, _check_values, _second_diff, upwind_divergence
+from .grid import ScalarField, VectorField, _centered_diff, upwind_divergence
 from .sphere import EPS_POS, OrientationField
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class VelocityGradient:
-    """Per-cell velocity gradient, zero-padded to 3x3.
-
-    values[..., i, j] = d u_i / d x_j for i, j < dim; rows and columns beyond
-    the physical dimension are identically zero so the sphere-drift formulas
-    keep their three-dimensional form.
-    """
-
-    grid: object
-    values: np.ndarray  # cells + (3, 3)
-
-    def __post_init__(self):
-        arr = _check_values(self.values, self.grid.cells + (3, 3), "velocity gradient")
-        object.__setattr__(self, "values", arr)
-
-
-def _gradient_block(grid, u: np.ndarray) -> np.ndarray:
+def velocity_gradient(u: VectorField) -> np.ndarray:
     """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
 
-    The zero-ghost centered differences of the raw velocity array, without the
-    3x3 padding and the finiteness validation of `velocity_gradient`; the step
-    path (`fp_rhs` and the drift bound of `hydro.cfl_dt`) reads this block.
+    Zero-ghost centered differences of the velocity; the sphere drift of
+    `fp_rhs`, the drift bound of `hydro.cfl_dt` and the energy ledger read it.
     """
-    out = np.empty(grid.cells + (grid.dim, grid.dim))
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            out[..., i, j] = _centered_diff(u[i], j, grid.h[j], grid.bc, "zero")
-    return out
-
-
-def velocity_gradient(u: VectorField) -> VelocityGradient:
-    """Centered-difference gradient of the velocity, zero-padded to 3x3."""
     g = u.grid
-    out = np.zeros(g.cells + (3, 3))
-    out[..., : g.dim, : g.dim] = _gradient_block(g, u.values)
-    return VelocityGradient(g, out)
-
-
-def projection_drift(g: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Tangential drift P_perp(g tau) = g tau - (tau . g tau) tau.
-
-    `tau` may carry leading batch axes; each vector must be unit length
-    within 1e-12.
-    """
-    g = np.asarray(g, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if g.shape != (3, 3):
-        raise ValueError(f"velocity gradient must be 3x3, got {g.shape}")
-    norms = np.linalg.norm(tau, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-12):
-        raise ValueError("drift direction tau must be a unit vector (within 1e-12)")
-    v = tau @ g.T
-    radial = np.sum(tau * v, axis=-1, keepdims=True)
-    return v - radial * tau
+    out = np.empty(g.cells + (g.dim, g.dim))
+    for i in range(g.dim):
+        for j in range(g.dim):
+            out[..., i, j] = _centered_diff(u.values[i], j, g.h[j], g.bc, "zero")
+    return out
 
 
 def _drift_coefficients(basis, g_values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -105,34 +62,23 @@ def _drift_coefficients(basis, g_values: np.ndarray, coeffs: np.ndarray) -> np.n
     return out.reshape(cells + (nq,))
 
 
-def fp_rhs(f: OrientationField, u: VectorField, d_trans: float, d_rot: float) -> OrientationField:
-    """Time derivative of the orientation distribution.
+def fp_rhs(f: OrientationField, u: VectorField) -> OrientationField:
+    """The explicit part of the Fokker-Planck right-hand side.
 
-    Returns -div_x(f u) - div_tau(P_perp(grad u tau) f) + d_rot Lap_tau f
-    + d_trans Lap_x f as a coefficient field.  Physical-space advection uses
-    the same donor-cell flux as the scalar transport step, applied to every
-    harmonic channel with one donor pattern, so the number-density moment of
-    this right-hand side is exactly the donor-cell advection-diffusion of eta
-    (the drift row and the eigenvalue of the constant harmonic are zero).
-    A zero d_rot or d_trans skips its term.  The integrator always passes
-    d_rot = 0 and applies rotational diffusion exactly; on periodic grids it
-    also passes d_trans = 0 and applies translational diffusion exactly
-    (`grid.heat_step`), while on Dirichlet grids it is this explicit term.
+    Returns -div_x(f u) - div_tau(P_perp(grad u tau) f), physical transport
+    plus sphere drift, as a coefficient field; the integrator applies the
+    translational and rotational diffusions as split substeps.  Physical-space
+    advection uses the same donor-cell flux as the scalar transport step,
+    applied to every harmonic channel with one donor pattern, so the
+    number-density moment of this right-hand side is exactly the donor-cell
+    advection of eta (the drift row of the constant harmonic is zero).
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
     g = f.grid
     adv = upwind_divergence(g, f.coeffs, u.values, ghost="zero")
-    drift = _drift_coefficients(f.basis, _gradient_block(g, u.values), f.coeffs)
-    rhs = -adv + drift
-    if d_trans != 0.0:
-        xdiff = np.zeros_like(f.coeffs)
-        for a in range(g.dim):
-            xdiff += _second_diff(f.coeffs, a, g.h[a], g.bc, "zero")
-        rhs += d_trans * xdiff
-    if d_rot != 0.0:
-        rhs += d_rot * f.coeffs * f.basis.lap_eig
-    return OrientationField(g, f.basis, rhs)
+    drift = _drift_coefficients(f.basis, velocity_gradient(u), f.coeffs)
+    return OrientationField(g, f.basis, -adv + drift)
 
 
 def eta_moment(f: OrientationField) -> ScalarField:

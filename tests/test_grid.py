@@ -222,7 +222,7 @@ def test_upwind_divergence_telescopes_with_channels():
 
 
 # ---------------------------------------------------------------------------
-# exact periodic diffusion
+# the translational-diffusion substep
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,10 +250,22 @@ def test_heat_step_is_the_exact_periodic_heat_propagator(shape, stiffness, seed)
     assert np.min(got) >= -1e-15 * scale  # nonnegative up to roundoff
 
 
-def test_heat_step_needs_a_periodic_grid():
-    g = Grid(cells=(8,), lengths=(1.0,), bc="dirichlet")
-    with pytest.raises(ValueError, match="periodic"):
-        heat_step(g, np.ones(8), 0.1)
+def test_heat_step_is_one_explicit_euler_step_on_dirichlet_grids():
+    # until an exact Dirichlet propagator replaces it: q + t Lap_h q with the
+    # zero ghost, a convex combination of neighbours up to the diffusive bound
+    # t sum_a 2 / h_a^2 = 1, unstable past it
+    rng = np.random.default_rng(23)
+    for shape in ((9,), (6, 5)):
+        g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc="dirichlet")
+        t = 1.0 / sum(2.0 / h**2 for h in g.h)
+        q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
+        got = heat_step(g, q, t)
+        for k in range(3):
+            want = q[..., k] + t * laplacian(ScalarField(g, q[..., k]), ghost="zero").values
+            assert np.array_equal(got[..., k], want)
+        assert np.min(got) >= -1e-15 * np.max(q)  # nonnegative up to roundoff
+        with pytest.raises(NumericalError, match="explicit diffusion unstable"):
+            heat_step(g, q, t * (1.0 + 1e-9))
 
 
 def test_transport_diffusion_is_exact_on_periodic_and_bounded_on_dirichlet_grids():

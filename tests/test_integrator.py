@@ -21,12 +21,14 @@ from doifbp import (
     build_initial_state,
     cfl_dt,
     energy_total,
+    fp_rhs,
     integral,
     make_sphere_basis,
     renormalized_residual,
     run,
     step,
 )
+from doifbp.grid import heat_step
 from doifbp.integrator import FluidState
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -166,6 +168,26 @@ def test_step_decays_each_degree_by_its_exact_rotational_factor():
     l = basis.l_index
     np.testing.assert_allclose(out.f.coeffs, coeffs * np.exp(-dt * 30.0 * l * (l + 1)), rtol=1e-14)
     assert np.array_equal(out.f.coeffs[:, 0], coeffs[:, 0])
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_step_moves_f_by_transport_then_the_diffusion_substep_then_the_rotational_factor(bc):
+    # one translational-diffusion path on both boundary types
+    basis = make_sphere_basis(3)
+    g = Grid(cells=(8, 6), lengths=(1.0, 0.75), bc=bc)
+    rng = np.random.default_rng(41)
+    u = 0.5 * rng.standard_normal((2,) + g.cells)
+    eta = rng.uniform(0.5, 1.0, g.cells)
+    coeffs = PhysCoeffs(d_trans=0.3, d_rot=2.0)
+    state = _state(g, basis, rng.uniform(0.5, 1.0, g.cells), u, eta, coeffs=coeffs)
+    f = state.f.coeffs.copy()
+    f[..., 1:] = 0.01 * rng.standard_normal(g.cells + (basis.n_coeff - 1,))
+    state = replace(state, f=OrientationField(g, basis, f))
+    dt = cfl_dt(state, coeffs, state.law, 0.45)
+    out = step(state, dt)
+    explicit = f + dt * fp_rhs(state.f, state.u).coeffs
+    want = heat_step(g, explicit, dt * coeffs.d_trans) * np.exp(dt * coeffs.d_rot * basis.lap_eig)
+    assert np.array_equal(out.f.coeffs, want)
 
 
 def test_stiff_rotational_diffusion_keeps_f_positive():

@@ -182,7 +182,7 @@ def test_rigid_rotation_drift_is_rotation_generator():
     c = rng.standard_normal(b.n_coeff) * 0.1
     coeffs = np.broadcast_to(c, g.cells + (b.n_coeff,)).copy()
     f = OrientationField(g, b, coeffs)
-    rhs = fp_rhs(f, VectorField(g, u), 0.0, 0.0)
+    rhs = fp_rhs(f, VectorField(g, u))
 
     w_tau = np.stack(
         [-omega * b.nodes[:, 1], omega * b.nodes[:, 0], np.zeros(b.n_nodes)], axis=1
