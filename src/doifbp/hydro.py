@@ -23,10 +23,12 @@ acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The matrix
 is assembled per step as data on a CSR pattern cached per grid, built from
 the grid's stencil matrices.  Its `grad div` is the wide
 centered-of-centered stencil, which decouples odd and even modes and is kept
-on purpose.  The system is SPD for rho >= RHO_FLOOR; it is solved by
+on purpose.  The system is SPD for rho >= RHO_FLOOR.  On 1D grids it is
+solved directly, by static condensation of blocks of the pentadiagonal (with
+the periodic wrap) matrix onto a small interface; on 2D grids by
 Jacobi-preconditioned CG to relative residual 1e-13, restarted from the true
-residual when the recursive one has drifted from it, and accepted only at a
-true residual below 1e-10.
+residual when the recursive one has drifted from it.  Either result is
+accepted only at a true residual below 1e-10.
 """
 
 from __future__ import annotations
@@ -56,6 +58,8 @@ from .kinetics import eta_moment, stress_moment, velocity_gradient
 RHO_FLOOR = 1e-10
 
 _CG_MAX_ITER = 2000
+#: interior cells per block of the 1D direct solve (`_substructure_plan`)
+_BLOCK = 14
 
 
 @dataclass(frozen=True)
@@ -220,42 +224,140 @@ def _viscous_matrix(grid, rho_hat, dt, mu, lam, c) -> sp.csr_matrix:
     return sp.csr_matrix((to_data @ weights, indices, indptr), shape=(size, size))
 
 
-def _viscous_solve(a, b: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
-    """Jacobi-preconditioned CG on a x = b, a = `_viscous_matrix`.
+@functools.lru_cache(maxsize=16)
+def _substructure_plan(grid):
+    """The per-grid index plan of `_substructured_solve` on a 1D grid.
+
+    The n cells are cut into m = n // (_BLOCK + 2) interior blocks of
+    _BLOCK cells, each followed by 2 interface cells; the cells left over at
+    the end join the interface too (all of them when m = 0).  The matrix has
+    bandwidth 2 (with the periodic wrap), so a block couples only to its
+    window: the 2 cells before it and the 2 after, all interface cells, and
+    the blocks are mutually decoupled.  Returns (interior, iface, window,
+    take_block, take_window, ss_take, ss_at, wz_at):
+
+        interior     the m _BLOCK block cells, block by block
+        iface        the k interface cells
+        window       (m, 4) interface numbers of each block's window
+        take_block   (m, _BLOCK, _BLOCK + 4) block rows, in the columns of
+                     the 2 window cells before, the block, the 2 after
+        take_window  (m, 4, _BLOCK) window rows, block columns
+        ss_take      interface-interface entries
+        ss_at        their flat positions in the (k, k) Schur complement
+        wz_at        the flat (k, k) positions of each block's (4, 4) window
+
+    The take_* and ss_take arrays index the data of the `_viscous_pattern`
+    CSR matrix with one zero appended (entries outside the pattern read it).
+    """
+    n, size = grid.n_cells, _BLOCK + 2
+    indptr, indices, _ = _viscous_pattern(grid)
+    nnz = indices.size
+    m = n // size
+    start = np.arange(m) * size
+    interior = (start[:, None] + np.arange(_BLOCK)).ravel()
+    block = np.full(n, -1)
+    block[interior] = np.repeat(np.arange(m), _BLOCK)
+    iface = np.flatnonzero(block < 0)
+    k = iface.size
+    number = np.zeros(n, dtype=np.intp)
+    number[iface] = np.arange(k)
+    window = number[(start[:, None] + np.array([-2, -1, _BLOCK, _BLOCK + 1])) % n]
+
+    def offset(cell, j):
+        # place in block j's run of window and block cells: 0, 1 the window
+        # before, 2.._BLOCK+1 the block, _BLOCK+2, _BLOCK+3 the window after
+        return (cell - start[j] + 2) % n
+
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    in_block = block[rows] >= 0
+    take_block = np.full((m, _BLOCK, _BLOCK + 4), nnz)
+    e = np.flatnonzero(in_block)
+    j = block[rows[e]]
+    take_block[j, rows[e] - start[j], offset(indices[e], j)] = e
+    take_window = np.full((m, 4, _BLOCK), nnz)
+    e = np.flatnonzero(~in_block & (block[indices] >= 0))
+    j = block[indices[e]]
+    o = offset(rows[e], j)
+    take_window[j, np.where(o < 2, o, o - _BLOCK), indices[e] - start[j]] = e
+    ss_take = np.flatnonzero(~in_block & (block[indices] < 0))
+    ss_at = number[rows[ss_take]] * k + number[indices[ss_take]]
+    wz_at = (window[:, :, None] * k + window[:, None, :]).ravel()
+    return interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at
+
+
+def _substructured_solve(grid, a, b: np.ndarray) -> np.ndarray:
+    """Exact solve of a x = b on a 1D grid by static condensation.
+
+    With the `_substructure_plan` of the grid: one batched LU solve of every
+    interior block against its right-hand side and its 4 window columns,
+    a dense solve of the interface Schur complement (about n/8 unknowns),
+    then back-substitution into the blocks.  Reads the blocks from the data
+    of `a`, which must carry the `_viscous_pattern` of the grid; it assumes
+    no symmetry.
+    """
+    interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at = _substructure_plan(grid)
+    k = iface.size
+    data = np.append(a.data, 0.0)
+    rows = data[take_block]
+    rhs = (rows[..., :2], rows[..., _BLOCK + 2 :], b[interior].reshape(-1, _BLOCK, 1))
+    y = np.linalg.solve(rows[..., 2 : _BLOCK + 2], np.concatenate(rhs, axis=2))
+    wy = data[take_window] @ y
+    schur = np.bincount(
+        np.concatenate((ss_at, wz_at)),
+        np.concatenate((data[ss_take], -wy[..., :4].ravel())),
+        minlength=k * k,
+    ).reshape(k, k)
+    g = b[iface] - np.bincount(window.ravel(), wy[..., 4].ravel(), minlength=k)
+    x = np.empty_like(b)
+    x[iface] = xs = np.linalg.solve(schur, g)
+    x[interior] = (y[..., 4] - (y[..., :4] @ xs[window][..., None])[..., 0]).ravel()
+    return x
+
+
+def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
+    """Solve a x = b, a = `_viscous_matrix` on `grid`, to a checked true residual.
 
     `b` is shaped like a velocity array and is flattened to the matrix
-    ordering; the iteration starts from b / rho_hat, exact for dt -> 0.
-    Iterates to recursive relative residual 1e-13 (so conservation sums stay
-    at roundoff) or `_CG_MAX_ITER` steps in all, stopping at once on a NaN
-    residual.  Where the recursive residual has drifted from the true one
-    (stiff, badly scaled systems), CG restarts from the true residual; x is
-    accepted only if its true residual is below 1e-10 ||b||, and anything
-    else is a numerical failure.
+    ordering.  On 1D grids the solve is direct (`_substructured_solve`).  On
+    2D grids it is Jacobi-preconditioned CG, started from b / rho_hat (exact
+    for dt -> 0), iterated to recursive relative residual 1e-13 (so
+    conservation sums stay at roundoff) or `_CG_MAX_ITER` steps in all, and
+    stopped at once on a NaN residual; where the recursive residual has
+    drifted from the true one (stiff, badly scaled systems), CG restarts from
+    the true residual.  Either way x is accepted only if its true residual is
+    below 1e-10 ||b||; anything else is a numerical failure that names the
+    path and, for CG, its iteration count.
     """
     shape = b.shape
     b = b.ravel()
-    x = b / np.broadcast_to(rho_hat, shape).ravel()
-    inv_diag = 1.0 / a.diagonal()
     b_norm = np.linalg.norm(b)
-    r = b - a @ x
-    budget = _CG_MAX_ITER
-    while True:
-        p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
-        while budget > 0 and np.linalg.norm(r) > 1e-13 * b_norm:  # stops on NaN too
-            budget -= 1
-            z = inv_diag * r
-            rz, rz_old = r @ z, rz
-            p = z + (rz / rz_old) * p
-            ap = a @ p
-            alpha = rz / (p @ ap)
-            x = x + alpha * p
-            r = r - alpha * ap
+    if grid.dim == 1:
+        x = _substructured_solve(grid, a, b)
+        res = np.linalg.norm(b - a @ x)
+        path = "direct 1D"
+    else:
+        x = b / np.broadcast_to(rho_hat, shape).ravel()
+        inv_diag = 1.0 / a.diagonal()
         r = b - a @ x
-        res = np.linalg.norm(r)
-        if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
-            break
+        budget = _CG_MAX_ITER
+        while True:
+            p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
+            while budget > 0 and np.linalg.norm(r) > 1e-13 * b_norm:  # stops on NaN too
+                budget -= 1
+                z = inv_diag * r
+                rz, rz_old = r @ z, rz
+                p = z + (rz / rz_old) * p
+                ap = a @ p
+                alpha = rz / (p @ ap)
+                x = x + alpha * p
+                r = r - alpha * ap
+            r = b - a @ x
+            res = np.linalg.norm(r)
+            if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
+                break
+        path = f"CG, {_CG_MAX_ITER - budget} iterations"
     if not res <= 1e-10 * b_norm:
-        raise NumericalError(f"viscous solve failed at relative residual {res / b_norm:.3e}")
+        raise NumericalError(f"viscous solve failed at relative residual {res / b_norm:.3e} ({path})")
     return x.reshape(shape)
 
 
@@ -289,9 +391,9 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     1 / (1 + dt^2 c k^2 / rho) and is stable for any dt, because the explicit
     remainder has Courant number at most 1; so no acoustic bound caps the
     step.  The polymer pressure eta + eta^2 stays explicit.  Total momentum is
-    conserved on periodic grids to the 1e-13 solve residual: fluxes
-    telescope, and centered gradients and the columns of
-    mu Lap + grad((lambda + dt c) div .) sum to zero.
+    conserved on periodic grids to the solve residual (roundoff in 1D, the
+    1e-13 CG rule in 2D): fluxes telescope, and centered gradients and the
+    columns of mu Lap + grad((lambda + dt c) div .) sum to zero.
     """
     g = state.rho.grid
     rho = state.rho.values
@@ -315,7 +417,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi.values - resolved, 0.0)
-    u_new = _viscous_solve(_viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m, rho_hat)
+    u_new = _viscous_solve(g, _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m, rho_hat)
     if np.any(vacuum):
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)

@@ -260,27 +260,71 @@ def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, 
     assert abs(a - a.T).max() <= 1e-12 * abs(a).max()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    bc=st.sampled_from(("periodic", "dirichlet")),
+    n=st.integers(4, 48),
+    mu=st.floats(0.01, 10.0),
+    lam=st.floats(0.01, 10.0),
+    dt=st.floats(1e-4, 1.0),
+    c_scale=st.sampled_from((0.0, 1.0, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+# no interior block (dense interface only), one block whose two windows are
+# the same two cells, exactly two blocks, and two blocks plus 15 leftover cells
+@example(bc="periodic", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
+@example(bc="dirichlet", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
+@example(bc="periodic", n=16, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=2)
+@example(bc="periodic", n=32, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=3)
+@example(bc="dirichlet", n=47, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=4)
+def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, seed):
+    # the 1D direct solve must agree with a dense LAPACK solve of the same
+    # system to 1e-12, or where the system is ill-conditioned to its
+    # forward-error bound cond(a) eps, which any backward-stable solve has
+    # (dense LAPACK itself misses a manufactured solution by up to 0.4 cond(a)
+    # eps on these draws); the right-hand side is a applied to a velocity,
+    # the form of the momentum, so the true residual sits at roundoff
+    rng = np.random.default_rng(seed)
+    g = Grid(cells=(n,), lengths=(rng.uniform(0.5, 2.0),), bc=bc)
+    rho_hat = rng.uniform(0.1, 2.0, n)
+    rho_hat[rng.random(n) < 0.3] = hydro.RHO_FLOOR
+    c = c_scale * rng.uniform(0.0, 1.0, n)
+    a = hydro._viscous_matrix(g, rho_hat, dt, mu, lam, c)
+    b = (a @ rng.standard_normal(n)).reshape(1, n)
+    x = hydro._viscous_solve(g, a, b, rho_hat)
+    dense = a.toarray()
+    want = np.linalg.solve(dense, b[0])
+    tol = max(1e-12, np.linalg.cond(dense) * np.finfo(float).eps)
+    assert np.max(np.abs(x[0] - want)) <= tol * np.max(np.abs(want))
+    assert np.linalg.norm(b[0] - a @ x[0]) <= 1e-13 * np.linalg.norm(b)
+
+
 def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
-    # a non-finite right-hand side, and a matrix whose strong skew band
-    # breaks the symmetry that CG needs, both fail the true-residual check
+    # a non-finite right-hand side fails the true-residual check of the 1D
+    # direct solve, and a matrix whose strong skew band breaks the symmetry
+    # that CG needs fails it on a 2D grid; each message names its path
     g = Grid(cells=(16,), lengths=(1.0,))
     u = 0.1 * np.cos(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)
     state = _uniform_state(g, make_sphere_basis(2), u=u)
     dt = cfl_dt(state, state.coeffs, state.law, 0.45)
     rho = state.rho.values
-    b = rho * state.u.values
     c = state.law.gamma * fluid_pressure(state.rho, state.law).values
     a = hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c)
-    nan = np.full_like(b, np.nan)
-    with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(a, nan, rho)
-    skew = sp.diags([1e4, -1e4], [1, -1], shape=a.shape)
+    nan = np.full((1,) + g.cells, np.nan)
+    with pytest.raises(NumericalError, match=r"relative residual nan \(direct 1D\)"):
+        hydro._viscous_solve(g, a, nan, rho)
     matrix = hydro._viscous_matrix
-    monkeypatch.setattr(hydro, "_viscous_matrix", lambda *args: (matrix(*args) + skew).tocsr())
-    with pytest.raises(NumericalError, match="relative residual"):
-        hydro._viscous_solve(hydro._viscous_matrix(g, rho, dt, 1.0, 1.0, c), b, rho)
-    with pytest.raises(NumericalError, match="substep 'momentum' failed at t=.*relative residual"):
+    monkeypatch.setattr(hydro, "_viscous_matrix", lambda *args: matrix(*args) * np.nan)
+    failed = r"substep 'momentum' failed at t=.*relative residual nan \(direct 1D\)"
+    with pytest.raises(NumericalError, match=failed):
         step(state, dt)
+    g2 = Grid(cells=(6, 5), lengths=(1.0, 1.0))
+    rho2 = np.full(g2.cells, 0.8)
+    a2 = matrix(g2, rho2, dt, 1.0, 1.0, np.zeros(g2.cells))
+    skew = sp.diags([1e4, -1e4], [1, -1], shape=a2.shape)
+    b2 = np.random.default_rng(0).standard_normal((2,) + g2.cells)
+    with pytest.raises(NumericalError, match=r"relative residual \S+ \(CG, \d+ iterations\)"):
+        hydro._viscous_solve(g2, (a2 + skew).tocsr(), b2, rho2)
 
 
 def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
@@ -301,7 +345,7 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
 
     b = np.full((2, 64, 64), np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(CountingOperator(), b, rho)
+        hydro._viscous_solve(g, CountingOperator(), b, rho)
     assert len(applied) <= 3
 
 

@@ -1,6 +1,8 @@
 """Coupled stepping, the energy ledger, and the renormalized diagnostic."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -426,3 +428,23 @@ def test_renormalized_requires_time_order():
     state = _smooth_state()
     with pytest.raises(ValueError, match="ordered"):
         renormalized_residual(state, state, lambda z: z, lambda z: np.ones_like(z))
+
+
+def test_steps_load_none_of_the_scipy_modules_measured_as_rss_dead_ends():
+    # importing scipy.linalg, scipy.sparse.linalg or scipy.fft adds about 5.6,
+    # 7.5 and 1 MB of peak RSS; a 1D (direct viscous solve) and a 2D (CG) step
+    # in a fresh interpreter must load none of them
+    code = """
+import sys
+from doifbp import RunConfig, build_initial_state, cfl_dt, step
+for cfg in (
+    RunConfig(dim=1, cells=(32,), lengths=(1.0,)),
+    RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), preset="taylor_vortex"),
+):
+    state = build_initial_state(cfg)
+    step(state, cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety))
+print([m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.fft") if m in sys.modules])
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
