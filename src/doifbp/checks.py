@@ -28,11 +28,9 @@ from .config import RunConfig
 from .grid import Grid, ScalarField, VectorField, integral
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, transport_step
 from .integrator import FluidState, energy_total, renormalized_residual, run, step
-from .kinetics import eta_moment, stress_moment
+from .kinetics import SQRT_4PI, eta_moment, stress_moment
 from .presets import build_initial_state
 from .sphere import OrientationField, make_sphere_basis
-
-SQRT_4PI = math.sqrt(4.0 * math.pi)
 
 
 def check_quadrature() -> tuple:

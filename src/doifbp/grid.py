@@ -8,11 +8,19 @@ upwind divergence that every transport equation shares also lives here, so
 density, number density, momentum, and harmonic coefficient channels are all
 advected with one flux definition.
 
-Dirichlet boundaries are realized with a single ghost layer.  Ghost policy is
-per-quantity: ``"zero"`` imposes the homogeneous boundary value (velocity,
-number density, orientation coefficients), ``"edge"`` copies the adjacent
-interior cell, giving a zero-normal-gradient extrapolation (mass density,
-pressure).
+Every stencil reads its neighbours through one ghost fill, `_pad_axis`: a
+single gather along one axis through an index cached per (axis length,
+periodic or not), which attaches one ghost cell at each end and returns the
+array with that axis in front, so a stencil is a difference of slices.  The
+stencils act on cells-first arrays, shaped grid.cells plus any trailing
+channels that share one stencil.  The sparse stencil matrices of the viscous
+operator are the same array stencils applied to the identity of one axis.
+
+On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
+the ghost policy is per-quantity: ``"zero"`` imposes the homogeneous
+boundary value (velocity, number density, orientation coefficients),
+``"edge"`` copies the adjacent interior cell, giving a zero-normal-gradient
+extrapolation (mass density, pressure).
 """
 
 from __future__ import annotations
@@ -133,45 +141,45 @@ def _require_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def _ax(ndim: int, axis: int, sl: slice) -> tuple:
-    idx = [slice(None)] * ndim
-    idx[axis] = sl
-    return tuple(idx)
+@functools.lru_cache(maxsize=None)
+def _ghost_index(n: int, periodic: bool) -> np.ndarray:
+    """Gather index of an n-cell line with one ghost cell at each end: the
+    wrapped-around cell on a periodic line, the end cell itself otherwise."""
+    idx = np.arange(-1, n + 1)
+    idx = idx % n if periodic else np.clip(idx, 0, n - 1)
+    idx.flags.writeable = False
+    return idx
 
 
-def _pad_axis(arr: np.ndarray, axis: int, bc: str, ghost: str) -> np.ndarray:
-    """Attach one ghost cell on each side of `axis`."""
+def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+    """`arr` with one ghost cell on each side of `axis`, that axis moved to the front.
+
+    The one ghost fill of the package: a gather through the cached
+    `_ghost_index`, after which the zero ghost of a Dirichlet grid overwrites
+    the two end slabs.  Callers slice the front axis (`p[2:]`, `p[:-2]`) and
+    swap it back.
+    """
     if ghost not in _GHOST_MODES:
         raise ValueError(f"unknown ghost policy {ghost!r}")
-    shape = list(arr.shape)
-    shape[axis] += 2
-    out = np.empty(shape, dtype=float)
-    nd = arr.ndim
-    out[_ax(nd, axis, slice(1, -1))] = arr
-    if bc == PERIODIC:
-        out[_ax(nd, axis, slice(0, 1))] = arr[_ax(nd, axis, slice(-1, None))]
-        out[_ax(nd, axis, slice(-1, None))] = arr[_ax(nd, axis, slice(0, 1))]
-    elif ghost == "edge":
-        out[_ax(nd, axis, slice(0, 1))] = arr[_ax(nd, axis, slice(0, 1))]
-        out[_ax(nd, axis, slice(-1, None))] = arr[_ax(nd, axis, slice(-1, None))]
-    else:
-        out[_ax(nd, axis, slice(0, 1))] = 0.0
-        out[_ax(nd, axis, slice(-1, None))] = 0.0
-    return out
+    periodic = grid.bc == PERIODIC
+    p = np.take(arr, _ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
+    if ghost == "zero" and not periodic:
+        p[0] = 0.0
+        p[-1] = 0.0
+    return p
 
 
-def _centered_diff(arr: np.ndarray, axis: int, h: float, bc: str, ghost: str) -> np.ndarray:
-    p = _pad_axis(arr, axis, bc, ghost)
-    hi = p[_ax(p.ndim, axis, slice(2, None))]
-    lo = p[_ax(p.ndim, axis, slice(None, -2))]
-    return (hi - lo) / (2.0 * h)
+def _centered_diff(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+    """Centered difference along `axis` of `arr`, shaped grid.cells + channels."""
+    p = _pad_axis(grid, arr, axis, ghost)
+    return ((p[2:] - p[:-2]) / (2.0 * grid.h[axis])).swapaxes(0, axis)
 
 
-def _second_diff(arr: np.ndarray, axis: int, h: float, bc: str, ghost: str) -> np.ndarray:
-    p = _pad_axis(arr, axis, bc, ghost)
-    hi = p[_ax(p.ndim, axis, slice(2, None))]
-    lo = p[_ax(p.ndim, axis, slice(None, -2))]
-    return (hi - 2.0 * arr + lo) / (h * h)
+def _second_diff(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+    """3-point second difference along `axis` of `arr`, shaped grid.cells + channels."""
+    h = grid.h[axis]
+    p = _pad_axis(grid, arr, axis, ghost)
+    return ((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)).swapaxes(0, axis)
 
 
 def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
@@ -197,7 +205,7 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
             raise NumericalError(f"explicit diffusion unstable for t={t:.3e}")
         lap = np.zeros_like(q)
         for a in range(grid.dim):
-            lap += _second_diff(q, a, grid.h[a], grid.bc, "zero")
+            lap += _second_diff(grid, q, a, "zero")
         return q + t * lap
     out = q
     for a in range(grid.dim):
@@ -209,25 +217,26 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
         phi1[0] = 0.0
         phi1 = phi1.reshape((-1,) + (1,) * (q.ndim - a - 1))
         smoothed = np.fft.irfft(np.fft.rfft(out, axis=a) * phi1, n=n, axis=a)
-        out = out + t * _second_diff(smoothed, a, h, PERIODIC, "zero")
+        out = out + t * _second_diff(grid, smoothed, a, "zero")
     return out
 
 
 def _diff_matrix(grid: Grid, axis: int, second: bool) -> sp.csr_matrix:
     """`_second_diff` (or `_centered_diff`) along `axis` with the zero ghost,
-    as a sparse matrix acting on fields flattened in C order."""
-    n, h = grid.cells[axis], grid.h[axis]
-    lo, mid, hi = (1.0 / (h * h), -2.0 / (h * h), 1.0 / (h * h)) if second else (-0.5 / h, 0.0, 0.5 / h)
-    offsets = [-1, 0, 1] + ([n - 1, 1 - n] if grid.bc == PERIODIC else [])  # + the wrap corners
-    stencil = sp.diags([lo, mid, hi, lo, hi][: len(offsets)], offsets, shape=(n, n))
+    as a sparse matrix acting on fields flattened in C order: the array
+    stencil applied to the identity of the axis's line grid, then
+    Kronecker-producted with the identities of the other axes."""
+    n = grid.cells[axis]
+    line = Grid((n,), (grid.lengths[axis],), grid.bc)
+    stencil = (_second_diff if second else _centered_diff)(line, np.eye(n), 0, "zero")
     eye = [sp.identity(m) for m in grid.cells]
-    return functools.reduce(sp.kron, eye[:axis] + [stencil] + eye[axis + 1 :]).tocsr()
+    return functools.reduce(sp.kron, eye[:axis] + [sp.csr_matrix(stencil)] + eye[axis + 1 :]).tocsr()
 
 
 def grad(s: ScalarField, ghost: str = "zero") -> VectorField:
     """Second-order centered gradient respecting the grid's boundary type."""
     g = s.grid
-    comps = [_centered_diff(s.values, a, g.h[a], g.bc, ghost) for a in range(g.dim)]
+    comps = [_centered_diff(g, s.values, a, ghost) for a in range(g.dim)]
     return VectorField(g, np.stack(comps))
 
 
@@ -236,7 +245,7 @@ def div(v: VectorField, ghost: str = "zero") -> ScalarField:
     g = v.grid
     out = np.zeros(g.cells)
     for a in range(g.dim):
-        out += _centered_diff(v.values[a], a, g.h[a], g.bc, ghost)
+        out += _centered_diff(g, v.values[a], a, ghost)
     return ScalarField(g, out)
 
 
@@ -245,7 +254,7 @@ def laplacian(s: ScalarField, ghost: str = "zero") -> ScalarField:
     g = s.grid
     out = np.zeros(g.cells)
     for a in range(g.dim):
-        out += _second_diff(s.values, a, g.h[a], g.bc, ghost)
+        out += _second_diff(g, s.values, a, ghost)
     return ScalarField(g, out)
 
 
@@ -291,16 +300,10 @@ def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, ghost: str = "ze
         raise ValueError(f"transported array shaped {q.shape} does not match grid {grid.cells}")
     out = np.zeros_like(q, dtype=float)
     for a in range(dim):
-        up = _pad_axis(u[a], a, grid.bc, "zero")
-        qp = _pad_axis(q, a, grid.bc, ghost)
-        u_lo = up[_ax(up.ndim, a, slice(None, -1))]
-        u_hi = up[_ax(up.ndim, a, slice(1, None))]
-        uf = 0.5 * (u_lo + u_hi)  # one face per interior cell pair, ends included
+        up = _pad_axis(grid, u[a], a, "zero")
+        qp = _pad_axis(grid, q, a, ghost)
+        uf = 0.5 * (up[:-1] + up[1:])  # one face per interior cell pair, ends included
         uf = uf.reshape(uf.shape + (1,) * n_extra)
-        q_lo = qp[_ax(qp.ndim, a, slice(None, -1))]
-        q_hi = qp[_ax(qp.ndim, a, slice(1, None))]
-        flux = np.maximum(uf, 0.0) * q_lo + np.minimum(uf, 0.0) * q_hi
-        f_hi = flux[_ax(flux.ndim, a, slice(1, None))]
-        f_lo = flux[_ax(flux.ndim, a, slice(None, -1))]
-        out += (f_hi - f_lo) / grid.h[a]
+        flux = np.maximum(uf, 0.0) * qp[:-1] + np.minimum(uf, 0.0) * qp[1:]
+        out += ((flux[1:] - flux[:-1]) / grid.h[a]).swapaxes(0, a)
     return out

@@ -3,10 +3,11 @@
 The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
 the total pressure adds the polymer contributions eta + eta^2, where eta is
 the zeroth orientation moment of f.  Scalars are transported with donor-cell
-upwind fluxes, then diffused by the translational-diffusion substep
-`grid.heat_step` that f shares: exact on periodic grids, explicit under the
-diffusive CFL term on Dirichlet grids.  Both keep them nonnegative, and
-exactly conservative on periodic grids.
+upwind fluxes, which keep them nonnegative under the advective CFL bound and
+exactly conservative on periodic grids.  `transport_step` can follow the
+flux with the translational-diffusion substep `grid.heat_step` that f
+shares, but the density substep passes diffusivity 0: only the `eta`
+reference of check suite 3 is diffused.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
@@ -403,12 +404,11 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
 
     pi = fluid_pressure(state.rho, law)
     gp = grad(total_pressure(pi, eta_moment(state.f)), ghost="edge").values
-    sigma = stress_moment(state.f)
-    for i in range(g.dim):
-        force = -gp[i]
-        for j in range(g.dim):
-            force += _centered_diff(sigma[..., i, j], j, g.h[j], g.bc, "zero")
-        m[..., i] += dt * force
+    sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
+    force = -gp.transpose(tuple(range(1, g.dim + 1)) + (0,))  # channels-last, like m
+    for j in range(g.dim):
+        force += _centered_diff(g, sigma[..., j], j, "zero")  # column j of div sigma, every row
+    m += dt * force
 
     m = np.moveaxis(m, -1, 0)
     rho_hat = np.maximum(rho, RHO_FLOOR)

@@ -30,7 +30,7 @@ it reproduces the discrete continuity residual, which vanishes to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -108,22 +108,6 @@ class DiagnosticsRecord:
     mass: float
     rod_mass: float
 
-    FIELDS = (
-        "t",
-        "e_total",
-        "e_kinetic",
-        "e_pressure",
-        "e_eta",
-        "e_entropy",
-        "diss_fisher_tau",
-        "diss_fisher_x",
-        "diss_grad_u",
-        "diss_div_u",
-        "diss_grad_eta",
-        "mass",
-        "rod_mass",
-    )
-
     def row(self) -> tuple:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
@@ -137,6 +121,10 @@ class DiagnosticsRecord:
             + self.diss_div_u
             + self.diss_grad_eta
         )
+
+
+#: the CSV columns: the fields in declaration order
+DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 
 def pressure_energy(state: FluidState) -> float:

@@ -37,10 +37,10 @@ def velocity_gradient(u: VectorField) -> np.ndarray:
     `fp_rhs`, the drift bound of `hydro.cfl_dt` and the energy ledger read it.
     """
     g = u.grid
+    uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
     out = np.empty(g.cells + (g.dim, g.dim))
-    for i in range(g.dim):
-        for j in range(g.dim):
-            out[..., i, j] = _centered_diff(u.values[i], j, g.h[j], g.bc, "zero")
+    for j in range(g.dim):
+        out[..., j] = _centered_diff(g, uc, j, "zero")
     return out
 
 
@@ -125,6 +125,6 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
 
     grad_sq = np.zeros_like(sqrt_f)
     for a in range(g.dim):
-        grad_sq += _centered_diff(sqrt_f, a, g.h[a], g.bc, "zero") ** 2
+        grad_sq += _centered_diff(g, sqrt_f, a, "zero") ** 2
     fisher_x = g.cell_volume * float(np.sum(grad_sq * basis.weights))
     return psi, fisher_tau, fisher_x

@@ -30,7 +30,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -57,20 +57,12 @@ class GammaDiagnostics:
     incompressibility_defect: float
     congested_volume: float
 
-    FIELDS = (
-        "gamma",
-        "excess_l1",
-        "excess_l2",
-        "excess_l4",
-        "excess_linf",
-        "pressure_time_integral",
-        "complementarity",
-        "incompressibility_defect",
-        "congested_volume",
-    )
-
     def row(self) -> tuple:
         return tuple(getattr(self, name) for name in self.FIELDS)
+
+
+#: the CSV columns: the fields in declaration order
+GammaDiagnostics.FIELDS = tuple(f.name for f in fields(GammaDiagnostics))
 
 
 @dataclass(frozen=True)

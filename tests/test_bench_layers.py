@@ -1,12 +1,14 @@
-"""The benchmark's hooks into the package: the tracer's layer table names
-functions that exist, and the sweep workload's wrapper around `limits.run`
-sees one call per gamma."""
+"""The benchmark's hooks into the package: the tracer's layer table and the
+private helpers its README names are functions that exist, and the sweep
+workload's wrapper around `limits.run` sees one call per gamma."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _layers() -> dict:
@@ -30,6 +32,16 @@ def test_every_traced_layer_resolves_in_the_package():
                 assert hasattr(owner, part), f"traced doifbp.{module_name}.{qualname} is missing"
                 owner = getattr(owner, part)
             assert callable(owner), f"traced doifbp.{module_name}.{qualname} is not callable"
+
+
+def test_every_private_helper_the_benchmark_readme_names_resolves():
+    # the README says where the time of these unwrapped helpers lands; a
+    # rename in the package would leave it naming functions that are gone
+    names = set(re.findall(r"`(_\w+)`", (PERFBENCH / "README.md").read_text()))
+    assert {"_viscous_solve", "_drift_coefficients", "_pad_axis", "_second_diff"} <= names
+    modules = [importlib.import_module(f"doifbp.{m}") for m in _layers()]
+    for name in sorted(names):
+        assert any(callable(getattr(m, name, None)) for m in modules), f"{name} is not in doifbp"
 
 
 def test_sweep_calls_the_module_level_run_once_per_gamma(monkeypatch):

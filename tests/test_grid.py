@@ -107,6 +107,60 @@ def test_grad_div_negative_adjoint():
     assert abs(pair) * g.cell_volume < 1e-12 * scale
 
 
+def _neighbour(q, axis, step, bc, ghost):
+    """q at cell i + step along `axis` for every cell i, by the ghost policy:
+    the wrapped cell on periodic grids, else the cell itself ("edge") or 0."""
+    n = q.shape[axis]
+    src = np.moveaxis(q, axis, 0)
+    out = np.empty_like(src)
+    for i in range(n):
+        j = i + step
+        if 0 <= j < n:
+            out[i] = src[j]
+        elif bc == "periodic":
+            out[i] = src[j % n]
+        else:
+            out[i] = src[i] if ghost == "edge" else 0.0
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5)])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("ghost", ["zero", "edge"])
+def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
+    rng = np.random.default_rng(19)
+    g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
+    s = rng.standard_normal(shape)
+    v = rng.standard_normal((g.dim,) + shape)
+    q = rng.standard_normal(shape + (3,))  # trailing channels
+    want_grad = np.stack([
+        (_neighbour(s, a, 1, bc, ghost) - _neighbour(s, a, -1, bc, ghost)) / (2.0 * g.h[a])
+        for a in range(g.dim)
+    ])
+    want_div, want_lap, want_up = np.zeros(shape), np.zeros(shape), np.zeros(q.shape)
+    for a in range(g.dim):
+        h = g.h[a]
+        want_div += (_neighbour(v[a], a, 1, bc, ghost) - _neighbour(v[a], a, -1, bc, ghost)) / (2.0 * h)
+        want_lap += (_neighbour(s, a, 1, bc, ghost) - 2.0 * s + _neighbour(s, a, -1, bc, ghost)) / (h * h)
+        # faces i - 1/2 and i + 1/2 of cell i; the velocity ghost is always zero
+        u_lo, u_hi = _neighbour(v[a], a, -1, bc, "zero"), _neighbour(v[a], a, 1, bc, "zero")
+        uf_lo, uf_hi = (0.5 * (u_lo + v[a]))[..., None], (0.5 * (v[a] + u_hi))[..., None]
+        q_lo, q_hi = _neighbour(q, a, -1, bc, ghost), _neighbour(q, a, 1, bc, ghost)
+        flux_lo = np.maximum(uf_lo, 0.0) * q_lo + np.minimum(uf_lo, 0.0) * q
+        flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
+        want_up += (flux_hi - flux_lo) / h
+    assert np.array_equal(grad(ScalarField(g, s), ghost=ghost).values, want_grad)
+    assert np.array_equal(div(VectorField(g, v), ghost=ghost).values, want_div)
+    assert np.array_equal(laplacian(ScalarField(g, s), ghost=ghost).values, want_lap)
+    assert np.array_equal(upwind_divergence(g, q, v, ghost=ghost), want_up)
+
+
+def test_unknown_ghost_policy_is_rejected():
+    g = Grid(cells=(8,), lengths=(1.0,), bc="dirichlet")
+    with pytest.raises(ValueError, match="ghost policy"):
+        grad(ScalarField(g, np.ones(8)), ghost="mirror")
+
+
 # ---------------------------------------------------------------------------
 # norms and integrals
 
