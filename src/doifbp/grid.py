@@ -39,6 +39,8 @@ DIRICHLET = "dirichlet"
 _GHOST_MODES = ("zero", "edge")
 #: relative slack of the explicit stability bounds, so a step at the bound passes
 _CFL_SLACK = 1.0 + 1e-12
+#: identity columns per stencil application in `_diff_matrix`
+_EYE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -225,12 +227,15 @@ def _diff_matrix(grid: Grid, axis: int, second: bool) -> sp.csr_matrix:
     """`_second_diff` (or `_centered_diff`) along `axis` with the zero ghost,
     as a sparse matrix acting on fields flattened in C order: the array
     stencil applied to the identity of the axis's line grid, then
-    Kronecker-producted with the identities of the other axes."""
+    Kronecker-producted with the identities of the other axes.  The identity
+    goes in blocks of `_EYE_BLOCK` columns, so memory stays O(n)."""
     n = grid.cells[axis]
     line = Grid((n,), (grid.lengths[axis],), grid.bc)
-    stencil = (_second_diff if second else _centered_diff)(line, np.eye(n), 0, "zero")
+    diff = _second_diff if second else _centered_diff
+    blocks = (np.eye(n, min(_EYE_BLOCK, n - j), -j) for j in range(0, n, _EYE_BLOCK))
+    stencil = sp.hstack([sp.csr_matrix(diff(line, b, 0, "zero")) for b in blocks]).tocsr()
     eye = [sp.identity(m) for m in grid.cells]
-    return functools.reduce(sp.kron, eye[:axis] + [sp.csr_matrix(stencil)] + eye[axis + 1 :]).tocsr()
+    return functools.reduce(sp.kron, eye[:axis] + [stencil] + eye[axis + 1 :]).tocsr()
 
 
 def grad(s: ScalarField, ghost: str = "zero") -> VectorField:
