@@ -27,9 +27,16 @@ centered-of-centered stencil, which decouples odd and even modes and is kept
 on purpose.  The system is SPD for rho >= RHO_FLOOR.  On 1D grids it is
 solved directly, by static condensation of blocks of the pentadiagonal (with
 the periodic wrap) matrix onto a small interface; on 2D grids by
-Jacobi-preconditioned CG to relative residual 1e-13, restarted from the true
-residual when the recursive one has drifted from it.  Either result is
-accepted only at a true residual below 1e-10.
+preconditioned CG to relative residual 1e-13, restarted from the true
+residual when the recursive one has drifted from it.  Periodic 2D grids
+precondition with the exact inverse of the constant-coefficient system
+
+    (rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div])^-1,
+    rbar = mean(rho_hat),
+
+which the FFT diagonalizes (`_spectral_preconditioner`); Dirichlet 2D grids
+precondition with the diagonal (Jacobi).  Either result is accepted only at
+a true residual below 1e-10.
 """
 
 from __future__ import annotations
@@ -315,19 +322,67 @@ def _substructured_solve(grid, a, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def _spectral_symbols(grid):
+    """The rfft2 wavenumber tables of `_spectral_preconditioner` on a 2D grid.
+
+    Returns (lap, s), shaped like the rfft2 of one component: the symbol
+    lap(k) = -sum_a 4 sin^2(pi k_a / n_a) / h_a^2 of the 3-point Laplacian,
+    and, stacked over the axes in front, s_a(k) = sin(2 pi k_a / n_a) / h_a,
+    the centered difference being multiplication by i s_a.
+    """
+    freq = [np.fft.fftfreq(grid.cells[0]), np.fft.rfftfreq(grid.cells[1])]
+    k = np.meshgrid(*freq, indexing="ij")  # k_a / n_a
+    lap = -sum(4.0 * np.sin(np.pi * ka) ** 2 / h**2 for ka, h in zip(k, grid.h))
+    s = np.stack([np.sin(2.0 * np.pi * ka) / h for ka, h in zip(k, grid.h)])
+    lap.flags.writeable = s.flags.writeable = False  # shared by every caller
+    return lap, s
+
+
+def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
+    """r -> (rbar I - nu Lap - bulk grad div)^-1 r on a periodic 2D grid.
+
+    rbar = mean(rho_hat); r is a flat velocity array in the matrix ordering.
+    With the zero-ghost stencils of `_viscous_matrix`, this constant-coefficient
+    operator has the per-wavenumber symbol alpha(k) I + bulk s s^T,
+    alpha = rbar - nu lap(k) > 0 (`_spectral_symbols`), which Sherman-Morrison
+    inverts:
+
+        I / alpha - bulk s s^T / (alpha (alpha + bulk |s|^2)).
+
+    The symbol is real, symmetric and even in k, so the map is real,
+    symmetric and positive definite, as CG needs.
+    """
+    lap, s = _spectral_symbols(grid)
+    alpha = float(np.mean(rho_hat)) - nu * lap
+    beta = bulk / (alpha * (alpha + bulk * np.sum(s * s, axis=0)))
+    inv_alpha = 1.0 / alpha
+    shape = (grid.dim,) + grid.cells
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        r_hat = np.fft.rfft2(r.reshape(shape))
+        z_hat = r_hat * inv_alpha - s * (beta * np.sum(s * r_hat, axis=0))
+        return np.fft.irfft2(z_hat, s=grid.cells).ravel()
+
+    return apply
+
+
+def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk: float) -> np.ndarray:
     """Solve a x = b, a = `_viscous_matrix` on `grid`, to a checked true residual.
 
     `b` is shaped like a velocity array and is flattened to the matrix
-    ordering.  On 1D grids the solve is direct (`_substructured_solve`).  On
-    2D grids it is Jacobi-preconditioned CG, started from b / rho_hat (exact
-    for dt -> 0), iterated to recursive relative residual 1e-13 (so
-    conservation sums stay at roundoff) or `_CG_MAX_ITER` steps in all, and
-    stopped at once on a NaN residual; where the recursive residual has
-    drifted from the true one (stiff, badly scaled systems), CG restarts from
-    the true residual.  Either way x is accepted only if its true residual is
-    below 1e-10 ||b||; anything else is a numerical failure that names the
-    path and, for CG, its iteration count.
+    ordering; nu = dt mu and bulk = dt (lambda + dt mean(c)) are the scalars
+    of the constant-coefficient preconditioner.  On 1D grids the solve is
+    direct (`_substructured_solve`).  On 2D grids it is preconditioned CG:
+    by `_spectral_preconditioner` on periodic grids, by the diagonal of `a`
+    (Jacobi) on Dirichlet grids.  CG starts from b / rho_hat (exact for
+    dt -> 0), iterates to recursive relative residual 1e-13 (so conservation
+    sums stay at roundoff) or `_CG_MAX_ITER` steps in all, and stops at once
+    on a NaN residual; where the recursive residual has drifted from the true
+    one (stiff, badly scaled systems), CG restarts from the true residual.
+    Either way x is accepted only if its true residual is below 1e-10 ||b||;
+    anything else is a numerical failure that names the path and, for CG,
+    its iteration count.
     """
     shape = b.shape
     b = b.ravel()
@@ -337,15 +392,18 @@ def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray) -> np.ndarray:
         res = np.linalg.norm(b - a @ x)
         path = "direct 1D"
     else:
+        if grid.bc == PERIODIC:
+            precondition = _spectral_preconditioner(grid, rho_hat, nu, bulk)
+        else:
+            precondition = functools.partial(np.multiply, 1.0 / a.diagonal())
         x = b / np.broadcast_to(rho_hat, shape).ravel()
-        inv_diag = 1.0 / a.diagonal()
         r = b - a @ x
         budget = _CG_MAX_ITER
         while True:
             p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
             while budget > 0 and np.linalg.norm(r) > 1e-13 * b_norm:  # stops on NaN too
                 budget -= 1
-                z = inv_diag * r
+                z = precondition(r)
                 rz, rz_old = r @ z, rz
                 p = z + (rz / rz_old) * p
                 ap = a @ p
@@ -417,7 +475,9 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi.values - resolved, 0.0)
-    u_new = _viscous_solve(g, _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m, rho_hat)
+    a = _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c)
+    bulk = dt * (coeffs.lam + dt * float(np.mean(c)))
+    u_new = _viscous_solve(g, a, m, rho_hat, dt * coeffs.mu, bulk)
     if np.any(vacuum):
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, _centered_diff, upwind_divergence
+from .grid import ScalarField, VectorField, _centered_diff, _pad_axis, upwind_divergence
 from .sphere import EPS_POS, OrientationField
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -105,6 +105,12 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
     sqrt(f)|^2 from the spectral gradient energy of the projected square-root
     field, and fisher_x = int int |grad_x sqrt(f)|^2 by nodal quadrature of
     centered spatial differences.
+
+    One nodal array is synthesized and worked on in place, on every grid:
+    clamped, then read for f ln f, then replaced by sqrt(f), then scaled by
+    the square roots of the quadrature weights, so that fisher_x is a plain
+    sum of squares, sum_a |D_a(sqrt(w f))|^2 / (2 h_a)^2, of the undivided
+    zero-ghost differences D_a of that array.
     """
     g = f.grid
     basis = f.basis
@@ -114,17 +120,21 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
         raise ValueError(
             f"entropy of a distribution with nodal value {worst:.3e} below -{EPS_POS:.1e}"
         )
-    clamped = np.maximum(nodal, 0.0)
-    safe = np.where(clamped > 0.0, clamped, 1.0)
-    plogp = clamped * np.log(safe)
+    np.maximum(nodal, 0.0, out=nodal)
+    plogp = np.log(nodal, out=np.zeros_like(nodal), where=nodal > 0.0)
+    plogp *= nodal
     psi = ScalarField(g, plogp @ basis.weights)
+    del plogp
 
-    sqrt_f = np.sqrt(clamped)
-    s_coeffs = basis.analyze(sqrt_f)
+    np.sqrt(nodal, out=nodal)
+    s_coeffs = basis.analyze(nodal)
     fisher_tau = g.cell_volume * float(np.sum((-basis.lap_eig) * s_coeffs**2))
 
-    grad_sq = np.zeros_like(sqrt_f)
+    nodal *= np.sqrt(basis.weights)
+    fisher_x = 0.0
     for a in range(g.dim):
-        grad_sq += _centered_diff(g, sqrt_f, a, "zero") ** 2
-    fisher_x = g.cell_volume * float(np.sum(grad_sq * basis.weights))
+        p = _pad_axis(g, nodal, a, "zero")
+        diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
+        fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
+    fisher_x *= g.cell_volume
     return psi, fisher_tau, fisher_x

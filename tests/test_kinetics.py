@@ -8,21 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from doifbp import (
+    EPS_POS,
     Grid,
     OrientationField,
+    RunConfig,
     ScalarField,
     VectorField,
+    build_initial_state,
     entropy_and_fisher,
     eta_moment,
     fp_rhs,
     integral,
     make_sphere_basis,
+    run,
     stress_moment,
     uniform_orientation,
     upwind_divergence,
     velocity_gradient,
 )
-from doifbp.grid import heat_step
+from doifbp.grid import _centered_diff, heat_step
 from doifbp.kinetics import _drift_coefficients
 
 
@@ -151,6 +155,70 @@ def test_entropy_rejects_genuinely_negative_f():
     bad[..., 2] = 1.0
     with pytest.raises(ValueError, match="below -1.0e-10"):
         entropy_and_fisher(OrientationField(grid, basis, bad))
+
+
+def _reference_entropy_and_fisher(f):
+    # the ledger formula with full-size temporaries, written as the
+    # definition: clamp, f ln f with 0 ln 0 = 0, sqrt, and the nodal
+    # quadrature of the squared centered differences of sqrt(f)
+    g, basis = f.grid, f.basis
+    nodal = f.nodal_values()
+    worst = float(np.min(nodal))
+    if worst < -EPS_POS:
+        raise ValueError(
+            f"entropy of a distribution with nodal value {worst:.3e} below -{EPS_POS:.1e}"
+        )
+    clamped = np.maximum(nodal, 0.0)
+    safe = np.where(clamped > 0.0, clamped, 1.0)
+    psi = (clamped * np.log(safe)) @ basis.weights
+    sqrt_f = np.sqrt(clamped)
+    s_coeffs = basis.analyze(sqrt_f)
+    fisher_tau = g.cell_volume * float(np.sum((-basis.lap_eig) * s_coeffs**2))
+    grad_sq = np.zeros_like(sqrt_f)
+    for a in range(g.dim):
+        grad_sq += _centered_diff(g, sqrt_f, a, "zero") ** 2
+    fisher_x = g.cell_volume * float(np.sum(grad_sq * basis.weights))
+    return psi, fisher_tau, fisher_x
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
+    # an evolved state whose nodal values are then pinned: some exactly 0,
+    # some in [-EPS_POS, 0) down to -EPS_POS itself, which are clamped; psi
+    # and fisher_tau must be bit-identical to the reference, fisher_x equal
+    # to roundoff, and f itself untouched
+    cfg = RunConfig(
+        dim=dim, cells=(9, 7)[:dim], lengths=(1.0, 0.8)[:dim], bc=bc, sphere_degree=4,
+        preset="taylor_vortex" if dim == 2 else "colliding_streams", rho0=0.6,
+        amplitude=1.0, perturbation=0.1, seed=dim,
+    )
+    _, state = run(build_initial_state(cfg), 2e-3)
+    f = state.f
+    nodal = f.nodal_values()
+    assert np.min(nodal) > 0.0
+    rng = np.random.default_rng(7 + dim)
+    pick = rng.random(nodal.shape)
+    nodal[pick < 0.1] = 0.0
+    nodal[pick > 0.9] = -EPS_POS * rng.random(np.count_nonzero(pick > 0.9))
+    nodal.flat[0] = -EPS_POS
+    coeffs = f.coeffs.copy()
+    monkeypatch.setattr(OrientationField, "nodal_values", lambda self: nodal.copy())
+    psi, fisher_tau, fisher_x = entropy_and_fisher(f)
+    want_psi, want_tau, want_x = _reference_entropy_and_fisher(f)
+    assert np.array_equal(psi.values, want_psi)
+    assert fisher_tau == want_tau
+    assert fisher_x > 0.0
+    assert abs(fisher_x - want_x) <= 1e-13 * want_x
+    assert np.array_equal(f.coeffs, coeffs)
+
+    nodal.flat[-1] = -1.5 * EPS_POS
+    with pytest.raises(ValueError) as got:
+        entropy_and_fisher(f)
+    with pytest.raises(ValueError) as want:
+        _reference_entropy_and_fisher(f)
+    message = "entropy of a distribution with nodal value -1.500e-10 below -1.0e-10"
+    assert str(got.value) == str(want.value) == message
 
 
 # ---------------------------------------------------------------------------
