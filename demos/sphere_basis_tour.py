@@ -5,7 +5,9 @@ Builds the Gauss-Legendre x uniform-longitude product basis at several
 truncation degrees and prints the three exactness properties everything else
 relies on: polynomial moments of the quadrature rule, orthonormality of the
 real harmonics under that rule, and the exact Laplace-Beltrami eigenvalues
--l(l+1) carried by the diffusion operator.
+-l(l+1) carried by the diffusion operator.  Rods are head-tail symmetric, so
+the basis holds the even degrees only: an odd L has the nodes of degree L but
+the harmonics of degree L-1.
 """
 
 import numpy as np
@@ -44,7 +46,7 @@ def main():
         round_trip = basis.analyze(basis.synth(coeffs))
         rt_err = np.max(np.abs(round_trip - coeffs))
         print(
-            f"L = {degree}: {basis.n_coeff:3d} harmonics, "
+            f"L = {degree}: {basis.n_coeff:3d} even-degree harmonics, "
             f"gram defect {gram_err:.2e}, analyze(synth(c)) - c = {rt_err:.2e}"
         )
 
@@ -52,9 +54,9 @@ def main():
     print("=" * 72)
     print("rotational diffusion spectrum (stored eigenvalues, exact integers)")
     print("=" * 72)
-    basis = make_sphere_basis(5)
-    for l in range(basis.degree + 1):
-        q = l * l + l  # the m = 0 member of degree l
+    basis = make_sphere_basis(6)
+    for l in range(0, basis.degree + 1, 2):
+        q = basis.index(l, 0)  # the m = 0 member of degree l
         print(f"l = {l}: eigenvalue = {basis.lap_eig[q]:+.1f}   (expected {-l * (l + 1):+d})")
     print()
     print("every harmonic of degree l decays like exp(-d_rot l (l+1) t) under")

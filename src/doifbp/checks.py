@@ -137,9 +137,8 @@ def _pure_diffusion_state() -> FluidState:
     eta_values = 0.1 + 0.05 * np.sin(2.0 * np.pi * x)
     coeffs = np.zeros(grid.cells + (basis.n_coeff,))
     coeffs[..., 0] = eta_values / SQRT_4PI
-    # q = l^2 + l + m indexes the (l=2, m=0) harmonic at 6; the amplitude is
-    # small enough to keep every nodal value positive.
-    coeffs[..., 6] = 0.002 * (1.0 + 0.5 * np.cos(2.0 * np.pi * x))
+    # the (l=2, m=0) amplitude is small enough to keep every nodal value positive
+    coeffs[..., basis.index(2, 0)] = 0.002 * (1.0 + 0.5 * np.cos(2.0 * np.pi * x))
     f = OrientationField(grid, basis, coeffs)
     f.check_positive()
     return FluidState(
@@ -191,7 +190,7 @@ def check_stress() -> tuple:
     small = Grid(cells=(4,), lengths=(1.0,), bc="periodic")
     c = np.zeros(small.cells + (basis.n_coeff,))
     c[..., 0] = 1.0 / SQRT_4PI
-    c[..., 6] = (b / (4.0 * np.pi)) * math.sqrt(16.0 * np.pi / 5.0)
+    c[..., basis.index(2, 0)] = (b / (4.0 * np.pi)) * math.sqrt(16.0 * np.pi / 5.0)
     sig = stress_moment(OrientationField(small, basis, c))
     expected = b * np.diag([-0.4, -0.4, 0.8])
     analytic = float(np.max(np.abs(sig - expected)))

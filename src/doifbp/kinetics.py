@@ -11,7 +11,10 @@ the tangential projection of the macroscopic shear acting on a rod axis,
 and its sphere divergence is applied weakly in the harmonic basis: the
 coefficient update contracts the per-cell velocity gradient against the
 precomputed Galerkin matrices of the basis, which conserves per-cell sphere
-mass identically (the constant-harmonic row is zero).
+mass identically (the constant-harmonic row is zero).  The coefficients are
+those of the even-degree basis of `sphere`: rods are head-tail symmetric,
+advection and the diffusions act degree by degree, and the drift maps degree
+l only into l and l +- 2, so no operator here creates an odd degree.
 
 Moment maps extract the number density eta = int f dtau, the second-moment
 stress int (3 tau tau^T - I) f dtau, and the entropy density int f ln f dtau

@@ -3,16 +3,18 @@
 CSV files carry a fixed header row and floats printed with 17 significant
 digits (enough to round-trip IEEE double exactly).
 
-Snapshots are little-endian binary: an 8-byte magic "DOIFBP02", a fixed
+Snapshots are little-endian binary: an 8-byte magic "DOIFBP03", a fixed
 header (grid metadata, spectral degree, physical parameters, time), then the
 raw float64 payloads of rho, u, and the orientation coefficients, in that
-order and in C order.  The number density is the zeroth moment of f and is
-not stored; files of the older "DOIFBP01" format, which carried a separate
-eta section, are rejected.  Loading validates the magic, every header field,
-the exact payload length, and nodal positivity of f; a truncated file reports
-the section that came up short.  A snapshot restores the full state
-bit-exactly, so re-running from a snapshot reproduces the original trajectory
-to the last bit.
+order and in C order.  The coefficients are those of the even-degree basis,
+(J+1)(2J+1) per cell with J = floor(L/2).  The number density is the zeroth
+moment of f and is not stored.  Files of the older formats are rejected by
+name: "DOIFBP01" carried a separate eta section, and "DOIFBP02" stored every
+harmonic degree of f, (L+1)^2 coefficients per cell.  Loading validates the
+magic, every header field, the exact payload length, and nodal positivity of
+f; a truncated file reports the section that came up short.  A snapshot
+restores the full state bit-exactly, so re-running from a snapshot reproduces
+the original trajectory to the last bit.
 """
 
 from __future__ import annotations
@@ -29,8 +31,11 @@ from .integrator import DiagnosticsRecord, FluidState
 from .limits import GammaDiagnostics, SweepResult
 from .sphere import OrientationField, make_sphere_basis
 
-MAGIC = b"DOIFBP02"
-_MAGIC_V1 = b"DOIFBP01"
+MAGIC = b"DOIFBP03"
+_RETIRED_FORMATS = {
+    b"DOIFBP01": "carries a separate eta section",
+    b"DOIFBP02": "stores the odd harmonic degrees of f",
+}
 _BC_CODES = {PERIODIC: 0, DIRICHLET: 1}
 _BC_NAMES = {code: name for name, code in _BC_CODES.items()}
 
@@ -116,9 +121,9 @@ def load_snapshot(path) -> FluidState:
     """Rebuild a FluidState from a snapshot file, validating everything."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC), "magic")
-        if magic == _MAGIC_V1:
+        if magic in _RETIRED_FORMATS:
             raise SnapshotError(
-                f"snapshot format {_MAGIC_V1!r} carries a separate eta section and is no "
+                f"snapshot format {magic!r} {_RETIRED_FORMATS[magic]} and is no "
                 f"longer read; this version reads {MAGIC!r}"
             )
         if magic != MAGIC:

@@ -1,11 +1,22 @@
-"""Real spherical harmonics on the unit sphere with product quadrature.
+"""Real spherical harmonics of even degree on the unit sphere, with product quadrature.
 
 The orientation space is discretized by a truncated real spherical-harmonic
-expansion of degree L together with a Gauss-Legendre (in cos theta) x uniform
-(in phi) product quadrature.  With L+1 Gauss nodes and 2L+2 azimuths the rule
-integrates every spherical harmonic up to degree 2L+1 exactly, which makes the
-forward/inverse transform an exact identity on band-limited data and the low
-moments (number density, second-moment stress) exact quadratures.
+expansion together with a Gauss-Legendre (in cos theta) x uniform (in phi)
+product quadrature.  A rod is the same object as its reversal, so the
+distribution satisfies f(tau) = f(-tau) and only even harmonic degrees can
+carry content (Doi & Edwards, The Theory of Polymer Dynamics, 1986, section
+8).  Every operator of the model preserves that parity: advection and both
+diffusions act degree by degree, and the sphere drift couples degree l only
+to l and l +- 2.  The basis of degree L therefore holds the even degrees
+0, 2, ..., 2 floor(L/2) and nothing else, (J+1)(2J+1) modes with
+J = floor(L/2); an odd L adds no mode over L-1.  Coefficients run degree by
+degree, m = -l..l within a degree, so the flat index of (l, m) is
+l(l-1)/2 + l + m and index 0 is the constant harmonic.
+
+With L+1 Gauss nodes and 2L+2 azimuths the rule integrates every spherical
+harmonic up to degree 2L+1 exactly, which makes the forward/inverse transform
+an exact identity on band-limited data and the low moments (number density,
+second-moment stress) exact quadratures.
 
 Beyond the transform the basis carries:
 
@@ -47,18 +58,22 @@ def _gauss_product_nodes(n_theta: int, n_phi: int):
     return tt, pp, nodes, weights
 
 
-def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
+def _harmonic_tables(degrees, theta: np.ndarray, phi: np.ndarray):
     """Values and tangential gradients of the real orthonormal harmonics.
+
+    Columns run over the sequence `degrees` in its order and, within degree
+    l, over m = -l..l: sin(|m| phi) members for m < 0, cos(m phi) members
+    for m > 0.
 
     Returns
     -------
-    y : ndarray, shape (K, (L+1)^2)
-    grad_y : ndarray, shape (K, (L+1)^2, 3)
+    y : ndarray, shape (K, Q), Q = sum of 2l+1 over `degrees`
+    grad_y : ndarray, shape (K, Q, 3)
         Cartesian components of the surface gradient at each node.
-    l_index : ndarray of int
+    l_index : ndarray of int, shape (Q,)
     """
     K = theta.size
-    Q = (L + 1) ** 2
+    Q = sum(2 * l + 1 for l in degrees)
     mu = np.cos(theta)
     s = np.sin(theta)  # Gauss nodes exclude the poles, so s > 0
     y = np.zeros((K, Q))
@@ -66,7 +81,10 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
     d_phi_over_s = np.zeros((K, Q))  # (1/sin theta) dY/dphi
     l_index = np.zeros(Q, dtype=int)
 
-    for l in range(L + 1):
+    start = 0  # flat index of (l, m = -l)
+    for l in degrees:
+        centre = start + l  # flat index of (l, 0)
+        l_index[start : centre + l + 1] = l
         for m in range(l + 1):
             p = lpmv(m, l, mu)
             p_dn = lpmv(m, l - 1, mu) if l >= 1 else np.zeros_like(mu)
@@ -78,22 +96,20 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
                 0.5 * (gammaln(l - m + 1) - gammaln(l + m + 1))
             )
             if m == 0:
-                q = l * l + l
-                y[:, q] = norm * p
-                d_theta[:, q] = norm * dp_dtheta
-                l_index[q] = l
+                y[:, centre] = norm * p
+                d_theta[:, centre] = norm * dp_dtheta
             else:
                 c = math.sqrt(2.0) * norm
                 cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
-                q_pos = l * l + l + m
-                q_neg = l * l + l - m
+                q_pos = centre + m
+                q_neg = centre - m
                 y[:, q_pos] = c * p * cos_m
                 y[:, q_neg] = c * p * sin_m
                 d_theta[:, q_pos] = c * dp_dtheta * cos_m
                 d_theta[:, q_neg] = c * dp_dtheta * sin_m
                 d_phi_over_s[:, q_pos] = -c * p * m * sin_m / s
                 d_phi_over_s[:, q_neg] = c * p * m * cos_m / s
-                l_index[q_pos] = l_index[q_neg] = l
+        start += 2 * l + 1
 
     st, ct = np.sin(theta), np.cos(theta)
     cp, sp = np.cos(phi), np.sin(phi)
@@ -105,7 +121,7 @@ def _harmonic_tables(L: int, theta: np.ndarray, phi: np.ndarray):
 
 @dataclass(frozen=True)
 class SphereBasis:
-    """Truncated real spherical-harmonic basis with its quadrature."""
+    """Even-degree real spherical-harmonic basis of degree L with its quadrature."""
 
     degree: int
     nodes: np.ndarray      # (K, 3) unit vectors
@@ -120,6 +136,15 @@ class SphereBasis:
     @property
     def n_coeff(self) -> int:
         return self.y.shape[1]
+
+    def index(self, l: int, m: int) -> int:
+        """Flat coefficient index l(l-1)/2 + l + m of the harmonic (l, m)."""
+        if l % 2 or not 0 <= l <= self.degree or abs(m) > l:
+            raise ValueError(
+                f"no harmonic (l={l}, m={m}) in the degree-{self.degree} basis, which holds "
+                f"the even degrees l <= {self.degree} and |m| <= l"
+            )
+        return l * (l - 1) // 2 + l + m
 
     @property
     def n_nodes(self) -> int:
@@ -140,20 +165,23 @@ class SphereBasis:
 def make_sphere_basis(L: int) -> SphereBasis:
     """Build the degree-L basis, its quadrature, and the kinetic operators.
 
-    The runtime quadrature uses L+1 Gauss nodes x 2L+2 azimuths (exact through
-    degree 2L+1).  The drift matrices involve integrands of degree up to
-    2L+2, so they are assembled on a finer internal rule and are exact.
+    The basis holds the even degrees 0, 2, ..., 2 floor(L/2).  The runtime
+    quadrature uses L+1 Gauss nodes x 2L+2 azimuths (exact through degree
+    2L+1) whatever the parity of L.  The drift matrices involve integrands of
+    degree up to 2L+2, so they are assembled on a finer internal rule and are
+    exact.
     """
     L = int(L)
     if L < 2:
         raise ValueError(f"sphere basis degree must be at least 2, got {L}")
+    degrees = range(0, L + 1, 2)
     theta, phi, nodes, weights = _gauss_product_nodes(L + 1, 2 * L + 2)
-    y, grad_y, l_index = _harmonic_tables(L, theta, phi)
+    y, grad_y, l_index = _harmonic_tables(degrees, theta, phi)
     lap_eig = -(l_index * (l_index + 1)).astype(float)
 
     # assembly quadrature exact through degree 2L+3 >= deg(tau_b dY_p Y_q)
     th_f, ph_f, nodes_f, w_f = _gauss_product_nodes(L + 3, 2 * L + 6)
-    y_f, gy_f, _ = _harmonic_tables(L, th_f, ph_f)
+    y_f, gy_f, _ = _harmonic_tables(degrees, th_f, ph_f)
     # C order, so each (a, b) slot is a contiguous Q x Q matrix for the drift contraction
     drift_mats = np.ascontiguousarray(
         np.einsum("k,kb,kpa,kq->abpq", w_f, nodes_f, gy_f, y_f, optimize=True)

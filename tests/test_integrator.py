@@ -247,7 +247,7 @@ def test_stiff_translational_diffusion_steps_at_the_cfl_bound_on_periodic_grids(
     eta = 0.1 + 0.3 * np.exp(-80.0 * (x - 0.5) ** 2)
     state = _state(g, basis, np.full(32, 0.8), (0.1 * np.cos(2.0 * np.pi * x)).reshape(1, -1), eta)
     coeffs = state.f.coeffs.copy()
-    coeffs[..., 6] = 0.005 * np.sin(2.0 * np.pi * x)  # x-dependent anisotropy
+    coeffs[..., basis.index(2, 0)] = 0.005 * np.sin(2.0 * np.pi * x)  # x-dependent anisotropy
     state = replace(state, f=OrientationField(g, basis, coeffs), coeffs=PhysCoeffs(d_trans=1e3))
     assert state.f.min_nodal() > 0.0
     rods0 = integral(state.eta)

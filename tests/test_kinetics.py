@@ -62,9 +62,13 @@ def test_stress_analytic_second_moment():
 
 
 def test_stress_odd_part_integrates_out():
+    # an odd nodal function has no component in the even-degree basis, so
+    # the odd part of 1 + 0.8 tau_3 + ... never reaches the stress
     basis, grid = _basis_and_grid()
-    nodal = (1.0 + 0.8 * basis.nodes[:, 2]) / (4.0 * np.pi)
-    f = _from_nodal(grid, basis, nodal)
+    t1, t2, t3 = basis.nodes.T
+    odd = 0.8 * t3 + 0.3 * t1 * t2 * t3 - 0.2 * t1**3
+    assert np.max(np.abs(basis.analyze(odd))) < 1e-12
+    f = _from_nodal(grid, basis, (1.0 + odd) / (4.0 * np.pi))
     assert np.max(np.abs(stress_moment(f))) < 1e-12
 
 
@@ -152,7 +156,7 @@ def test_fisher_tau_parseval_identity():
 def test_entropy_rejects_genuinely_negative_f():
     basis, grid = _basis_and_grid()
     bad = np.zeros(grid.cells + (basis.n_coeff,))
-    bad[..., 2] = 1.0
+    bad[..., basis.index(2, 0)] = 1.0
     with pytest.raises(ValueError, match="below -1.0e-10"):
         entropy_and_fisher(OrientationField(grid, basis, bad))
 

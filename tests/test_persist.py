@@ -44,7 +44,7 @@ def _make_state(n=8, degree=2, dim=1):
     eta = 0.1 + 0.02 * np.cos(2.0 * np.pi * x)
     coeffs = np.zeros(cells + (basis.n_coeff,))
     coeffs[..., 0] = eta / SQRT_4PI
-    coeffs[..., 6] = 0.01 * np.sin(2.0 * np.pi * x)  # a little anisotropy
+    coeffs[..., basis.index(2, 0)] = 0.01 * np.sin(2.0 * np.pi * x)  # a little anisotropy
     return FluidState(
         rho=ScalarField(grid, rho),
         u=VectorField(grid, u),
@@ -197,6 +197,17 @@ def test_snapshot_rejects_old_format_with_eta_section(tmp_path):
         load_snapshot(path)
 
 
+def test_snapshot_rejects_old_format_with_odd_degrees(tmp_path):
+    state = _make_state()
+    path = tmp_path / "state.bin"
+    snapshot(state, path)
+    path.write_bytes(b"DOIFBP02" + path.read_bytes()[8:])
+    with pytest.raises(
+        SnapshotError, match="DOIFBP02.*odd harmonic degrees.*no longer read.*DOIFBP03"
+    ):
+        load_snapshot(path)
+
+
 def test_snapshot_rejects_corrupt_header_fields(tmp_path):
     state = _make_state()
     path = tmp_path / "state.bin"
@@ -239,7 +250,7 @@ def test_snapshot_rejects_negative_orientation_payload(tmp_path):
     # cell 0 drives some nodal values of f far below zero
     n_q = state.f.basis.n_coeff
     start = len(full) - 8 * state.grid.n_cells * n_q
-    coeff = start + 8 * 6
+    coeff = start + 8 * state.f.basis.index(2, 0)
     path.write_bytes(full[:coeff] + struct.pack("<d", 1.0) + full[coeff + 8 :])
     with pytest.raises(SnapshotError, match="payload inconsistent: orientation distribution dips"):
         load_snapshot(path)

@@ -17,7 +17,7 @@ from doifbp import (
     uniform_orientation,
 )
 from doifbp.kinetics import _drift_coefficients
-from doifbp.sphere import _harmonic_tables
+from doifbp.sphere import _gauss_product_nodes, _harmonic_tables
 
 
 def _double_factorial(n: int) -> int:
@@ -46,13 +46,76 @@ def test_rejects_degree_below_two():
 
 
 def test_weights_and_nodes():
-    for L in (2, 4, 7):
+    # even degrees 0, 2, ..., 2J with J = L // 2: (J+1)(2J+1) modes, on the
+    # full (L+1) x (2L+2) node set
+    for L, n_coeff in ((2, 6), (3, 6), (4, 15), (7, 28)):
         b = make_sphere_basis(L)
         assert abs(np.sum(b.weights) - 4.0 * np.pi) < 1e-12 * 4.0 * np.pi
         assert np.all(b.weights > 0.0)
         assert np.max(np.abs(np.linalg.norm(b.nodes, axis=1) - 1.0)) < 1e-13
-        assert b.n_coeff == (L + 1) ** 2
+        assert b.n_coeff == n_coeff == (L // 2 + 1) * (2 * (L // 2) + 1)
         assert b.n_nodes == (L + 1) * (2 * L + 2)
+        assert np.array_equal(np.unique(b.l_index), np.arange(0, L + 1, 2))
+
+
+def test_index_is_the_degree_major_flat_index_of_even_harmonics():
+    b = make_sphere_basis(7)
+    flat = [b.index(l, m) for l in range(0, 7, 2) for m in range(-l, l + 1)]
+    assert flat == list(range(b.n_coeff))
+    assert all(b.l_index[b.index(l, m)] == l for l in (0, 2, 4, 6) for m in (-l, 0, l))
+    assert b.index(0, 0) == 0 and b.index(2, 0) == 3 and b.index(6, 6) == 27
+    # closed forms fix the m convention: cos(m phi) for m > 0, sin(|m| phi) for m < 0
+    x, y, z = b.nodes.T
+    closed = {
+        (2, 0): math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * z**2 - 1.0),
+        (2, 2): math.sqrt(15.0 / (16.0 * math.pi)) * (x**2 - y**2),
+        (2, -2): math.sqrt(15.0 / (4.0 * math.pi)) * x * y,
+    }
+    for (l, m), values in closed.items():
+        assert np.max(np.abs(b.y[:, b.index(l, m)] - values)) < 1e-13
+    for l, m in ((1, 0), (3, 1), (8, 0), (-2, 0), (2, 3), (2, -3)):
+        with pytest.raises(ValueError, match="no harmonic"):
+            b.index(l, m)
+
+
+def test_drift_of_an_even_distribution_has_no_odd_degree_part():
+    # the premise of the even-degree basis: tabulate the odd degrees next to
+    # the even ones on an independent fine rule (exact through degree 2L+9)
+    # and test the weak drift int P_perp(g tau) f . grad Y_q of an even f
+    # against every odd Y_q; the even projections must match the assembled
+    # drift, the odd ones vanish
+    L = 7
+    rng = np.random.default_rng(43)
+    b = make_sphere_basis(L)
+    th, ph, nodes, w = _gauss_product_nodes(L + 5, 2 * L + 10)
+    y_even, gy_even, _ = _harmonic_tables(range(0, L + 1, 2), th, ph)
+    _, gy_odd, _ = _harmonic_tables(range(1, L + 2, 2), th, ph)
+    coeffs = rng.standard_normal((5, b.n_coeff))
+    g_mat = rng.standard_normal((5, 3, 3))
+
+    f = coeffs @ y_even.T
+    v = np.einsum("nab,kb->nka", g_mat, nodes)
+    p_perp = v - np.sum(v * nodes, axis=-1, keepdims=True) * nodes
+    even = np.einsum("k,nka,kqa,nk->nq", w, p_perp, gy_even, f)
+    odd = np.einsum("k,nka,kqa,nk->nq", w, p_perp, gy_odd, f)
+    scale = max(1.0, np.max(np.abs(even)))
+    assert np.max(np.abs(_drift_coefficients(b, g_mat, coeffs) - even)) < 1e-13 * scale
+    assert np.max(np.abs(odd)) < 1e-13 * scale
+
+
+def test_stress_reads_only_degrees_zero_and_two():
+    # int (3 tau tau^T - I) Y dtau vanishes for every harmonic but l = 2: on
+    # the stored rows of the other even degrees, and on the odd degrees
+    # tabulated here
+    L = 7
+    b = make_sphere_basis(L)
+    th, ph, _, _ = _gauss_product_nodes(L + 1, 2 * L + 2)
+    y_odd, _, _ = _harmonic_tables(range(1, L + 1, 2), th, ph)
+    outer = 3.0 * b.nodes[:, :, None] * b.nodes[:, None, :] - np.eye(3)
+    odd_map = np.einsum("k,kij,kq->qij", b.weights, outer, y_odd)
+    assert np.max(np.abs(odd_map)) < 1e-13
+    assert np.max(np.abs(b.stress_map[b.l_index != 2])) < 1e-13
+    assert np.max(np.abs(b.stress_map[b.l_index == 2])) > 0.1
 
 
 def test_monomial_quadrature_through_degree_four():
@@ -83,13 +146,13 @@ def test_laplacian_eigenvalues():
     g = Grid(cells=(4,), lengths=(1.0,))
     f = uniform_orientation(g, b, 1.0)
     assert np.max(np.abs(sphere_laplacian(f).coeffs)) == 0.0
-    # Y20 lives at flat index l^2 + l + m = 6
+    q20 = b.index(2, 0)
     coeffs = np.zeros(g.cells + (b.n_coeff,))
-    coeffs[..., 6] = 1.0
+    coeffs[..., q20] = 1.0
     out = sphere_laplacian(OrientationField(g, b, coeffs))
-    assert np.max(np.abs(out.coeffs[..., 6] + 6.0)) < 1e-15
+    assert np.max(np.abs(out.coeffs[..., q20] + 6.0)) < 1e-15
     out_vals = out.coeffs.copy()
-    out_vals[..., 6] = 0.0
+    out_vals[..., q20] = 0.0
     assert np.max(np.abs(out_vals)) == 0.0
 
 
@@ -117,10 +180,11 @@ def test_gradient_tables_match_finite_differences():
     theta = np.arccos(np.clip(b.nodes[:, 2], -1.0, 1.0))
     phi = np.arctan2(b.nodes[:, 1], b.nodes[:, 0])
     d = 1e-6
-    y_tp, _, _ = _harmonic_tables(L, theta + d, phi)
-    y_tm, _, _ = _harmonic_tables(L, theta - d, phi)
-    y_pp, _, _ = _harmonic_tables(L, theta, phi + d)
-    y_pm, _, _ = _harmonic_tables(L, theta, phi - d)
+    degrees = range(0, L + 1, 2)  # the basis's own columns
+    y_tp, _, _ = _harmonic_tables(degrees, theta + d, phi)
+    y_tm, _, _ = _harmonic_tables(degrees, theta - d, phi)
+    y_pp, _, _ = _harmonic_tables(degrees, theta, phi + d)
+    y_pm, _, _ = _harmonic_tables(degrees, theta, phi - d)
     dy_dtheta = (y_tp - y_tm) / (2.0 * d)
     dy_dphi = (y_pp - y_pm) / (2.0 * d)
 
@@ -205,6 +269,6 @@ def test_uniform_orientation_and_positivity_guard():
     f.check_positive()
 
     bad = np.zeros(g.cells + (b.n_coeff,))
-    bad[..., 2] = 1.0  # pure tau_3 harmonic: negative on a hemisphere
+    bad[..., b.index(2, 0)] = 1.0  # pure Y20: negative around the equator
     with pytest.raises(ValueError, match="dips to"):
         OrientationField(g, b, bad).check_positive()
