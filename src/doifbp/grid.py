@@ -13,8 +13,8 @@ single gather along one axis through an index cached per (axis length,
 periodic or not), which attaches one ghost cell at each end and returns the
 array with that axis in front, so a stencil is a difference of slices.  The
 stencils act on cells-first arrays, shaped grid.cells plus any trailing
-channels that share one stencil.  The sparse stencil matrices of the viscous
-operator are the same array stencils applied to the identity of one axis.
+channels that share one stencil.  The implicit viscous operator of `hydro`
+applies these same stencils matrix-free.
 
 On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
 the ghost policy is per-quantity: ``"zero"`` imposes the homogeneous
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 
@@ -39,8 +38,6 @@ DIRICHLET = "dirichlet"
 _GHOST_MODES = ("zero", "edge")
 #: relative slack of the explicit stability bounds, so a step at the bound passes
 _CFL_SLACK = 1.0 + 1e-12
-#: identity columns per stencil application in `_diff_matrix`
-_EYE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,7 @@ def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
     if ghost not in _GHOST_MODES:
         raise ValueError(f"unknown ghost policy {ghost!r}")
     periodic = grid.bc == PERIODIC
-    p = np.take(arr, _ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
+    p = arr.take(_ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
     if ghost == "zero" and not periodic:
         p[0] = 0.0
         p[-1] = 0.0
@@ -221,21 +218,6 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
         smoothed = np.fft.irfft(np.fft.rfft(out, axis=a) * phi1, n=n, axis=a)
         out = out + t * _second_diff(grid, smoothed, a, "zero")
     return out
-
-
-def _diff_matrix(grid: Grid, axis: int, second: bool) -> sp.csr_matrix:
-    """`_second_diff` (or `_centered_diff`) along `axis` with the zero ghost,
-    as a sparse matrix acting on fields flattened in C order: the array
-    stencil applied to the identity of the axis's line grid, then
-    Kronecker-producted with the identities of the other axes.  The identity
-    goes in blocks of `_EYE_BLOCK` columns, so memory stays O(n)."""
-    n = grid.cells[axis]
-    line = Grid((n,), (grid.lengths[axis],), grid.bc)
-    diff = _second_diff if second else _centered_diff
-    blocks = (np.eye(n, min(_EYE_BLOCK, n - j), -j) for j in range(0, n, _EYE_BLOCK))
-    stencil = sp.hstack([sp.csr_matrix(diff(line, b, 0, "zero")) for b in blocks]).tocsr()
-    eye = [sp.identity(m) for m in grid.cells]
-    return functools.reduce(sp.kron, eye[:axis] + [stencil] + eye[axis + 1 :]).tocsr()
 
 
 def grad(s: ScalarField, ghost: str = "zero") -> VectorField:

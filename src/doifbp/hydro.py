@@ -20,16 +20,15 @@ the step does not resolve is linearized about the density of the next step,
 so c <= gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity
 beside lambda (the all-speed route of Degond-Tang).  A step that resolves
 sound has c = 0 and is the explicit-pressure scheme; a longer one needs no
-acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The matrix
-is assembled per step as data on a CSR pattern cached per grid, built from
-the grid's stencil matrices.  Its `grad div` is the wide
-centered-of-centered stencil, which decouples odd and even modes and is kept
-on purpose.  The system is SPD for rho >= RHO_FLOOR.  On 1D grids it is
-solved directly, by static condensation of blocks of the pentadiagonal (with
-the periodic wrap) matrix onto a small interface; on 2D grids by
-preconditioned CG to relative residual 1e-13, restarted from the true
-residual when the recursive one has drifted from it.  Periodic 2D grids
-precondition with the exact inverse of the constant-coefficient system
+acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The
+operator is applied matrix-free from the grid's stencils (`_ViscousOperator`).
+Its `grad div` is the wide centered-of-centered stencil, which decouples odd
+and even modes and is kept on purpose.  The system is SPD for
+rho >= RHO_FLOOR.  On 1D grids it is solved directly, by static condensation
+of blocks of its five bands (with the periodic wrap) onto a small interface;
+on 2D grids by preconditioned CG to relative residual 1e-13, restarted from
+the true residual when the recursive one has drifted from it.  Periodic 2D
+grids precondition with the exact inverse of the constant-coefficient system
 
     (rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div])^-1,
     rbar = mean(rho_hat),
@@ -46,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import NumericalError
 from .grid import (
@@ -55,7 +53,7 @@ from .grid import (
     ScalarField,
     VectorField,
     _centered_diff,
-    _diff_matrix,
+    _pad_axis,
     grad,
     heat_step,
     upwind_divergence,
@@ -171,65 +169,69 @@ def transport_step(
     return ScalarField(g, out)
 
 
-@functools.lru_cache(maxsize=16)
-def _viscous_pattern(grid):
-    """The per-grid structure of the momentum matrix `_viscous_matrix`.
-
-    Returns (indptr, indices, to_data): one CSR pattern on the stacked
-    velocity components and a sparse map from the weights
-    (w per cell, nu, rho_hat per cell) to the data of
-
-        divT diag(w) div - nu Lap + diag(rho_hat)
-
-    on it, where `div` and `Lap` are the grid's zero-ghost centered
-    divergence and 3-point Laplacian.  The zero ghost makes grad = -divT, so
-    -divT diag(w) div is grad(w div .), the wide centered-of-centered stencil.
-    Contributions to one position are summed, also where the +-2 offsets of
-    that stencil wrap onto each other (4 periodic cells).
-    """
-    dim, n = grid.dim, grid.n_cells
-    size = dim * n
-    lap = sp.block_diag([sum(_diff_matrix(grid, a, second=True) for a in range(dim))] * dim).tocoo()
-    dv = sp.hstack([_diff_matrix(grid, a, second=False) for a in range(dim)]).tocsr()
-    dv.eliminate_zeros()
-    start, count = dv.indptr[:-1], np.diff(dv.indptr)
-    # every contribution: its (row, column) key, its value, and the column of
-    # the weight it scales with
-    keys, vals, wcol = [lap.row * np.int64(size) + lap.col], [-lap.data], [np.full(lap.nnz, n)]
-    # divT diag(w) div = sum_k w_k d_k d_kT over the rows d_k of div: every
-    # ordered pair of stored entries of row k adds w_k d_kr d_ks at (r, s)
-    for i in range(count.max()):
-        for j in range(count.max()):
-            k = np.flatnonzero(count > max(i, j))
-            p, q = start[k] + i, start[k] + j
-            keys.append(dv.indices[p] * np.int64(size) + dv.indices[q])
-            vals.append(dv.data[p] * dv.data[q])
-            wcol.append(k)
-    diag = np.arange(size)
-    keys.append(diag * np.int64(size + 1))
-    vals.append(np.ones(size))
-    wcol.append(n + 1 + diag % n)
-    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // size, minlength=size), out=indptr[1:])
-    to_data = sp.csr_matrix(
-        (np.concatenate(vals), (slot, np.concatenate(wcol))), shape=(keys.size, 2 * n + 1)
-    )
-    return indptr, (keys % size).astype(np.int32), to_data
-
-
-def _viscous_matrix(grid, rho_hat, dt, mu, lam, c) -> sp.csr_matrix:
+class _ViscousOperator:
     """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
 
-    `c` is the per-cell linearized part of rho p'(rho) (`momentum_step`); at
-    c = 0 this is the plain implicit-viscosity matrix.  Symmetric, and
-    positive definite for rho_hat > 0 and c >= 0.  Assembled as data on the
-    cached `_viscous_pattern` by one sparse product.
+    `c` is the per-cell linearized part of rho p'(rho) (`momentum_step`).  In
+    the grid's zero-ghost stencils this is rho_hat - nu Lap - D_a w D_b with
+    nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered differences
+    D_a are antisymmetric, and positive definite for rho_hat > 0 and c >= 0.
+    `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
+    `diagonal` and, in 1D, `bands` give its entries in closed form.
     """
-    indptr, indices, to_data = _viscous_pattern(grid)
-    weights = np.concatenate((dt * lam + (dt * dt) * c.ravel(), [dt * mu], rho_hat.ravel()))
-    size = indptr.size - 1
-    return sp.csr_matrix((to_data @ weights, indices, indptr), shape=(size, size))
+
+    def __init__(self, grid, rho_hat, dt, mu, lam, c):
+        self.grid = grid
+        self.nu = dt * mu
+        self.w = dt * lam + (dt * dt) * c
+        self._centre = rho_hat + self.nu * sum(2.0 / (h * h) for h in grid.h)
+        self._w_quarter = self.w * (0.25 / grid.h[0] ** 2)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        # side sums neighbours in units of 1 / h_0^2, dv = 2 h_0 div u and
+        # q = w div u / (2 h_0); unit rescalings (square cells) are skipped
+        g, h0 = self.grid, self.grid.h[0]
+        u = x.reshape((g.dim,) + g.cells)
+        for a, h in enumerate(g.h):
+            p = _pad_axis(g, u, a + 1, "zero")  # every component, padded along axis a
+            s = (p[2:] + p[:-2]).swapaxes(0, a + 1)
+            pa = p.swapaxes(0, a + 1)[a].swapaxes(0, a)  # component a alone
+            d = (pa[2:] - pa[:-2]).swapaxes(0, a)
+            if h != h0:
+                s *= (h0 / h) ** 2
+                d *= h0 / h
+            side, dv = (s, d) if a == 0 else (side + s, dv + d)
+        side *= self.nu / (h0 * h0)
+        out = self._centre * u
+        out -= side
+        q = self._w_quarter * dv
+        for a, h in enumerate(g.h):
+            p = _pad_axis(g, q, a, "zero")
+            gq = (p[2:] - p[:-2]).swapaxes(0, a)
+            if h != h0:
+                gq *= h0 / h
+            out[a] -= gq
+        return out.ravel()
+
+    def diagonal(self) -> np.ndarray:
+        """Flat: rho_hat + nu sum_b 2 / h_b^2 + (w_+ + w_-) / (4 h_a^2), component a."""
+        g = self.grid
+        out = []
+        for a, h in enumerate(g.h):
+            p = _pad_axis(g, self.w, a, "zero")
+            out.append(self._centre + ((p[2:] + p[:-2]) / (4.0 * h * h)).swapaxes(0, a))
+        return np.stack(out).ravel()
+
+    def bands(self) -> np.ndarray:
+        """(5, n) on a 1D grid: row k holds the entries (i, i + k - 2 mod n), zero
+        past a Dirichlet end; on 4 periodic cells the +-2 entries share a column."""
+        (h,), n = self.grid.h, self.grid.n_cells
+        p = _pad_axis(self.grid, self.w, 0, "zero") / (4.0 * h * h)
+        side = np.full(n, -self.nu / (h * h))
+        bands = np.stack((-p[:-2], side, self.diagonal(), side, -p[2:]))
+        if self.grid.bc != PERIODIC:  # (band, row) of each column past an end
+            bands[(0, 0, 1, 3, 4, 4), (0, 1, 0, -1, -2, -1)] = 0.0
+        return bands
 
 
 @functools.lru_cache(maxsize=16)
@@ -238,7 +240,7 @@ def _substructure_plan(grid):
 
     The n cells are cut into m = n // (_BLOCK + 2) interior blocks of
     _BLOCK cells, each followed by 2 interface cells; the cells left over at
-    the end join the interface too (all of them when m = 0).  The matrix has
+    the end join the interface too (all of them when m = 0).  The operator has
     bandwidth 2 (with the periodic wrap), so a block couples only to its
     window: the 2 cells before it and the 2 after, all interface cells, and
     the blocks are mutually decoupled.  Returns (interior, iface, window,
@@ -254,12 +256,10 @@ def _substructure_plan(grid):
         ss_at        their flat positions in the (k, k) Schur complement
         wz_at        the flat (k, k) positions of each block's (4, 4) window
 
-    The take_* and ss_take arrays index the data of the `_viscous_pattern`
-    CSR matrix with one zero appended (entries outside the pattern read it).
+    The take_* and ss_take arrays index the flat `_ViscousOperator.bands`
+    with one zero appended (entries outside the bands read it).
     """
     n, size = grid.n_cells, _BLOCK + 2
-    indptr, indices, _ = _viscous_pattern(grid)
-    nnz = indices.size
     m = n // size
     start = np.arange(m) * size
     interior = (start[:, None] + np.arange(_BLOCK)).ravel()
@@ -276,19 +276,24 @@ def _substructure_plan(grid):
         # before, 2.._BLOCK+1 the block, _BLOCK+2, _BLOCK+3 the window after
         return (cell - start[j] + 2) % n
 
-    rows = np.repeat(np.arange(n), np.diff(indptr))
+    # every band entry: flat position, row, wrapped column (the bands of a
+    # Dirichlet grid hold zeros past its ends)
+    at = np.arange(5 * n)
+    rows = at % n
+    cols = (rows + at // n - 2) % n
     in_block = block[rows] >= 0
-    take_block = np.full((m, _BLOCK, _BLOCK + 4), nnz)
+    take_block = np.full((m, _BLOCK, _BLOCK + 4), 5 * n)
     e = np.flatnonzero(in_block)
     j = block[rows[e]]
-    take_block[j, rows[e] - start[j], offset(indices[e], j)] = e
-    take_window = np.full((m, 4, _BLOCK), nnz)
-    e = np.flatnonzero(~in_block & (block[indices] >= 0))
-    j = block[indices[e]]
+    take_block[j, rows[e] - start[j], offset(cols[e], j)] = at[e]
+    take_window = np.full((m, 4, _BLOCK), 5 * n)
+    e = np.flatnonzero(~in_block & (block[cols] >= 0))
+    j = block[cols[e]]
     o = offset(rows[e], j)
-    take_window[j, np.where(o < 2, o, o - _BLOCK), indices[e] - start[j]] = e
-    ss_take = np.flatnonzero(~in_block & (block[indices] < 0))
-    ss_at = number[rows[ss_take]] * k + number[indices[ss_take]]
+    take_window[j, np.where(o < 2, o, o - _BLOCK), cols[e] - start[j]] = at[e]
+    e = np.flatnonzero(~in_block & (block[cols] < 0))
+    ss_take = at[e]
+    ss_at = number[rows[e]] * k + number[cols[e]]
     wz_at = (window[:, :, None] * k + window[:, None, :]).ravel()
     return interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at
 
@@ -299,13 +304,12 @@ def _substructured_solve(grid, a, b: np.ndarray) -> np.ndarray:
     With the `_substructure_plan` of the grid: one batched LU solve of every
     interior block against its right-hand side and its 4 window columns,
     a dense solve of the interface Schur complement (about n/8 unknowns),
-    then back-substitution into the blocks.  Reads the blocks from the data
-    of `a`, which must carry the `_viscous_pattern` of the grid; it assumes
-    no symmetry.
+    then back-substitution into the blocks.  Reads the blocks from the
+    bands of `a` (`_ViscousOperator.bands`); it assumes no symmetry.
     """
     interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at = _substructure_plan(grid)
     k = iface.size
-    data = np.append(a.data, 0.0)
+    data = np.append(a.bands().ravel(), 0.0)
     rows = data[take_block]
     rhs = (rows[..., :2], rows[..., _BLOCK + 2 :], b[interior].reshape(-1, _BLOCK, 1))
     y = np.linalg.solve(rows[..., 2 : _BLOCK + 2], np.concatenate(rhs, axis=2))
@@ -343,7 +347,7 @@ def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
     """r -> (rbar I - nu Lap - bulk grad div)^-1 r on a periodic 2D grid.
 
     rbar = mean(rho_hat); r is a flat velocity array in the matrix ordering.
-    With the zero-ghost stencils of `_viscous_matrix`, this constant-coefficient
+    With the zero-ghost stencils of `_ViscousOperator`, this constant-coefficient
     operator has the per-wavenumber symbol alpha(k) I + bulk s s^T,
     alpha = rbar - nu lap(k) > 0 (`_spectral_symbols`), which Sherman-Morrison
     inverts:
@@ -368,7 +372,7 @@ def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
 
 
 def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk: float) -> np.ndarray:
-    """Solve a x = b, a = `_viscous_matrix` on `grid`, to a checked true residual.
+    """Solve a x = b, a = `_ViscousOperator` on `grid`, to a checked true residual.
 
     `b` is shaped like a velocity array and is flattened to the matrix
     ordering; nu = dt mu and bulk = dt (lambda + dt mean(c)) are the scalars
@@ -401,15 +405,16 @@ def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk:
         budget = _CG_MAX_ITER
         while True:
             p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
-            while budget > 0 and np.linalg.norm(r) > 1e-13 * b_norm:  # stops on NaN too
+            while budget > 0 and r @ r > (1e-13 * b_norm) ** 2:  # stops on NaN too
                 budget -= 1
                 z = precondition(r)
                 rz, rz_old = r @ z, rz
-                p = z + (rz / rz_old) * p
+                p *= rz / rz_old
+                p += z
                 ap = a @ p
                 alpha = rz / (p @ ap)
-                x = x + alpha * p
-                r = r - alpha * ap
+                x += alpha * p
+                r -= alpha * ap
             r = b - a @ x
             res = np.linalg.norm(r)
             if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
@@ -441,7 +446,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
         c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
 
     and it enters the implicit solve as a variable bulk viscosity dt c beside
-    lambda (`_viscous_matrix`).  At a step that resolves sound everywhere
+    lambda (`_ViscousOperator`).  At a step that resolves sound everywhere
     (dt^2 gamma rho^(gamma-1) sum_a h_a^-2 <= 1) c vanishes, and the update is
     the explicit-pressure scheme with no numerical bulk viscosity.  Beyond
     it, the von Neumann analysis of the linearized acoustics of this split
@@ -475,7 +480,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi.values - resolved, 0.0)
-    a = _viscous_matrix(g, rho_hat, dt, coeffs.mu, coeffs.lam, c)
+    a = _ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c)
     bulk = dt * (coeffs.lam + dt * float(np.mean(c)))
     u_new = _viscous_solve(g, a, m, rho_hat, dt * coeffs.mu, bulk)
     if np.any(vacuum):
@@ -491,7 +496,7 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     pressure   max(1 / (gamma max (div_h(rho u) / rho)_+),
                    1 / (a sqrt(sum_a h_a^-2))),  a^2 = gamma max rho^(gamma-1)
     diffusive  h^2 / (2 d max(D, 1))   Dirichlet grids only
-    drift      1 / (L(L+1) max|grad u|)  for the spectral sphere drift
+    drift      1 / (L(L+1) max|grad u|), L the highest degree of the basis
 
     The polymer and pressure bounds read only cells with rho >= RHO_FLOOR
     (the momentum update forces u = 0 below it); div_h(rho u) is the
@@ -522,7 +527,7 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     gv = velocity_gradient(state.u)
     g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
     if g_max > 0.0:
-        L = state.f.basis.degree
+        L = int(np.max(state.f.basis.l_index))  # the highest degree held
         bounds["drift"] = 1.0 / (L * (L + 1) * g_max)
     return bounds
 

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, lpmv
 
 from .grid import Grid, _check_values
 
@@ -58,6 +57,20 @@ def _gauss_product_nodes(n_theta: int, n_phi: int):
     return tt, pp, nodes, weights
 
 
+def _legendre(lmax: int, mu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """P[l, m] = P_l^m(mu) with the Condon-Shortley phase, zero for m > l;
+    s = sqrt(1 - mu^2).  From P_m^m = -(2m - 1) s P_{m-1}^{m-1} and the
+    recurrence (l - m) P_l^m = (2l - 1) mu P_{l-1}^m - (l + m - 1) P_{l-2}^m."""
+    p = np.zeros((lmax + 1, lmax + 1) + mu.shape)
+    p[0, 0] = 1.0
+    for m in range(lmax + 1):
+        if m:
+            p[m, m] = -(2 * m - 1) * s * p[m - 1, m - 1]
+        for l in range(m + 1, lmax + 1):  # P_{m-1}^m = 0 (its factor is 0 at m = 0)
+            p[l, m] = ((2 * l - 1) * mu * p[l - 1, m] - (l + m - 1) * p[l - 2, m]) / (l - m)
+    return p
+
+
 def _harmonic_tables(degrees, theta: np.ndarray, phi: np.ndarray):
     """Values and tangential gradients of the real orthonormal harmonics.
 
@@ -76,6 +89,7 @@ def _harmonic_tables(degrees, theta: np.ndarray, phi: np.ndarray):
     Q = sum(2 * l + 1 for l in degrees)
     mu = np.cos(theta)
     s = np.sin(theta)  # Gauss nodes exclude the poles, so s > 0
+    legendre = _legendre(max(degrees, default=0), mu, s)
     y = np.zeros((K, Q))
     d_theta = np.zeros((K, Q))  # dY/dtheta
     d_phi_over_s = np.zeros((K, Q))  # (1/sin theta) dY/dphi
@@ -86,14 +100,12 @@ def _harmonic_tables(degrees, theta: np.ndarray, phi: np.ndarray):
         centre = start + l  # flat index of (l, 0)
         l_index[start : centre + l + 1] = l
         for m in range(l + 1):
-            p = lpmv(m, l, mu)
-            p_dn = lpmv(m, l - 1, mu) if l >= 1 else np.zeros_like(mu)
-            if m > l - 1:
-                p_dn = np.zeros_like(mu)
+            p = legendre[l, m]
+            p_dn = legendre[l - 1, m] if l else 0.0  # zero for m = l
             # (1-x^2) dP/dx = (l+m) P_{l-1}^m - l x P_l^m
             dp_dtheta = (l * mu * p - (l + m) * p_dn) / s
             norm = math.sqrt((2 * l + 1) / (4.0 * np.pi)) * math.exp(
-                0.5 * (gammaln(l - m + 1) - gammaln(l + m + 1))
+                0.5 * (math.lgamma(l - m + 1) - math.lgamma(l + m + 1))
             )
             if m == 0:
                 y[:, centre] = norm * p

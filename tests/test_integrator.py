@@ -431,19 +431,23 @@ def test_renormalized_requires_time_order():
 
 
 def test_steps_load_none_of_the_scipy_modules_measured_as_rss_dead_ends():
-    # importing scipy.linalg, scipy.sparse.linalg or scipy.fft adds about 5.6,
-    # 7.5 and 1 MB of peak RSS; a 1D (direct viscous solve) and a 2D (CG) step
-    # in a fresh interpreter must load none of them
+    # importing scipy.sparse and scipy.special cost about 0.28 s and 26 MB of
+    # peak RSS per process; the package, its CLI, the sphere basis and a step
+    # on each solve path (1D direct, 2D periodic and Dirichlet CG) in a fresh
+    # interpreter must load no scipy module at all
     code = """
 import sys
-from doifbp import RunConfig, build_initial_state, cfl_dt, step
+import doifbp.cli
+from doifbp import RunConfig, build_initial_state, cfl_dt, make_sphere_basis, step
+make_sphere_basis(7)
 for cfg in (
     RunConfig(dim=1, cells=(32,), lengths=(1.0,)),
     RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), preset="taylor_vortex"),
+    RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex"),
 ):
     state = build_initial_state(cfg)
     step(state, cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety))
-print([m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.fft") if m in sys.modules])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
