@@ -109,11 +109,13 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
     field, and fisher_x = int int |grad_x sqrt(f)|^2 by nodal quadrature of
     centered spatial differences.
 
-    One nodal array is synthesized and worked on in place, on every grid:
-    clamped, then read for f ln f, then replaced by sqrt(f), then scaled by
-    the square roots of the quadrature weights, so that fisher_x is a plain
-    sum of squares, sum_a |D_a(sqrt(w f))|^2 / (2 h_a)^2, of the undivided
-    zero-ghost differences D_a of that array.
+    All three read f on the hemisphere rule of the basis, one node of each
+    antipodal pair with twice its weight: f, and so every function of it,
+    takes one value on each pair.  One nodal array is synthesized and worked
+    on in place, on every grid: clamped, then read for f ln f, then replaced
+    by sqrt(f), then scaled by the square roots of the hemisphere weights, so
+    that fisher_x is a plain sum of squares, sum_a |D_a(sqrt(w f))|^2 /
+    (2 h_a)^2, of the undivided zero-ghost differences D_a of that array.
     """
     g = f.grid
     basis = f.basis
@@ -126,14 +128,14 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
     np.maximum(nodal, 0.0, out=nodal)
     plogp = np.log(nodal, out=np.zeros_like(nodal), where=nodal > 0.0)
     plogp *= nodal
-    psi = ScalarField(g, plogp @ basis.weights)
+    psi = ScalarField(g, plogp @ basis.hemi_weights)
     del plogp
 
     np.sqrt(nodal, out=nodal)
-    s_coeffs = basis.analyze(nodal)
+    s_coeffs = (nodal * basis.hemi_weights) @ basis.hemi_y
     fisher_tau = g.cell_volume * float(np.sum((-basis.lap_eig) * s_coeffs**2))
 
-    nodal *= np.sqrt(basis.weights)
+    nodal *= np.sqrt(basis.hemi_weights)
     fisher_x = 0.0
     for a in range(g.dim):
         p = _pad_axis(g, nodal, a, "zero")

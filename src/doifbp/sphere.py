@@ -28,7 +28,17 @@ Beyond the transform the basis carries:
   matrices; the row belonging to the constant harmonic is identically zero,
   so the sphere drift conserves per-cell sphere mass by construction.
 * the linear map from coefficients to the second-moment stress
-  int (3 tau tau^T - I) f dtau.
+  int (3 tau tau^T - I) f dtau,
+* a hemisphere rule.  The node set is symmetric under tau -> -tau: Gauss
+  node i pairs with L-i and azimuth j with j+L+1 (mod 2L+2).  An even-degree
+  distribution takes one value on each antipodal pair, so keeping one node
+  of each pair with twice its weight integrates any function of f (f ln f,
+  sqrt f) exactly as the full rule does, on half the nodes.  The positivity
+  check and the energy ledger evaluate f there; construction and the
+  transform keep the full rule.
+
+Every table of a basis is read-only: one basis is shared by every field of a
+run, and the hemisphere tables are copies of rows of the full ones.
 """
 
 from __future__ import annotations
@@ -144,6 +154,14 @@ class SphereBasis:
     l_index: np.ndarray    # (Q,)
     drift_mats: np.ndarray  # (3, 3, Q, Q) weak drift matrices
     stress_map: np.ndarray  # (Q, 3, 3) coefficients -> second-moment stress
+    hemi_index: np.ndarray  # (K/2,) node kept of each antipodal pair
+    hemi_y: np.ndarray      # (K/2, Q) basis values at the kept nodes
+    hemi_weights: np.ndarray  # (K/2,) twice the weights of the kept nodes
+
+    def __post_init__(self):
+        for table in vars(self).values():
+            if isinstance(table, np.ndarray):
+                table.flags.writeable = False  # shared by every field of a run
 
     @property
     def n_coeff(self) -> int:
@@ -181,7 +199,8 @@ def make_sphere_basis(L: int) -> SphereBasis:
     quadrature uses L+1 Gauss nodes x 2L+2 azimuths (exact through degree
     2L+1) whatever the parity of L.  The drift matrices involve integrands of
     degree up to 2L+2, so they are assembled on a finer internal rule and are
-    exact.
+    exact.  The hemisphere rule keeps node k of each antipodal pair
+    (k, partner(k)) with k < partner(k).
     """
     L = int(L)
     if L < 2:
@@ -202,6 +221,13 @@ def make_sphere_basis(L: int) -> SphereBasis:
     outer = 3.0 * nodes[:, :, None] * nodes[:, None, :] - np.eye(3)
     stress_map = np.einsum("k,kij,kq->qij", weights, outer, y, optimize=True)
 
+    # node (i, j) sits at flat index i (2L+2) + j; its antipode is (L-i, j+L+1)
+    n_phi = 2 * L + 2
+    k = np.arange(nodes.shape[0])
+    i, j = np.divmod(k, n_phi)
+    partner = (L - i) * n_phi + (j + L + 1) % n_phi
+    hemi_index = np.flatnonzero(k < partner)
+
     return SphereBasis(
         degree=L,
         nodes=nodes,
@@ -212,6 +238,9 @@ def make_sphere_basis(L: int) -> SphereBasis:
         l_index=l_index,
         drift_mats=drift_mats,
         stress_map=stress_map,
+        hemi_index=hemi_index,
+        hemi_y=y[hemi_index],
+        hemi_weights=2.0 * weights[hemi_index],
     )
 
 
@@ -235,17 +264,27 @@ class OrientationField:
         object.__setattr__(self, "coeffs", arr)
 
     def nodal_values(self) -> np.ndarray:
-        """Distribution values at the quadrature nodes, shape cells + (K,)."""
-        return self.basis.synth(self.coeffs)
+        """Distribution values at the hemisphere nodes, shape cells + (K/2,).
+
+        The antipode of each node carries the same value, so these are all
+        the values f takes on the quadrature nodes; `basis.hemi_weights`
+        integrates them.
+        """
+        return self.coeffs @ self.basis.hemi_y.T
 
     def min_nodal(self) -> float:
         return float(np.min(self.nodal_values()))
 
     def check_positive(self, eps: float = EPS_POS) -> None:
-        worst = self.min_nodal()
+        nodal = self.nodal_values()
+        worst = float(np.min(nodal))
         if worst < -eps:
+            *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
+            tau = self.basis.nodes[self.basis.hemi_index[k]]
             raise ValueError(
-                f"orientation distribution dips to {worst:.3e} at a quadrature node, below -{eps:.1e}"
+                f"orientation distribution dips to {worst:.3e} at a quadrature node, below "
+                f"-{eps:.1e}: cell {tuple(int(c) for c in cell)}, "
+                f"tau = +-({tau[0]:.3f}, {tau[1]:.3f}, {tau[2]:.3f})"
             )
 
 

@@ -147,7 +147,7 @@ def test_fisher_tau_parseval_identity():
     f = _from_nodal(grid, basis, nodal)
     _, fisher_tau, _ = entropy_and_fisher(f)
 
-    s_coeff = basis.analyze(np.sqrt(np.maximum(f.nodal_values(), 0.0)))
+    s_coeff = basis.analyze(np.sqrt(np.maximum(basis.synth(f.coeffs), 0.0)))  # the full rule
     grad_s = np.einsum("xq,kqa->xka", s_coeff.reshape(-1, basis.n_coeff), basis.grad_y)
     oracle = float(np.sum(np.sum(grad_s**2, axis=-1) * basis.weights)) * grid.cell_volume
     assert fisher_tau == pytest.approx(oracle, rel=1e-12)
@@ -161,12 +161,16 @@ def test_entropy_rejects_genuinely_negative_f():
         entropy_and_fisher(OrientationField(grid, basis, bad))
 
 
-def _reference_entropy_and_fisher(f):
+def _reference_entropy_and_fisher(f, rule="hemisphere"):
     # the ledger formula with full-size temporaries, written as the
     # definition: clamp, f ln f with 0 ln 0 = 0, sqrt, and the nodal
-    # quadrature of the squared centered differences of sqrt(f)
+    # quadrature of the squared centered differences of sqrt(f); by default
+    # on the hemisphere rule that the ledger reads, or on the full rule
     g, basis = f.grid, f.basis
-    nodal = f.nodal_values()
+    if rule == "full":
+        nodal, y, w = basis.synth(f.coeffs), basis.y, basis.weights
+    else:
+        nodal, y, w = f.nodal_values(), basis.hemi_y, basis.hemi_weights
     worst = float(np.min(nodal))
     if worst < -EPS_POS:
         raise ValueError(
@@ -174,14 +178,14 @@ def _reference_entropy_and_fisher(f):
         )
     clamped = np.maximum(nodal, 0.0)
     safe = np.where(clamped > 0.0, clamped, 1.0)
-    psi = (clamped * np.log(safe)) @ basis.weights
+    psi = (clamped * np.log(safe)) @ w
     sqrt_f = np.sqrt(clamped)
-    s_coeffs = basis.analyze(sqrt_f)
+    s_coeffs = (sqrt_f * w) @ y
     fisher_tau = g.cell_volume * float(np.sum((-basis.lap_eig) * s_coeffs**2))
     grad_sq = np.zeros_like(sqrt_f)
     for a in range(g.dim):
         grad_sq += _centered_diff(g, sqrt_f, a, "zero") ** 2
-    fisher_x = g.cell_volume * float(np.sum(grad_sq * basis.weights))
+    fisher_x = g.cell_volume * float(np.sum(grad_sq * w))
     return psi, fisher_tau, fisher_x
 
 
@@ -223,6 +227,49 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
         _reference_entropy_and_fisher(f)
     message = "entropy of a distribution with nodal value -1.500e-10 below -1.0e-10"
     assert str(got.value) == str(want.value) == message
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(2, 9),
+    bc=st.sampled_from(["periodic", "dirichlet"]),
+    scale=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hemisphere_rule_reads_one_node_of_each_antipodal_pair(L, bc, scale, seed):
+    # the kept nodes and their antipodes, found by brute force, cover the
+    # node set once; on random even-degree fields the hemisphere minimum and
+    # the ledger equal the full rule to roundoff
+    basis = make_sphere_basis(L)
+    nodes = basis.nodes
+    dist = np.max(np.abs(nodes[:, None, :] + nodes[None, :, :]), axis=-1)
+    partner = np.argmin(dist, axis=1)
+    k = np.arange(basis.n_nodes)
+    assert np.array_equal(partner[partner], k) and np.all(partner != k)
+    assert np.max(dist[k, partner]) < 1e-15
+    kept = basis.hemi_index
+    assert np.array_equal(np.sort(np.concatenate([kept, partner[kept]])), k)
+    assert np.array_equal(basis.hemi_y, basis.y[kept])
+    assert np.array_equal(basis.hemi_weights, 2.0 * basis.weights[kept])
+
+    grid = Grid(cells=(4, 5), lengths=(1.0, 0.8), bc=bc)
+    rng = np.random.default_rng(seed)
+    coeffs = scale * rng.standard_normal(grid.cells + (basis.n_coeff,))
+    full = basis.synth(coeffs)
+    f = OrientationField(grid, basis, coeffs)
+    # antipodal rows of the tables differ by a few ulps (3.4e-15 at L=7), so
+    # the two minima differ by up to a few 1e-15 of max|f|
+    assert abs(f.min_nodal() - np.min(full)) <= 1e-14 * np.max(np.abs(full))
+
+    # lift every cell to a positive minimum through the constant harmonic
+    lift = scale * rng.uniform(1e-3, 1.0, grid.cells) - np.min(full, axis=-1)
+    coeffs[..., 0] += math.sqrt(4.0 * np.pi) * lift
+    f = OrientationField(grid, basis, coeffs)
+    psi, fisher_tau, fisher_x = entropy_and_fisher(f)
+    want_psi, want_tau, want_x = _reference_entropy_and_fisher(f, rule="full")
+    assert np.max(np.abs(psi.values - want_psi)) <= 1e-13 * np.max(np.abs(want_psi))
+    assert abs(fisher_tau - want_tau) <= 1e-13 * want_tau
+    assert abs(fisher_x - want_x) <= 1e-13 * want_x
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_laplacian_integrates_to_zero():
     b = make_sphere_basis(6)
     g = Grid(cells=(4,), lengths=(1.0,))
     f = OrientationField(g, b, rng.standard_normal(g.cells + (b.n_coeff,)))
-    lap_nodal = sphere_laplacian(f).nodal_values()
+    lap_nodal = b.synth(sphere_laplacian(f).coeffs)  # the full rule
     sphere_integrals = lap_nodal @ b.weights
     assert np.max(np.abs(sphere_integrals)) < 1e-10
 
@@ -287,3 +288,35 @@ def test_uniform_orientation_and_positivity_guard():
     bad[..., b.index(2, 0)] = 1.0  # pure Y20: negative around the equator
     with pytest.raises(ValueError, match="dips to"):
         OrientationField(g, b, bad).check_positive()
+
+
+def test_positivity_failure_names_the_cell_and_the_node_direction():
+    b = make_sphere_basis(4)
+    g = Grid(cells=(4, 5), lengths=(1.0, 1.0))
+    coeffs = np.zeros(g.cells + (b.n_coeff,))
+    coeffs[..., 0] = 1.0
+    coeffs[2, 3, b.index(2, 0)] = 3.0  # negative around the equator of one cell
+    coeffs[2, 3, b.index(2, 2)] = 0.5  # ... and deepest along tau_2
+    nodal = b.synth(coeffs[2, 3])
+    with pytest.raises(ValueError) as err:
+        OrientationField(g, b, coeffs).check_positive()
+    message = str(err.value)
+    assert message.startswith(f"orientation distribution dips to {nodal.min():.3e}")
+    assert "cell (2, 3)" in message
+    tau = np.array([float(v) for v in re.search(r"tau = \+-\((.*)\)", message)[1].split(",")])
+    k = np.argmin(np.minimum(np.abs(b.nodes - tau).max(1), np.abs(b.nodes + tau).max(1)))
+    assert np.max(np.abs(np.abs(b.nodes[k]) - np.abs(tau))) <= 5e-4
+    assert nodal[k] == pytest.approx(nodal.min(), abs=1e-15)
+
+
+def test_basis_tables_are_read_only():
+    # one basis is shared by every field of a run, and the hemisphere tables
+    # are copies of rows of the full ones: no table may be written in place
+    b = make_sphere_basis(4)
+    tables = {name: v for name, v in vars(b).items() if isinstance(v, np.ndarray)}
+    assert {"y", "weights", "hemi_y", "hemi_weights", "hemi_index", "drift_mats"} <= set(tables)
+    for name, table in tables.items():
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        b.hemi_y[:, 0] *= 2.0
