@@ -54,9 +54,36 @@ from .grid import Grid, _check_values
 EPS_POS = 1e-10
 
 
+def _gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
+
+    Newton's method on P_n from the recurrence (k+1) P_{k+1} = (2k+1) x P_k
+    - k P_{k-1}, started from cos(pi (i + 3/4) / (n + 1/2)); the weights are
+    2 / ((1 - x^2) P_n'(x)^2).  Both are symmetrized about x = 0, as the
+    rule is.
+    """
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+
+    def legendre_and_derivative(x):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+    for _ in range(100):
+        p, dp = legendre_and_derivative(x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) <= 1e-15:
+            break
+    _, dp = legendre_and_derivative(x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
 def _gauss_product_nodes(n_theta: int, n_phi: int):
     """Gauss-Legendre x uniform-phi product rule; weights sum to 4 pi."""
-    x, w_gl = np.polynomial.legendre.leggauss(n_theta)
+    x, w_gl = _gauss_legendre(n_theta)
     theta = np.arccos(x)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     tt = np.repeat(theta, n_phi)

@@ -432,13 +432,15 @@ def test_renormalized_requires_time_order():
 
 def test_steps_load_none_of_the_scipy_modules_measured_as_rss_dead_ends():
     # importing scipy.sparse and scipy.special cost about 0.28 s and 26 MB of
-    # peak RSS per process; the package, its CLI, the sphere basis and a step
-    # on each solve path (1D direct, 2D periodic and Dirichlet CG) in a fresh
-    # interpreter must load no scipy module at all
+    # peak RSS per process, numpy.polynomial (leggauss) about 4 ms and
+    # 0.7 MB, and numpy.ma (pulled in by set routines such as np.union1d)
+    # 15-19 ms and 1.3 MB; the package, its CLI, the sphere basis, a step on
+    # each solve path (1D direct, 2D periodic and Dirichlet CG) and the
+    # energy ledger in a fresh interpreter must load none of them
     code = """
 import sys
 import doifbp.cli
-from doifbp import RunConfig, build_initial_state, cfl_dt, make_sphere_basis, step
+from doifbp import RunConfig, build_initial_state, cfl_dt, energy_total, make_sphere_basis, step
 make_sphere_basis(7)
 for cfg in (
     RunConfig(dim=1, cells=(32,), lengths=(1.0,)),
@@ -446,8 +448,9 @@ for cfg in (
     RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex"),
 ):
     state = build_initial_state(cfg)
-    step(state, cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety))
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    energy_total(step(state, cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)))
+banned = ("scipy", "numpy.polynomial", "numpy.ma")
+print(sorted(m for m in sys.modules if m in banned or m.startswith(tuple(b + "." for b in banned))))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
