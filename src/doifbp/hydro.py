@@ -496,7 +496,8 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     pressure   max(1 / (gamma max (div_h(rho u) / rho)_+),
                    1 / (a sqrt(sum_a h_a^-2))),  a^2 = gamma max rho^(gamma-1)
     diffusive  h^2 / (2 d max(D, 1))   Dirichlet grids only
-    drift      1 / (L(L+1) max|grad u|), L the highest degree of the basis
+    drift      1 / (L(L+1) max|grad u|), L the highest even degree the basis
+               holds (L-1 for an odd basis degree L)
 
     The polymer and pressure bounds read only cells with rho >= RHO_FLOOR
     (the momentum update forces u = 0 below it); div_h(rho u) is the

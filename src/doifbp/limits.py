@@ -17,7 +17,9 @@ resolves (`hydro.momentum_step`), so no acoustic bound caps the step.  What
 still grows with gamma is the compression step of the pressure bound of
 `hydro.cfl_dt`, 1 / (gamma max div_h(rho u) / rho) over compressing cells; on
 the criterion-6 colliding streams it binds only from gamma ~ 80 on (91, 99,
-103, 104, 114, 221, 336, 895 steps at gamma = 5, 10, ..., 640).
+103, 104, 114, 217, 338, 936 steps at gamma = 5, 10, ..., 640; the stiffest
+rung is sensitive to roundoff: on Gauss nodes and weights that differ from
+these by a few ulps it takes 851 steps).
 
 Per-gamma runs are independent and may execute concurrently (process pool,
 capped by the DOIFBP_THREADS environment variable); results are aggregated
