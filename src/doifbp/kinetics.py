@@ -142,7 +142,7 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
         diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
         fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
         # free both before the next axis pads: with at most three nodal-size
-        # arrays alive the allocator reuses their pages (about 80 minor page
+        # arrays alive, glibc's malloc reuses their pages (about 80 minor page
         # faults per call at 64x64, L=7, against about 2000 otherwise)
         del p, diff
     fisher_x *= g.cell_volume

@@ -293,9 +293,9 @@ class OrientationField:
     def nodal_values(self) -> np.ndarray:
         """Distribution values at the hemisphere nodes, shape cells + (K/2,).
 
-        The antipode of each node carries the same value, so these are all
-        the values f takes on the quadrature nodes; `basis.hemi_weights`
-        integrates them.
+        The antipode of each node carries the same value (to roundoff), so
+        these are all the values f takes on the quadrature nodes;
+        `basis.hemi_weights` integrates them.
         """
         return self.coeffs @ self.basis.hemi_y.T
 

@@ -319,8 +319,9 @@ def test_positivity_failure_names_the_cell_and_the_node_direction():
     assert message.startswith(f"orientation distribution dips to {nodal.min():.3e}")
     assert "cell (2, 3)" in message
     tau = np.array([float(v) for v in re.search(r"tau = \+-\((.*)\)", message)[1].split(",")])
-    k = np.argmin(np.minimum(np.abs(b.nodes - tau).max(1), np.abs(b.nodes + tau).max(1)))
-    assert np.max(np.abs(np.abs(b.nodes[k]) - np.abs(tau))) <= 5e-4
+    dist = np.minimum(np.abs(b.nodes - tau).max(1), np.abs(b.nodes + tau).max(1))
+    k = np.argmin(dist)
+    assert dist[k] <= 5e-4  # tau is printed to three decimals
     assert nodal[k] == pytest.approx(nodal.min(), abs=1e-15)
 
 
