@@ -69,7 +69,7 @@ def _conservation_drift(cfg: RunConfig, n_steps: int) -> tuple:
     mass0 = integral(state.rho)
     rod0 = integral(eta_moment(state.f))
     for _ in range(n_steps):
-        dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+        dt = cfl_dt(state, cfg.cfl_safety)
         state = step(state, dt)
     mass_drift = abs(integral(state.rho) - mass0) / abs(mass0)
     rod_drift = abs(integral(eta_moment(state.f)) - rod0) / abs(rod0)
@@ -205,7 +205,7 @@ def check_stress() -> tuple:
 def _one_step_pair(cfg: RunConfig, dt: float = None) -> tuple:
     s0 = build_initial_state(cfg)
     if dt is None:
-        dt = cfl_dt(s0, s0.coeffs, s0.law, cfg.cfl_safety)
+        dt = cfl_dt(s0, cfg.cfl_safety)
     return s0, step(s0, dt)
 
 

@@ -1,9 +1,11 @@
 """Plain-text run configuration: strict key=value parsing and canonical output.
 
 Format: one `key = value` pair per line; `#` starts a comment; blank lines
-are ignored.  Unknown keys, malformed lines, duplicate keys, and
-out-of-range values are errors that report the offending line number.
-`config_text` writes every key in a fixed order so that
+are ignored.  Unknown keys, malformed lines, duplicate keys and unparsable
+values are errors that report the offending line number; a parsed value out
+of range is an error that names its key.  The keys are the fields of
+`RunConfig` (`lambda` for the attribute `lam`), and each field's default
+types its value.  `config_text` writes every key in a fixed order so that
 parse -> serialize -> parse is the identity.
 """
 
@@ -51,21 +53,11 @@ class RunConfig:
         _validate(self)
 
 
-# File key -> (attribute, parser).  "lambda" is a Python keyword, hence the
-# attribute name `lam`.
-def _parse_int(raw: str) -> int:
-    return int(raw)
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("value must be finite")
     return value
-
-
-def _parse_str(raw: str) -> str:
-    return raw
 
 
 def _parse_bool(raw: str) -> bool:
@@ -77,48 +69,30 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean (true/false), got {raw!r}")
 
 
-def _parse_int_tuple(raw: str) -> tuple:
-    return tuple(int(item.strip()) for item in raw.split(",") if item.strip())
+def _parser(default):
+    """The value parser of a field, chosen by the type of its default.
+
+    A tuple is a comma-separated list typed by the default's first element.
+    """
+    if isinstance(default, tuple):
+        item = _parser(default[0])
+        return lambda raw: tuple(item(s.strip()) for s in raw.split(",") if s.strip())
+    return {bool: _parse_bool, int: int, float: _parse_float, str: str}[type(default)]
 
 
-def _parse_float_tuple(raw: str) -> tuple:
-    vals = tuple(float(item.strip()) for item in raw.split(",") if item.strip())
-    if any(not math.isfinite(v) for v in vals):
-        raise ValueError("values must be finite")
-    return vals
-
-
-_KEYS = {
-    "dim": ("dim", _parse_int),
-    "cells": ("cells", _parse_int_tuple),
-    "lengths": ("lengths", _parse_float_tuple),
-    "bc": ("bc", _parse_str),
-    "sphere_degree": ("sphere_degree", _parse_int),
-    "gamma": ("gamma", _parse_float),
-    "gammas": ("gammas", _parse_float_tuple),
-    "mu": ("mu", _parse_float),
-    "lambda": ("lam", _parse_float),
-    "d_trans": ("d_trans", _parse_float),
-    "d_rot": ("d_rot", _parse_float),
-    "preset": ("preset", _parse_str),
-    "rho0": ("rho0", _parse_float),
-    "amplitude": ("amplitude", _parse_float),
-    "eta0": ("eta0", _parse_float),
-    "perturbation": ("perturbation", _parse_float),
-    "seed": ("seed", _parse_int),
-    "t_final": ("t_final", _parse_float),
-    "cfl_safety": ("cfl_safety", _parse_float),
-    "record_every": ("record_every", _parse_int),
-    "snapshot_every": ("snapshot_every", _parse_int),
-    "outdir": ("outdir", _parse_str),
-    "freeze_velocity": ("freeze_velocity", _parse_bool),
-    "eps_congestion": ("eps_congestion", _parse_float),
-}
-
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEYS.items()}
+# Attribute -> file key.  "lambda" is a Python keyword, hence the attribute
+# name `lam`.
+_ATTR_TO_KEY = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(RunConfig)}
+# File key -> (attribute, parser).
+_KEYS = {_ATTR_TO_KEY[f.name]: (f.name, _parser(f.default)) for f in fields(RunConfig)}
 
 
 def _validate(cfg: RunConfig) -> None:
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{_ATTR_TO_KEY[f.name]} must be finite, got {value}")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:
@@ -177,7 +151,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse `key = value` lines into a validated RunConfig.
 
     Raises ConfigError with the 1-based line number for malformed lines,
-    unknown or duplicate keys, unparsable values, and failed validation.
+    unknown or duplicate keys and unparsable values (a non-finite float is
+    unparsable), and ConfigError naming the key for a value out of range.
     """
     assignments = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):

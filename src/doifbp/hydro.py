@@ -425,14 +425,15 @@ def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk:
     return x.reshape(shape)
 
 
-def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> VectorField:
+def momentum_step(state, dt: float) -> VectorField:
     """Advance m = rho u by advection, pressure, stress, and implicit viscosity.
 
     Uses the state's density for both the momentum and the viscous operator,
-    and the zeroth moment of its distribution f as the number density in the
-    pressure (the coupled integrator passes the freshest rho and f).  The
-    explicit force is the edge-ghost gradient of the whole total pressure at
-    rho, plus the stress divergence.  The stiff fluid pressure is then
+    the zeroth moment of its distribution f as the number density in the
+    pressure, and its own pressure law and coefficients (the coupled
+    integrator passes the state with the freshest rho and f).  The explicit
+    force is the edge-ghost gradient of the whole total pressure at rho, plus
+    the stress divergence.  The stiff fluid pressure is then
     corrected toward the density the next step will carry,
 
         p(rho - dt div(rho u_new)) ~ p(rho) - dt c div u_new,
@@ -465,6 +466,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     m = np.moveaxis(rho * u, 0, -1)  # channels-last for the shared donor flux
     m = m - dt * upwind_divergence(g, m, u, ghost="zero")
 
+    law, coeffs = state.law, state.coeffs
     pi = fluid_pressure(state.rho, law)
     gp = grad(total_pressure(pi, eta_moment(state.f)), ghost="edge").values
     sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
@@ -488,7 +490,7 @@ def momentum_step(state, dt: float, coeffs: PhysCoeffs, law: PressureLaw) -> Vec
     return VectorField(g, u_new)
 
 
-def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
+def _cfl_bounds(state) -> dict:
     """The finite step-size bounds of `cfl_dt`, by name, before the safety factor.
 
     advective  min_a h_a / max|u_a|
@@ -502,10 +504,12 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     The polymer and pressure bounds read only cells with rho >= RHO_FLOOR
     (the momentum update forces u = 0 below it); div_h(rho u) is the
     state's `density_flux`, the donor divergence the density substep applies
-    next.  A bound whose speed or rate is zero is left out.
+    next.  The state's pressure law and coefficients give gamma and D.  A
+    bound whose speed or rate is zero is left out.
     """
     g = state.rho.grid
     rho, u = state.rho.values, state.u.values
+    law = state.law
     bounds = {}
     vmax = [float(np.max(np.abs(u[a]))) for a in range(g.dim)]
     advective = [h / v for h, v in zip(g.h, vmax) if v > 0.0]
@@ -524,7 +528,7 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
         acoustic = 1.0 / math.sqrt(a2 * sum(1.0 / h**2 for h in g.h))
         bounds["pressure"] = max(1.0 / (law.gamma * rate), acoustic)
     if g.bc != PERIODIC:
-        bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(coeffs.d_trans, 1.0))
+        bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(state.coeffs.d_trans, 1.0))
     gv = velocity_gradient(state.u)
     g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
     if g_max > 0.0:
@@ -533,11 +537,12 @@ def _cfl_bounds(state, coeffs: PhysCoeffs, law: PressureLaw) -> dict:
     return bounds
 
 
-def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
-    """Stable step size: safety x the smallest of the `_cfl_bounds`.
+def cfl_dt(state, safety: float) -> float:
+    """Stable step size: safety x the smallest of the `_cfl_bounds` of `state`.
 
-    The stiff fluid pressure is implicit beyond the sound speed the step
-    resolves (`momentum_step`), so no acoustic bound caps the step.  The
+    The bounds read gamma and d_trans from the state's own `law` and
+    `coeffs`.  The stiff fluid pressure is implicit beyond the sound speed
+    the step resolves (`momentum_step`), so no acoustic bound caps the step.  The
     polymer bound is the speed of the wave that the explicit gradient of
     eta + eta^2 carries with the transported rods.  The pressure bound is the
     larger of two steps.  At the acoustic step the pressure update is wholly
@@ -556,4 +561,4 @@ def cfl_dt(state, coeffs: PhysCoeffs, law: PressureLaw, safety: float) -> float:
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must lie in (0, 1], got {safety}")
-    return safety * min(_cfl_bounds(state, coeffs, law).values(), default=math.inf)
+    return safety * min(_cfl_bounds(state).values(), default=math.inf)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -215,8 +214,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     if freeze_velocity:
         u1 = state.u
     else:
-        fresh = SimpleNamespace(rho=rho1, u=state.u, f=f1)
-        u1 = _substep("momentum", t, lambda: momentum_step(fresh, dt, state.coeffs, state.law))
+        u1 = _substep("momentum", t, lambda: momentum_step(replace(state, rho=rho1, f=f1), dt))
 
     return _substep(
         "state assembly", t, lambda: replace(state, rho=rho1, u=u1, f=f1, t=t + dt)
@@ -239,6 +237,8 @@ def run(
     optional `observer(step_index, state)` is called after every step; it
     never influences the trajectory.
     """
+    if not np.isfinite(t_final):
+        raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError("t_final precedes the initial time")
     if record_every < 1:
@@ -249,7 +249,7 @@ def run(
     recorded = True
     eps_t = 1e-12 * max(1.0, abs(t_final))
     while t_final - state.t > eps_t:
-        dt = min(cfl_dt(state, state.coeffs, state.law, safety), t_final - state.t)
+        dt = min(cfl_dt(state, safety), t_final - state.t)
         state = step(state, dt, freeze_velocity=freeze_velocity)
         k += 1
         if observer is not None:

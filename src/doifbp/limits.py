@@ -42,8 +42,6 @@ from .grid import ScalarField, div, lp_norm
 from .hydro import fluid_pressure
 from .integrator import FluidState, pressure_energy, run
 
-DEFAULT_P_LIST = (1, 2, 4, math.inf)
-
 
 @dataclass(frozen=True)
 class GammaDiagnostics:
@@ -73,7 +71,6 @@ class SweepResult:
 
     rows: tuple
     l2_slope: object  # float, or None when the fit is undefined
-    eps_congestion: float
 
     def __post_init__(self):
         gammas = [r.gamma for r in self.rows]
@@ -84,10 +81,10 @@ class SweepResult:
                 raise ValueError("sweep diagnostics must be nonnegative")
 
 
-def excess_density_norms(state: FluidState, p_list=DEFAULT_P_LIST) -> dict:
-    """L^p norms of the density excess (rho - 1)_+ for each requested p."""
+def excess_density_norms(state: FluidState) -> dict:
+    """L^p norms of the density excess (rho - 1)_+ for p = 1, 2, 4 and inf."""
     excess = ScalarField(state.grid, np.maximum(state.rho.values - 1.0, 0.0))
-    return {p: lp_norm(excess, p) for p in p_list}
+    return {p: lp_norm(excess, p) for p in (1, 2, 4, math.inf)}
 
 
 def complementarity_residual(state: FluidState) -> float:
@@ -210,4 +207,4 @@ def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, worke
                     raise NumericalError(f"sweep run at gamma={g} failed: {err}") from err
 
     rows = tuple(results[g] for g in gammas)
-    return SweepResult(rows=rows, l2_slope=fit_l2_slope(rows), eps_congestion=cfg.eps_congestion)
+    return SweepResult(rows=rows, l2_slope=fit_l2_slope(rows))

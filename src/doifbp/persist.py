@@ -11,15 +11,17 @@ order and in C order.  The coefficients are those of the even-degree basis,
 moment of f and is not stored.  Files of the older formats are rejected by
 name: "DOIFBP01" carried a separate eta section, and "DOIFBP02" stored every
 harmonic degree of f, (L+1)^2 coefficients per cell.  Loading validates the
-magic, every header field, the exact payload length, and nodal positivity of
-f; a truncated file reports the section that came up short.  A snapshot
-restores the full state bit-exactly, so re-running from a snapshot reproduces
-the original trajectory to the last bit.
+magic, every header field, the exact payload length (against the file size,
+before any payload is read), and nodal positivity of f; a truncated file
+reports the section that came up short.  A snapshot restores the full state
+bit-exactly, so re-running from a snapshot reproduces the original
+trajectory to the last bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -77,7 +79,7 @@ def write_sweep(result: SweepResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_sweep(path, eps_congestion: float = 0.05) -> SweepResult:
+def read_sweep(path) -> SweepResult:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != ",".join(SWEEP_FIELDS):
@@ -88,7 +90,7 @@ def read_sweep(path, eps_congestion: float = 0.05) -> SweepResult:
         values = [float(tok) for tok in line.split(",")]
         rows.append(GammaDiagnostics(*values[:-1]))
         slope = None if math.isnan(values[-1]) else values[-1]
-    return SweepResult(rows=tuple(rows), l2_slope=slope, eps_congestion=eps_congestion)
+    return SweepResult(rows=tuple(rows), l2_slope=slope)
 
 
 def snapshot(state: FluidState, path) -> None:
@@ -154,16 +156,21 @@ def load_snapshot(path) -> FluidState:
         grid = Grid(cells=cells, lengths=lengths, bc=_BC_NAMES[bc_code])
         basis = make_sphere_basis(degree)
 
+        # the header fixes the payload size: check it against the file before reading
+        sections = {"rho": grid.cells, "u": (dim,) + grid.cells, "f": grid.cells + (basis.n_coeff,)}
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, shape in sections.items():
+            left -= 8 * math.prod(shape)
+            if left < 0:
+                raise SnapshotError(f"snapshot truncated in section '{name}'")
+        if left:
+            raise SnapshotError("trailing data after the final section")
+
         def read_array(name: str, shape: tuple) -> np.ndarray:
-            count = int(np.prod(shape))
-            data = _read_exact(fh, 8 * count, name)
+            data = _read_exact(fh, 8 * math.prod(shape), name)
             return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
-        rho = read_array("rho", grid.cells)
-        u = read_array("u", (dim,) + grid.cells)
-        f = read_array("f", grid.cells + (basis.n_coeff,))
-        if fh.read(1):
-            raise SnapshotError("trailing data after the final section")
+        rho, u, f = (read_array(name, shape) for name, shape in sections.items())
 
     if not np.all(np.isfinite(rho)):
         raise SnapshotError("snapshot payload inconsistent: non-finite density")

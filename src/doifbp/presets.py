@@ -15,7 +15,7 @@ from .errors import ConfigError
 from .grid import Grid, ScalarField, VectorField
 from .hydro import PhysCoeffs, PressureLaw
 from .integrator import FluidState
-from .sphere import SphereBasis, make_sphere_basis, uniform_orientation
+from .sphere import make_sphere_basis, uniform_orientation
 
 
 def _velocity_values(cfg: RunConfig, grid: Grid) -> np.ndarray:
@@ -41,15 +41,10 @@ def _velocity_values(cfg: RunConfig, grid: Grid) -> np.ndarray:
     raise ConfigError(f"unknown preset {cfg.preset!r}")
 
 
-def build_initial_state(cfg: RunConfig, basis: SphereBasis = None) -> FluidState:
-    """Assemble the t = 0 state for `cfg` (optionally reusing a basis)."""
+def build_initial_state(cfg: RunConfig) -> FluidState:
+    """Assemble the t = 0 state for `cfg`."""
     grid = Grid(cells=cfg.cells, lengths=cfg.lengths, bc=cfg.bc)
-    if basis is None:
-        basis = make_sphere_basis(cfg.sphere_degree)
-    elif basis.degree != cfg.sphere_degree:
-        raise ConfigError(
-            f"basis degree {basis.degree} does not match sphere_degree {cfg.sphere_degree}"
-        )
+    basis = make_sphere_basis(cfg.sphere_degree)
 
     rho_values = np.full(grid.cells, float(cfg.rho0))
     if cfg.perturbation > 0.0:

@@ -302,15 +302,16 @@ class OrientationField:
     def min_nodal(self) -> float:
         return float(np.min(self.nodal_values()))
 
-    def check_positive(self, eps: float = EPS_POS) -> None:
+    def check_positive(self) -> None:
+        """Raise ValueError if f dips below -EPS_POS at a quadrature node."""
         nodal = self.nodal_values()
         worst = float(np.min(nodal))
-        if worst < -eps:
+        if worst < -EPS_POS:
             *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
             tau = self.basis.nodes[self.basis.hemi_index[k]]
             raise ValueError(
                 f"orientation distribution dips to {worst:.3e} at a quadrature node, below "
-                f"-{eps:.1e}: cell {tuple(int(c) for c in cell)}, "
+                f"-{EPS_POS:.1e}: cell {tuple(int(c) for c in cell)}, "
                 f"tau = +-({tau[0]:.3f}, {tau[1]:.3f}, {tau[2]:.3f})"
             )
 

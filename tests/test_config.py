@@ -1,6 +1,7 @@
 """Strict key=value configuration parsing and canonical serialization."""
 
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -110,6 +111,26 @@ def test_rejects_out_of_range_values(text, message):
 )
 def test_reports_offending_line(text, message):
     with pytest.raises(ConfigError, match=message):
+        parse_config(text)
+
+
+_FLOAT_FIELDS = [
+    f.name
+    for f in fields(RunConfig)
+    if isinstance(f.default, float) or (isinstance(f.default, tuple) and isinstance(f.default[0], float))
+]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", _FLOAT_FIELDS)
+def test_rejects_non_finite_values(name, bad):
+    key = "lambda" if name == "lam" else name
+    default = getattr(RunConfig(), name)
+    value = default[:-1] + (bad,) if isinstance(default, tuple) else bad
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        RunConfig(**{name: value})
+    text = f"{key} = " + (", ".join(map(str, value)) if isinstance(value, tuple) else str(value))
+    with pytest.raises(ConfigError, match=f"line 1: bad value for '{key}'"):
         parse_config(text)
 
 

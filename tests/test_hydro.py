@@ -121,7 +121,7 @@ def test_momentum_uniform_equilibrium_stays_at_rest():
     basis = make_sphere_basis(2)
     g = Grid(cells=(16,), lengths=(1.0,))
     state = _uniform_state(g, basis)
-    u1 = momentum_step(state, 1e-3, state.coeffs, state.law)
+    u1 = momentum_step(state, 1e-3)
     assert np.max(np.abs(u1.values)) == 0.0
 
 
@@ -144,8 +144,8 @@ def test_momentum_conserved_per_step_periodic(cells):
         law=PressureLaw(2.0),
         coeffs=PhysCoeffs(),
     )
-    dt = cfl_dt(state, state.coeffs, state.law, 0.45)
-    u1 = momentum_step(state, dt, state.coeffs, state.law)
+    dt = cfl_dt(state, 0.45)
+    u1 = momentum_step(state, dt)
     rho1 = rho  # the momentum step does not move the density
     for a in range(g.dim):
         m0 = integral(ScalarField(g, rho * u[a]))
@@ -167,7 +167,7 @@ def test_momentum_zeroes_vacuum_cells():
         law=PressureLaw(2.0),
         coeffs=PhysCoeffs(),
     )
-    u1 = momentum_step(state, 1e-4, state.coeffs, state.law)
+    u1 = momentum_step(state, 1e-4)
     assert np.max(np.abs(u1.values[0, 5:8])) == 0.0
 
 
@@ -215,7 +215,7 @@ def test_momentum_one_step_consistency_first_order():
             coeffs=coeffs,
         )
         dt = 0.2 * g.h[0]
-        u1 = momentum_step(state, dt, coeffs, law)
+        u1 = momentum_step(state, dt)
         errs.append(float(np.max(np.abs(u1.values[0] - (u + dt * u_t)))) / dt)
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     assert 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6, f"ratios {r1:.2f}, {r2:.2f}"
@@ -371,9 +371,9 @@ def test_periodic_64x64_vortex_solve_needs_few_cg_iterations(monkeypatch):
         sphere_degree=2, perturbation=0.05, seed=1,
     )
     state = build_initial_state(cfg)
-    dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+    dt = cfl_dt(state, cfg.cfl_safety)
     monkeypatch.setattr(hydro, "_CG_MAX_ITER", 15)
-    u_new = momentum_step(state, dt, state.coeffs, state.law)
+    u_new = momentum_step(state, dt)
     assert np.all(np.isfinite(u_new.values))
 
 
@@ -384,7 +384,7 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
     g = Grid(cells=(16,), lengths=(1.0,))
     u = 0.1 * np.cos(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)
     state = _uniform_state(g, make_sphere_basis(2), u=u)
-    dt = cfl_dt(state, state.coeffs, state.law, 0.45)
+    dt = cfl_dt(state, 0.45)
     rho = state.rho.values
     c = state.law.gamma * fluid_pressure(state.rho, state.law).values
     a = hydro._ViscousOperator(g, rho, dt, 1.0, 1.0, c)
@@ -447,8 +447,8 @@ def test_dense_stiff_state_at_rest_completes_through_a_cg_restart():
         mu=0.1, lam=0.1, sphere_degree=3, perturbation=0.475, seed=11647,
     )
     state = build_initial_state(cfg)
-    dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
-    assert dt == cfg.cfl_safety * hydro._cfl_bounds(state, state.coeffs, state.law)["polymer"]
+    dt = cfl_dt(state, cfg.cfl_safety)
+    assert dt == cfg.cfl_safety * hydro._cfl_bounds(state)["polymer"]
     _, final = run(state, 4.0 * dt, safety=cfg.cfl_safety)
     assert final.t == pytest.approx(4.0 * dt, rel=1e-12)
     assert final.f.min_nodal() >= -EPS_POS
@@ -469,10 +469,10 @@ def test_cfl_direct_evaluation():
     rho = np.ones(64)
     rho[7] = 0.5 * hydro.RHO_FLOOR
     state = replace(state, rho=ScalarField(g, rho))
-    bounds = hydro._cfl_bounds(state, state.coeffs, state.law)
+    bounds = hydro._cfl_bounds(state)
     assert list(bounds) == ["polymer"]
     assert bounds["polymer"] == pytest.approx(1.0 / (64.0 * math.sqrt(0.12)), rel=1e-14)
-    dt = cfl_dt(state, state.coeffs, state.law, 1.0)
+    dt = cfl_dt(state, 1.0)
     assert dt == pytest.approx(1.0 / (64.0 * math.sqrt(0.12)), rel=1e-14)
 
 
@@ -482,7 +482,7 @@ def test_cfl_direct_evaluation_dirichlet():
     basis = make_sphere_basis(2)
     g = Grid(cells=(64,), lengths=(1.0,), bc="dirichlet")
     state = _uniform_state(g, basis, rho=1.0, gamma=2.0)
-    dt = cfl_dt(state, state.coeffs, state.law, 1.0)
+    dt = cfl_dt(state, 1.0)
     assert dt == pytest.approx(1.0 / 8192.0, rel=1e-14)
 
 
@@ -517,7 +517,7 @@ def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, sca
     bounds.append(1.0 / (held * (held + 1) * float(np.max(padded))))
     if bc == "dirichlet":
         bounds.append(min(g.h) ** 2 / (2.0 * dim))
-    assert cfl_dt(state, state.coeffs, state.law, 0.45) == 0.45 * min(bounds)
+    assert cfl_dt(state, 0.45) == 0.45 * min(bounds)
 
 
 def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
@@ -531,7 +531,7 @@ def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
     coeffs = state.f.coeffs.copy()
     coeffs[..., 0] *= 1.0 + 0.5 * np.sin(2.0 * np.pi * x)
     state = replace(state, f=OrientationField(g, basis, coeffs), t=0.25)
-    assert cfl_dt(state, state.coeffs, state.law, 0.45) == math.inf
+    assert cfl_dt(state, 0.45) == math.inf
     steps = []
     records, final = run(state, 0.75, observer=lambda k, s: steps.append(s.t))
     assert steps == [0.75] and final.t == 0.75 and len(records) == 2
@@ -540,7 +540,7 @@ def test_cfl_without_a_finite_bound_is_infinite_and_run_clips_to_the_end_time():
     assert final.f.min_nodal() > 0.0
     # the same state on a Dirichlet grid keeps its diffusive bound
     walls = _uniform_state(Grid(cells=(16,), lengths=(1.0,), bc="dirichlet"), basis, rho=0.0)
-    assert cfl_dt(walls, walls.coeffs, walls.law, 0.45) == 0.45 / (2.0 * 16**2)
+    assert cfl_dt(walls, 0.45) == 0.45 / (2.0 * 16**2)
 
 
 def test_quiet_low_density_state_is_bounded_by_the_polymer_wave():
@@ -554,9 +554,9 @@ def test_quiet_low_density_state_is_bounded_by_the_polymer_wave():
     state = build_initial_state(cfg)
     eta = eta_moment(state.f).values
     polymer = 0.2 / math.sqrt(float(np.max(eta * (1.0 + 2.0 * eta) / state.rho.values)))
-    bounds = hydro._cfl_bounds(state, state.coeffs, state.law)
+    bounds = hydro._cfl_bounds(state)
     assert bounds == {"polymer": pytest.approx(polymer, rel=1e-14)}
-    dt = cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+    dt = cfl_dt(state, cfg.cfl_safety)
     assert dt == pytest.approx(cfg.cfl_safety * polymer, rel=1e-14)
     steps = []
     _, final = run(state, 3.0 * dt, safety=cfg.cfl_safety, observer=lambda k, s: steps.append(k))
@@ -581,23 +581,23 @@ def test_cfl_safety_scaling_and_pressure_bound_gamma():
     # 1/sqrt(16 * 1.5^15) lie below the compression steps 1/8 and 1/16, which
     # bind, so doubling gamma halves dt
     s8, s16 = _compressing_state(8.0, 1.5), _compressing_state(16.0, 1.5)
-    bounds = hydro._cfl_bounds(s8, s8.coeffs, s8.law)
+    bounds = hydro._cfl_bounds(s8)
     assert bounds["advective"] == 1.0
     assert bounds["drift"] == pytest.approx(1.0 / 6.0, rel=1e-14)
     assert bounds["polymer"] == pytest.approx(1.0 / math.sqrt(0.08), rel=1e-14)
     assert bounds["pressure"] == pytest.approx(1.0 / 8.0, rel=1e-14)
     assert set(bounds) == {"advective", "drift", "polymer", "pressure"}
-    assert hydro._cfl_bounds(s16, s16.coeffs, s16.law)["pressure"] == pytest.approx(1.0 / 16.0, rel=1e-14)
-    dt8 = cfl_dt(s8, s8.coeffs, s8.law, 1.0)
-    dt16 = cfl_dt(s16, s16.coeffs, s16.law, 1.0)
+    assert hydro._cfl_bounds(s16)["pressure"] == pytest.approx(1.0 / 16.0, rel=1e-14)
+    dt8 = cfl_dt(s8, 1.0)
+    dt16 = cfl_dt(s16, 1.0)
     assert dt8 == pytest.approx(1.0 / 8.0, rel=1e-14)
     assert dt16 == pytest.approx(dt8 / 2.0, rel=1e-14)
-    half = cfl_dt(s8, s8.coeffs, s8.law, 0.5)
+    half = cfl_dt(s8, 0.5)
     assert half == pytest.approx(0.5 * dt8, rel=1e-14)
     # dilute (rho = 0.8): sound is slow, and the acoustic step 1/sqrt(8 * 0.8^7)
     # exceeds the compression step 1/8 and replaces it
     dilute = _compressing_state(8.0, 0.8)
-    pressure = hydro._cfl_bounds(dilute, dilute.coeffs, dilute.law)["pressure"]
+    pressure = hydro._cfl_bounds(dilute)["pressure"]
     assert pressure == pytest.approx(1.0 / math.sqrt(8.0 * 0.8**7), rel=1e-14)
 
 
@@ -606,6 +606,6 @@ def test_cfl_rejects_bad_safety():
     g = Grid(cells=(8,), lengths=(1.0,))
     state = _uniform_state(g, basis)
     with pytest.raises(ValueError, match="safety"):
-        cfl_dt(state, state.coeffs, state.law, 0.0)
+        cfl_dt(state, 0.0)
     with pytest.raises(ValueError, match="safety"):
-        cfl_dt(state, state.coeffs, state.law, 1.5)
+        cfl_dt(state, 1.5)

@@ -185,7 +185,7 @@ def test_step_moves_f_by_transport_then_the_diffusion_substep_then_the_rotationa
     f = state.f.coeffs.copy()
     f[..., 1:] = 0.01 * rng.standard_normal(g.cells + (basis.n_coeff - 1,))
     state = replace(state, f=OrientationField(g, basis, f))
-    dt = cfl_dt(state, coeffs, state.law, 0.45)
+    dt = cfl_dt(state, 0.45)
     out = step(state, dt)
     explicit = f + dt * fp_rhs(state.f, state.u).coeffs
     want = heat_step(g, explicit, dt * coeffs.d_trans) * np.exp(dt * coeffs.d_rot * basis.lap_eig)
@@ -233,7 +233,7 @@ def test_frozen_velocity_step_keeps_f_positive_for_any_rotational_diffusion(
         f=OrientationField(g, basis, coeffs),
         coeffs=PhysCoeffs(d_rot=d_rot),
     )
-    out = step(state, cfl_dt(state, state.coeffs, state.law, 0.45), freeze_velocity=True)
+    out = step(state, cfl_dt(state, 0.45), freeze_velocity=True)
     assert out.f.min_nodal() >= -EPS_POS
 
 
@@ -253,7 +253,7 @@ def test_stiff_translational_diffusion_steps_at_the_cfl_bound_on_periodic_grids(
     rods0 = integral(state.eta)
     explicit_limit = g.h[0] ** 2 / (2.0 * state.coeffs.d_trans)
     for _ in range(8):
-        dt = cfl_dt(state, state.coeffs, state.law, 0.45)
+        dt = cfl_dt(state, 0.45)
         assert dt > 1000.0 * explicit_limit
         state = step(state, dt)
         assert state.f.min_nodal() >= 0.0
@@ -296,7 +296,7 @@ def test_every_valid_config_runs_with_its_invariants_or_fails_by_name(
     )
     state = build_initial_state(cfg)
     # a horizon of a few initial steps (later steps may be shorter)
-    t_final = n_steps * cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)
+    t_final = n_steps * cfl_dt(state, cfg.cfl_safety)
     try:
         _, final = run(state, t_final, record_every=1, safety=cfg.cfl_safety)
     except NumericalError as err:
@@ -371,6 +371,14 @@ def test_run_validates_arguments():
         run(state, 0.1, record_every=0)
 
 
+@pytest.mark.parametrize("t_final", [math.inf, math.nan])
+def test_run_rejects_a_non_finite_end_time(t_final):
+    # without the check, no step fits before an infinite end time and a NaN
+    # one passes every comparison: both returned the initial state
+    with pytest.raises(ValueError, match="t_final must be finite"):
+        run(_smooth_state(), t_final)
+
+
 def test_run_mass_ledger_and_determinism():
     state = _smooth_state(n=16)
     records_a, final_a = run(state, 0.02, record_every=1)
@@ -404,7 +412,7 @@ def test_run_observer_sees_every_step_without_side_effects():
 
 def test_renormalized_identity_for_b_equals_z():
     state = _smooth_state()
-    dt = cfl_dt(state, state.coeffs, state.law, 0.45)
+    dt = cfl_dt(state, 0.45)
     after = step(state, dt)
     resid = renormalized_residual(state, after, lambda z: z, lambda z: np.ones_like(z))
     assert resid <= 1e-12
@@ -448,7 +456,7 @@ for cfg in (
     RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex"),
 ):
     state = build_initial_state(cfg)
-    energy_total(step(state, cfl_dt(state, state.coeffs, state.law, cfg.cfl_safety)))
+    energy_total(step(state, cfl_dt(state, cfg.cfl_safety)))
 banned = ("scipy", "numpy.polynomial", "numpy.ma")
 print(sorted(m for m in sys.modules if m in banned or m.startswith(tuple(b + "." for b in banned))))
 """

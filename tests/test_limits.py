@@ -71,8 +71,8 @@ def test_excess_norms_match_direct_summation():
     rho = 1.0 + 0.3 * np.sin(np.pi * x)
     state = _state(rho, lengths=(2.0,))
     excess = np.maximum(rho - 1.0, 0.0)
-    norms = excess_density_norms(state, p_list=(1, 2, 3, math.inf))
-    for p in (1, 2, 3):
+    norms = excess_density_norms(state)
+    for p in (1, 2, 4):
         direct = (np.sum(excess**p) * g.cell_volume) ** (1.0 / p)
         assert norms[p] == pytest.approx(direct, rel=1e-12)
     assert norms[math.inf] == np.max(excess)
@@ -164,10 +164,10 @@ def test_fit_undefined_cases():
 
 def test_sweep_result_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
-        SweepResult(rows=(_diag(10.0, 0.1), _diag(5.0, 0.2)), l2_slope=None, eps_congestion=0.05)
+        SweepResult(rows=(_diag(10.0, 0.1), _diag(5.0, 0.2)), l2_slope=None)
     bad = replace(_diag(5.0, 0.1), complementarity=-1.0)
     with pytest.raises(ValueError, match="nonnegative"):
-        SweepResult(rows=(bad,), l2_slope=None, eps_congestion=0.05)
+        SweepResult(rows=(bad,), l2_slope=None)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,6 @@ def test_sweep_on_quiescent_state_has_closed_form():
     # closed-form expression in rho0 and gamma
     result = gamma_sweep(QUIET_CONFIG, workers=1)
     assert result.l2_slope is None  # only two gammas
-    assert result.eps_congestion == QUIET_CONFIG.eps_congestion
     for row, gamma in zip(result.rows, (5.0, 10.0)):
         assert row.gamma == gamma
         assert row.excess_l1 == 0.0

@@ -105,17 +105,16 @@ def _sweep_result(slope):
         )
         for g in (5.0, 10.0, 20.0, 40.0, 80.0)
     )
-    return SweepResult(rows=rows, l2_slope=slope, eps_congestion=0.07)
+    return SweepResult(rows=rows, l2_slope=slope)
 
 
 def test_sweep_csv_round_trip(tmp_path):
     result = _sweep_result(-0.512345678901234567)
     path = tmp_path / "sweep.csv"
     write_sweep(result, path)
-    back = read_sweep(path, eps_congestion=0.07)
+    back = read_sweep(path)
     assert [r.row() for r in back.rows] == [r.row() for r in result.rows]
     assert back.l2_slope == result.l2_slope
-    assert back.eps_congestion == 0.07
 
 
 def test_sweep_csv_undefined_slope_becomes_nan_then_none(tmp_path):
@@ -270,9 +269,27 @@ def test_snapshot_rejects_non_finite_density_payload(tmp_path):
         load_snapshot(path)
 
 
+def test_snapshot_checks_the_payload_size_before_reading(tmp_path):
+    # a valid 2D header (100 bytes) that claims 2^31 x 2^31 cells, then 64
+    # bytes: the claimed payload is checked against the file, not read
+    header = (
+        b"DOIFBP03"
+        + struct.pack("<II", 2, 0)
+        + struct.pack("<2Q", 2**31, 2**31)
+        + struct.pack("<2d", 1.0, 1.0)
+        + struct.pack("<I", 2)
+        + struct.pack("<6d", 5.0, 1.0, 1.0, 1.0, 1.0, 0.0)
+    )
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header + bytes(64))
+    assert path.stat().st_size == 164
+    with pytest.raises(SnapshotError, match="truncated in section 'rho'"):
+        load_snapshot(path)
+
+
 def test_snapshot_replay_is_bit_exact(tmp_path):
     state = _make_state(n=16)
-    dt = 0.25 * cfl_dt(state, state.coeffs, state.law, 0.45)
+    dt = 0.25 * cfl_dt(state, 0.45)
 
     def advance(s, steps):
         for _ in range(steps):

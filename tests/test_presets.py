@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from doifbp import ConfigError, RunConfig, make_sphere_basis
+from doifbp import ConfigError, RunConfig
 from doifbp.kinetics import stress_moment
 from doifbp.presets import build_initial_state
 
@@ -61,12 +61,3 @@ def test_perturbation_is_seeded_and_mean_preserving():
     assert np.max(np.abs(a - 0.9)) == pytest.approx(0.05, rel=1e-12)
     c = build_initial_state(RunConfig(cells=(64,), perturbation=0.05, seed=8, sphere_degree=2))
     assert not np.array_equal(a, c.rho.values)
-
-
-def test_basis_reuse_must_match_degree():
-    cfg = RunConfig(cells=(8,), sphere_degree=3)
-    basis = make_sphere_basis(3)
-    state = build_initial_state(cfg, basis=basis)
-    assert state.f.basis is basis
-    with pytest.raises(ConfigError, match="does not match sphere_degree"):
-        build_initial_state(cfg, basis=make_sphere_basis(4))
