@@ -61,7 +61,6 @@ from .sphere import (
     OrientationField,
     SphereBasis,
     make_sphere_basis,
-    sphere_laplacian,
     uniform_orientation,
 )
 
@@ -114,7 +113,6 @@ __all__ = [
     "renormalized_residual",
     "run",
     "snapshot",
-    "sphere_laplacian",
     "step",
     "stress_moment",
     "total_pressure",

@@ -5,8 +5,9 @@ are ignored.  Unknown keys, malformed lines, duplicate keys and unparsable
 values are errors that report the offending line number; a parsed value out
 of range is an error that names its key.  The keys are the fields of
 `RunConfig` (`lambda` for the attribute `lam`), and each field's default
-types its value.  `config_text` writes every key in a fixed order so that
-parse -> serialize -> parse is the identity.
+types its value; a `RunConfig` built in Python is held to the same types
+for its integer fields.  `config_text` writes every key in a fixed order so
+that parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -89,10 +90,15 @@ _KEYS = {_ATTR_TO_KEY[f.name]: (f.name, _parser(f.default)) for f in fields(RunC
 
 def _validate(cfg: RunConfig) -> None:
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
+        value, key = getattr(cfg, f.name), _ATTR_TO_KEY[f.name]
         items = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ConfigError(f"{_ATTR_TO_KEY[f.name]} must be finite, got {value}")
+            raise ConfigError(f"{key} must be finite, got {value}")
+        # the type rule of `_parser`: an int default (or first element)
+        # admits Python ints only, not floats or bools
+        kind = type(f.default[0] if isinstance(f.default, tuple) else f.default)
+        if kind is int and not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
+            raise ConfigError(f"{key} takes integers, got {value!r}")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:
@@ -133,6 +139,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(
             f"perturbation must lie in [0, rho0] to keep the density nonnegative, got {cfg.perturbation}"
         )
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.t_final < 0.0:
         raise ConfigError(f"t_final must be nonnegative, got {cfg.t_final}")
     if not 0.0 < cfg.cfl_safety <= 1.0:

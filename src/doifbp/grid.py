@@ -135,11 +135,6 @@ class VectorField:
         object.__setattr__(self, "values", arr)
 
 
-def _require_same_grid(a, b):
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
 @functools.lru_cache(maxsize=None)
 def _ghost_index(n: int, periodic: bool) -> np.ndarray:
     """Gather index of an n-cell line with one ghost cell at each end: the

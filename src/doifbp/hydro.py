@@ -4,10 +4,10 @@ The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
 the total pressure adds the polymer contributions eta + eta^2, where eta is
 the zeroth orientation moment of f.  Scalars are transported with donor-cell
 upwind fluxes, which keep them nonnegative under the advective CFL bound and
-exactly conservative on periodic grids.  `transport_step` can follow the
-flux with the translational-diffusion substep `grid.heat_step` that f
-shares, but the density substep passes diffusivity 0: only the `eta`
-reference of check suite 3 is diffused.
+exactly conservative on periodic grids.  `transport_step` is the pure
+donor-cell step; a caller that diffuses (the `eta` reference of check suite
+3) follows it with the translational-diffusion substep `grid.heat_step`, the
+composition the integrator applies to f.
 
 The momentum update is split: explicit conservative advection of m = rho u,
 explicit pressure-gradient and kinetic-stress forces, then a backward
@@ -21,9 +21,11 @@ so c <= gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity
 beside lambda (the all-speed route of Degond-Tang).  A step that resolves
 sound has c = 0 and is the explicit-pressure scheme; a longer one needs no
 acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The
-operator is applied matrix-free from the grid's stencils (`_ViscousOperator`).
-Its `grad div` is the wide centered-of-centered stencil, which decouples odd
-and even modes and is kept on purpose.  The system is SPD for
+operator is applied matrix-free from the grid's stencils (`_ViscousOperator`),
+and carries the whole system the solves read: its grid, rho_hat, and the
+scalars nu = dt mu and bulk = dt (lambda + dt mean(c)).  Its `grad div` is
+the wide centered-of-centered stencil, which decouples odd and even modes
+and is kept on purpose.  The system is SPD for
 rho >= RHO_FLOOR.  On 1D grids it is solved directly, by static condensation
 of blocks of its five bands (with the periodic wrap) onto a small interface;
 on 2D grids by preconditioned CG to relative residual 1e-13, restarted from
@@ -55,7 +57,6 @@ from .grid import (
     _centered_diff,
     _pad_axis,
     grad,
-    heat_step,
     upwind_divergence,
 )
 from .kinetics import eta_moment, stress_moment, velocity_gradient
@@ -130,21 +131,15 @@ def transport_step(
     s: ScalarField,
     u: VectorField,
     dt: float,
-    diffusivity: float = 0.0,
     ghost: str = "zero",
     flux: np.ndarray | None = None,
 ) -> ScalarField:
-    """One step of d_t s + div(s u) = diffusivity * Lap s.
+    """One explicit donor-cell upwind step of d_t s + div(s u) = 0.
 
-    An explicit donor-cell upwind step s*, then, for a positive diffusivity,
-    the translational-diffusion substep `grid.heat_step(s*, dt diffusivity)`,
-    the composition the integrator applies to f: exact on periodic grids, and
-    explicit under the diffusive CFL bound (with the zero ghost) on Dirichlet
-    grids.  `ghost` is the ghost policy of the donor flux; `flux`, if given,
-    is the donor divergence upwind_divergence(s, u, ghost) already computed
-    for these fields.  Conservative (exact cell sum on periodic grids),
-    monotone for pure advection, and nonnegativity-preserving under the
-    advective (and, on Dirichlet grids, diffusive) CFL bound.
+    `ghost` is the ghost policy of the donor flux; `flux`, if given, is the
+    donor divergence upwind_divergence(s, u, ghost) already computed for
+    these fields.  Conservative (exact cell sum on periodic grids), monotone,
+    and nonnegativity-preserving under the advective CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
@@ -156,8 +151,6 @@ def transport_step(
     if flux is None:
         flux = upwind_divergence(g, s.values, u.values, ghost=ghost)
     out = s.values - dt * flux
-    if diffusivity > 0.0:
-        out = heat_step(g, out, dt * diffusivity)
     # roundoff guard: the update is nonnegative in exact arithmetic under the
     # CFL bound, but mixed-sign rounding can land 1 ulp below zero
     tiny = 1e-13 * max(float(np.max(s.values)), 1.0)
@@ -177,12 +170,16 @@ class _ViscousOperator:
     nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered differences
     D_a are antisymmetric, and positive definite for rho_hat > 0 and c >= 0.
     `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
-    `diagonal` and, in 1D, `bands` give its entries in closed form.
+    `diagonal` and, in 1D, `bands` give its entries in closed form.  It keeps
+    `rho_hat` and bulk = dt (lam + dt mean(c)), which with `nu` set the
+    constant-coefficient preconditioner of `_viscous_solve`.
     """
 
     def __init__(self, grid, rho_hat, dt, mu, lam, c):
         self.grid = grid
+        self.rho_hat = rho_hat
         self.nu = dt * mu
+        self.bulk = dt * (lam + dt * float(np.mean(c)))
         self.w = dt * lam + (dt * dt) * c
         self._centre = rho_hat + self.nu * sum(2.0 / (h * h) for h in grid.h)
         self._w_quarter = self.w * (0.25 / grid.h[0] ** 2)
@@ -298,16 +295,16 @@ def _substructure_plan(grid):
     return interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at
 
 
-def _substructured_solve(grid, a, b: np.ndarray) -> np.ndarray:
+def _substructured_solve(a, b: np.ndarray) -> np.ndarray:
     """Exact solve of a x = b on a 1D grid by static condensation.
 
-    With the `_substructure_plan` of the grid: one batched LU solve of every
-    interior block against its right-hand side and its 4 window columns,
-    a dense solve of the interface Schur complement (about n/8 unknowns),
-    then back-substitution into the blocks.  Reads the blocks from the
-    bands of `a` (`_ViscousOperator.bands`); it assumes no symmetry.
+    With the `_substructure_plan` of the grid of `a`: one batched LU solve of
+    every interior block against its right-hand side and its 4 window
+    columns, a dense solve of the interface Schur complement (about n/8
+    unknowns), then back-substitution into the blocks.  Reads the blocks
+    from the bands of `a` (`_ViscousOperator.bands`); it assumes no symmetry.
     """
-    interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at = _substructure_plan(grid)
+    interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at = _substructure_plan(a.grid)
     k = iface.size
     data = np.append(a.bands().ravel(), 0.0)
     rows = data[take_block]
@@ -343,12 +340,13 @@ def _spectral_symbols(grid):
     return lap, s
 
 
-def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
+def _spectral_preconditioner(a):
     """r -> (rbar I - nu Lap - bulk grad div)^-1 r on a periodic 2D grid.
 
-    rbar = mean(rho_hat); r is a flat velocity array in the matrix ordering.
-    With the zero-ghost stencils of `_ViscousOperator`, this constant-coefficient
-    operator has the per-wavenumber symbol alpha(k) I + bulk s s^T,
+    rbar = mean(rho_hat), with grid, rho_hat, nu and bulk those of the
+    `_ViscousOperator` a; r is a flat velocity array in the matrix ordering.
+    With the zero-ghost stencils of a, this constant-coefficient operator
+    has the per-wavenumber symbol alpha(k) I + bulk s s^T,
     alpha = rbar - nu lap(k) > 0 (`_spectral_symbols`), which Sherman-Morrison
     inverts:
 
@@ -357,8 +355,9 @@ def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
     The symbol is real, symmetric and even in k, so the map is real,
     symmetric and positive definite, as CG needs.
     """
+    grid, bulk = a.grid, a.bulk
     lap, s = _spectral_symbols(grid)
-    alpha = float(np.mean(rho_hat)) - nu * lap
+    alpha = float(np.mean(a.rho_hat)) - a.nu * lap
     beta = bulk / (alpha * (alpha + bulk * np.sum(s * s, axis=0)))
     inv_alpha = 1.0 / alpha
     shape = (grid.dim,) + grid.cells
@@ -371,13 +370,12 @@ def _spectral_preconditioner(grid, rho_hat: np.ndarray, nu: float, bulk: float):
     return apply
 
 
-def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk: float) -> np.ndarray:
-    """Solve a x = b, a = `_ViscousOperator` on `grid`, to a checked true residual.
+def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
+    """Solve a x = b, a = `_ViscousOperator`, to a checked true residual.
 
     `b` is shaped like a velocity array and is flattened to the matrix
-    ordering; nu = dt mu and bulk = dt (lambda + dt mean(c)) are the scalars
-    of the constant-coefficient preconditioner.  On 1D grids the solve is
-    direct (`_substructured_solve`).  On 2D grids it is preconditioned CG:
+    ordering; the grid and rho_hat are those of `a`.  On 1D grids the solve
+    is direct (`_substructured_solve`).  On 2D grids it is preconditioned CG:
     by `_spectral_preconditioner` on periodic grids, by the diagonal of `a`
     (Jacobi) on Dirichlet grids.  CG starts from b / rho_hat (exact for
     dt -> 0), iterates to recursive relative residual 1e-13 (so conservation
@@ -388,19 +386,19 @@ def _viscous_solve(grid, a, b: np.ndarray, rho_hat: np.ndarray, nu: float, bulk:
     anything else is a numerical failure that names the path and, for CG,
     its iteration count.
     """
-    shape = b.shape
+    grid, shape = a.grid, b.shape
     b = b.ravel()
     b_norm = np.linalg.norm(b)
     if grid.dim == 1:
-        x = _substructured_solve(grid, a, b)
+        x = _substructured_solve(a, b)
         res = np.linalg.norm(b - a @ x)
         path = "direct 1D"
     else:
         if grid.bc == PERIODIC:
-            precondition = _spectral_preconditioner(grid, rho_hat, nu, bulk)
+            precondition = _spectral_preconditioner(a)
         else:
             precondition = functools.partial(np.multiply, 1.0 / a.diagonal())
-        x = b / np.broadcast_to(rho_hat, shape).ravel()
+        x = b / np.broadcast_to(a.rho_hat, shape).ravel()
         r = b - a @ x
         budget = _CG_MAX_ITER
         while True:
@@ -482,9 +480,7 @@ def momentum_step(state, dt: float) -> VectorField:
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi.values - resolved, 0.0)
-    a = _ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c)
-    bulk = dt * (coeffs.lam + dt * float(np.mean(c)))
-    u_new = _viscous_solve(g, a, m, rho_hat, dt * coeffs.mu, bulk)
+    u_new = _viscous_solve(_ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m)
     if np.any(vacuum):
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)

@@ -154,7 +154,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
 
     gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
-    divu = div(state.u, ghost="zero").values
+    divu = np.trace(gv, axis1=-2, axis2=-1)  # the zero-ghost centered div u
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
     geta = grad(eta, ghost="zero").values
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
@@ -198,7 +198,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     rho1 = _substep(
         "density transport",
         t,
-        lambda: transport_step(state.rho, state.u, dt, 0.0, ghost="edge", flux=state.density_flux),
+        lambda: transport_step(state.rho, state.u, dt, ghost="edge", flux=state.density_flux),
     )
 
     def fp_update():

@@ -22,16 +22,18 @@ rung is sensitive to roundoff: on Gauss nodes and weights that differ from
 these by a few ulps it takes 851 steps).
 
 Per-gamma runs are independent and may execute concurrently (process pool,
-capped by the DOIFBP_THREADS environment variable); results are aggregated
-in gamma order regardless of completion order.
+capped by the DOIFBP_THREADS environment variable; `multiprocessing` is
+imported only by a sweep that uses more than one worker); results are
+aggregated in gamma order regardless of completion order.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -189,22 +191,19 @@ def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, worke
     cfg = template_config if t_final is None else replace(template_config, t_final=float(t_final))
 
     n_workers = _resolve_workers(len(gammas), workers)
-    if n_workers == 1 or len(gammas) == 1:
-        results = {}
-        for g in gammas:
+    with contextlib.ExitStack() as stack:
+        if n_workers == 1 or len(gammas) == 1:
+            outcomes = [functools.partial(_run_one_gamma, cfg, g) for g in gammas]
+        else:
+            # multiprocessing loads only here, for a sweep that uses it
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
+            outcomes = [pool.submit(_run_one_gamma, cfg, g).result for g in gammas]
+        rows = []
+        for g, outcome in zip(gammas, outcomes):
             try:
-                results[g] = _run_one_gamma(cfg, g)
+                rows.append(outcome())
             except Exception as err:
                 raise NumericalError(f"sweep run at gamma={g} failed: {err}") from err
-    else:
-        results = {}
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            futures = {g: pool.submit(_run_one_gamma, cfg, g) for g in gammas}
-            for g, fut in futures.items():
-                try:
-                    results[g] = fut.result()
-                except Exception as err:
-                    raise NumericalError(f"sweep run at gamma={g} failed: {err}") from err
-
-    rows = tuple(results[g] for g in gammas)
-    return SweepResult(rows=rows, l2_slope=fit_l2_slope(rows))
+    return SweepResult(rows=tuple(rows), l2_slope=fit_l2_slope(rows))

@@ -321,8 +321,3 @@ def uniform_orientation(grid: Grid, basis: SphereBasis, density: float) -> Orien
     coeffs = np.zeros(grid.cells + (basis.n_coeff,))
     coeffs[..., 0] = density / math.sqrt(4.0 * np.pi)
     return OrientationField(grid, basis, coeffs)
-
-
-def sphere_laplacian(f: OrientationField) -> OrientationField:
-    """Laplace-Beltrami operator: coefficient (l, m) scaled by -l(l+1)."""
-    return OrientationField(f.grid, f.basis, f.coeffs * f.basis.lap_eig)

@@ -1,12 +1,15 @@
 """Strict key=value configuration parsing and canonical serialization."""
 
 import math
+import string
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from doifbp import ConfigError, RunConfig
-from doifbp.config import config_text, load_config, parse_config
+from doifbp.config import PRESETS, config_text, load_config, parse_config
 
 
 def test_empty_text_gives_documented_defaults():
@@ -66,6 +69,51 @@ def test_serialize_parse_round_trip(cfg):
     assert config_text(parse_config(text)) == text  # canonical form is a fixed point
 
 
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+@st.composite
+def _valid_configs(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    rho0 = draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    gammas = draw(st.lists(_floats(1.5, 1e6, exclude_min=True), min_size=1, max_size=6, unique=True))
+    return RunConfig(
+        dim=dim,
+        cells=tuple(draw(st.integers(4, 4096)) for _ in range(dim)),
+        lengths=tuple(draw(_floats(0.0, 1e6, exclude_min=True)) for _ in range(dim)),
+        bc=draw(st.sampled_from(("periodic", "dirichlet"))),
+        sphere_degree=draw(st.integers(2, 64)),
+        gamma=draw(_floats(1.5, 1e6, exclude_min=True)),
+        gammas=tuple(sorted(gammas)),
+        mu=draw(_floats(0.0, 1e6, exclude_min=True)),
+        lam=draw(_floats(0.0, 1e6, exclude_min=True)),
+        d_trans=draw(_floats(0.0, 1e6, exclude_min=True)),
+        d_rot=draw(_floats(0.0, 1e6, exclude_min=True)),
+        preset=draw(st.sampled_from(PRESETS)),
+        rho0=rho0,
+        amplitude=draw(_floats(0.0, 1e6)),
+        eta0=draw(_floats(0.0, 1e6)),
+        perturbation=rho0 * draw(_floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64)),
+        t_final=draw(_floats(0.0, 1e6)),
+        cfl_safety=draw(_floats(0.0, 1.0, exclude_min=True)),
+        record_every=draw(st.integers(1, 10**6)),
+        snapshot_every=draw(st.integers(0, 10**6)),
+        outdir=draw(st.text(string.ascii_letters + string.digits + "/._-", min_size=1, max_size=20)),
+        freeze_velocity=draw(st.booleans()),
+        eps_congestion=draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=_valid_configs())
+def test_serialize_parse_round_trips_every_valid_config(cfg):
+    text = config_text(cfg)
+    assert parse_config(text) == cfg
+    assert config_text(parse_config(text)) == text
+
+
 def test_every_key_appears_exactly_once_in_canonical_text():
     lines = config_text(RunConfig()).strip().splitlines()
     keys = [line.split("=")[0].strip() for line in lines]
@@ -89,6 +137,7 @@ def test_every_key_appears_exactly_once_in_canonical_text():
         ("cfl_safety = 1.5", r"\(0, 1\]"),
         ("rho0 = 0.4\nperturbation = 0.5", r"\[0, rho0\]"),
         ("record_every = 0", "record_every"),
+        ("seed = -1", "^seed must be nonnegative"),
         ("outdir =", "empty value"),
     ],
 )
@@ -139,9 +188,29 @@ def test_constructor_validates_like_parser():
         RunConfig(sphere_degree=1)
     with pytest.raises(ConfigError, match="cells must list"):
         RunConfig(dim=2, cells=(16,), lengths=(1.0, 1.0))
+    with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1"):
+        RunConfig(seed=-1, perturbation=0.1, cells=(8,))
     cfg = RunConfig()
     with pytest.raises(ConfigError, match="t_final"):
         replace(cfg, t_final=-1.0)
+
+
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [
+        ("cells", (16.5,)),
+        ("cells", (True,)),
+        ("sphere_degree", 3.5),
+        ("record_every", 2.5),
+        ("snapshot_every", 2.0),
+        ("seed", 1.0),
+        ("dim", True),
+    ],
+)
+def test_int_fields_take_only_integers(name, value):
+    # the rule the parser applies to a file: an int default admits ints only
+    with pytest.raises(ConfigError, match=f"^{name} takes integers"):
+        RunConfig(**{name: value})
 
 
 def test_load_config_reads_file(tmp_path):

@@ -308,7 +308,7 @@ def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, see
     c = c_scale * rng.uniform(0.0, 1.0, n)
     a = hydro._ViscousOperator(g, rho_hat, dt, mu, lam, c)
     b = (a @ rng.standard_normal(n)).reshape(1, n)
-    x = hydro._viscous_solve(g, a, b, rho_hat, dt * mu, dt * (lam + dt * np.mean(c)))
+    x = hydro._viscous_solve(a, b)
     dense = _dense(a)
     want = np.linalg.solve(dense, b[0])
     tol = max(1e-12, np.linalg.cond(dense) * np.finfo(float).eps)
@@ -343,8 +343,8 @@ def test_periodic_2d_preconditioner_is_spd_and_the_solve_is_exact(nx, ny, mu, la
     rho_hat = rng.uniform(0.1, 2.0, g.cells)
     rho_hat[rng.random(g.cells) < 0.3] = hydro.RHO_FLOOR
     c = c_scale * rng.uniform(0.0, 1.0, g.cells)
-    nu, bulk = dt * mu, dt * (lam + dt * np.mean(c))
-    precondition = hydro._spectral_preconditioner(g, rho_hat, nu, bulk)
+    a = hydro._ViscousOperator(g, rho_hat, dt, mu, lam, c)
+    precondition = hydro._spectral_preconditioner(a)
     size = 2 * g.n_cells
     cols = [precondition(e) for e in np.eye(size)]
     assert all(col.dtype == np.float64 and col.shape == (size,) for col in cols)
@@ -352,9 +352,8 @@ def test_periodic_2d_preconditioner_is_spd_and_the_solve_is_exact(nx, ny, mu, la
     assert np.max(np.abs(m - m.T)) <= 1e-12 * np.max(np.abs(m))
     assert np.min(np.linalg.eigvalsh(0.5 * (m + m.T))) > 0.0
 
-    a = hydro._ViscousOperator(g, rho_hat, dt, mu, lam, c)
     b = (a @ rng.standard_normal(size)).reshape((2,) + g.cells)
-    x = hydro._viscous_solve(g, a, b, rho_hat, nu, bulk).ravel()
+    x = hydro._viscous_solve(a, b).ravel()
     dense = _dense(a)
     want = np.linalg.solve(dense, b.ravel())
     res = np.linalg.norm(b.ravel() - a @ x) / np.linalg.norm(b)
@@ -390,7 +389,7 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
     a = hydro._ViscousOperator(g, rho, dt, 1.0, 1.0, c)
     nan = np.full((1,) + g.cells, np.nan)
     with pytest.raises(NumericalError, match=r"relative residual nan \(direct 1D\)"):
-        hydro._viscous_solve(g, a, nan, rho, dt, dt * (1.0 + dt * np.mean(c)))
+        hydro._viscous_solve(a, nan)
     operator = hydro._ViscousOperator
     monkeypatch.setattr(hydro, "_ViscousOperator", lambda g, rho_hat, *rest: operator(g, rho_hat * np.nan, *rest))
     failed = r"substep 'momentum' failed at t=.*relative residual nan \(direct 1D\)"
@@ -401,6 +400,8 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
     a2 = operator(g2, rho2, dt, 1.0, 1.0, np.zeros(g2.cells))
 
     class Skewed:  # a2 plus the band 1e4 at (i, i + 1) and -1e4 at (i, i - 1)
+        grid, rho_hat, nu, bulk = a2.grid, a2.rho_hat, a2.nu, a2.bulk
+
         def __matmul__(self, v):
             out = a2 @ v
             out[:-1] += 1e4 * v[1:]
@@ -409,7 +410,7 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
 
     b2 = np.random.default_rng(0).standard_normal((2,) + g2.cells)
     with pytest.raises(NumericalError, match=r"relative residual \S+ \(CG, \d+ iterations\)"):
-        hydro._viscous_solve(g2, Skewed(), b2, rho2, dt, dt)
+        hydro._viscous_solve(Skewed(), b2)
 
 
 def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
@@ -421,6 +422,8 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
     applied = []
 
     class CountingOperator:
+        grid, rho_hat, nu, bulk = a.grid, a.rho_hat, a.nu, a.bulk
+
         def diagonal(self):
             return a.diagonal()
 
@@ -430,7 +433,7 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
 
     b = np.full((2, 64, 64), np.nan)
     with pytest.raises(NumericalError, match="relative residual nan"):
-        hydro._viscous_solve(g, CountingOperator(), b, rho, 1e-3, 1e-3)
+        hydro._viscous_solve(CountingOperator(), b)
     assert len(applied) <= 3
 
 

@@ -442,9 +442,11 @@ def test_steps_load_none_of_the_scipy_modules_measured_as_rss_dead_ends():
     # importing scipy.sparse and scipy.special cost about 0.28 s and 26 MB of
     # peak RSS per process, numpy.polynomial (leggauss) about 4 ms and
     # 0.7 MB, and numpy.ma (pulled in by set routines such as np.union1d)
-    # 15-19 ms and 1.3 MB; the package, its CLI, the sphere basis, a step on
-    # each solve path (1D direct, 2D periodic and Dirichlet CG) and the
-    # energy ledger in a fresh interpreter must load none of them
+    # 15-19 ms and 1.3 MB, and multiprocessing (with socket and subprocess,
+    # which only a multi-worker gamma sweep needs) about 1.2 MB; the package,
+    # its CLI, the sphere basis, a step on each solve path (1D direct, 2D
+    # periodic and Dirichlet CG) and the energy ledger in a fresh interpreter
+    # must load none of them
     code = """
 import sys
 import doifbp.cli
@@ -457,7 +459,7 @@ for cfg in (
 ):
     state = build_initial_state(cfg)
     energy_total(step(state, cfl_dt(state, cfg.cfl_safety)))
-banned = ("scipy", "numpy.polynomial", "numpy.ma")
+banned = ("scipy", "numpy.polynomial", "numpy.ma", "multiprocessing")
 print(sorted(m for m in sys.modules if m in banned or m.startswith(tuple(b + "." for b in banned))))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
