@@ -54,7 +54,7 @@ from .limits import (
     gamma_sweep,
     incompressibility_defect,
 )
-from .persist import load_snapshot, read_diagnostics, read_sweep, snapshot, write_diagnostics, write_sweep
+from .persist import load_snapshot, read_diagnostics, snapshot, write_diagnostics, write_sweep
 from .presets import build_initial_state
 from .sphere import (
     EPS_POS,
@@ -109,7 +109,6 @@ __all__ = [
     "momentum_step",
     "parse_config",
     "read_diagnostics",
-    "read_sweep",
     "renormalized_residual",
     "run",
     "snapshot",

@@ -95,10 +95,12 @@ def _validate(cfg: RunConfig) -> None:
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
             raise ConfigError(f"{key} must be finite, got {value}")
         # the type rule of `_parser`: an int default (or first element)
-        # admits Python ints only, not floats or bools
+        # admits Python ints only, not floats or bools; a float one, no bools
         kind = type(f.default[0] if isinstance(f.default, tuple) else f.default)
         if kind is int and not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
             raise ConfigError(f"{key} takes integers, got {value!r}")
+        if kind is float and any(isinstance(v, bool) for v in items):
+            raise ConfigError(f"{key} takes numbers, not booleans, got {value!r}")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:
@@ -151,6 +153,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"snapshot_every must be nonnegative, got {cfg.snapshot_every}")
     if not cfg.outdir:
         raise ConfigError("outdir must be nonempty")
+    # the text form ends a value at '#' or a line break and strips its blanks
+    if "#" in cfg.outdir or cfg.outdir.splitlines() != [cfg.outdir]:
+        raise ConfigError(f"outdir must not hold '#' or a line break, got {cfg.outdir!r}")
+    if cfg.outdir != cfg.outdir.strip():
+        raise ConfigError(f"outdir must not start or end with blanks, got {cfg.outdir!r}")
     if not 0.0 < cfg.eps_congestion < 1.0:
         raise ConfigError(f"eps_congestion must lie in (0, 1), got {cfg.eps_congestion}")
 

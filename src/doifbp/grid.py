@@ -11,10 +11,11 @@ advected with one flux definition.
 Every stencil reads its neighbours through one ghost fill, `_pad_axis`: a
 single gather along one axis through an index cached per (axis length,
 periodic or not), which attaches one ghost cell at each end and returns the
-array with that axis in front, so a stencil is a difference of slices.  The
-stencils act on cells-first arrays, shaped grid.cells plus any trailing
-channels that share one stencil.  The implicit viscous operator of `hydro`
-applies these same stencils matrix-free.
+array with that axis in front, so a stencil is a difference of slices.  That
+index and the sine table of `heat_step` (cached per line length) are shared
+read-only.  The stencils act on cells-first arrays, shaped grid.cells plus
+any trailing channels that share one stencil.  The implicit viscous operator
+of `hydro` applies these same stencils matrix-free.
 
 On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
 the ghost policy is per-quantity: ``"zero"`` imposes the homogeneous
@@ -74,7 +75,7 @@ class Grid:
         if self.bc not in (PERIODIC, DIRICHLET):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return len(self.cells)
 
@@ -86,7 +87,7 @@ class Grid:
     def cell_volume(self) -> float:
         return math.prod(self.h)
 
-    @property
+    @functools.cached_property
     def n_cells(self) -> int:
         return math.prod(self.cells)
 
@@ -105,7 +106,7 @@ def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{what} shaped {arr.shape}, expected {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what} contains non-finite values")
     return arr
 
@@ -143,6 +144,14 @@ def _ghost_index(n: int, periodic: bool) -> np.ndarray:
     idx = idx % n if periodic else np.clip(idx, 0, n - 1)
     idx.flags.writeable = False
     return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _sin2_table(n: int) -> np.ndarray:
+    """sin^2(pi k / n), k = 0..n // 2: the rfft symbol of `heat_step` over -4 / h^2."""
+    table = np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    table.flags.writeable = False
+    return table
 
 
 def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
@@ -204,7 +213,7 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
     out = q
     for a in range(grid.dim):
         n, h = grid.cells[a], grid.h[a]
-        z = (-4.0 * t / (h * h)) * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+        z = (-4.0 * t / (h * h)) * _sin2_table(n)
         phi1 = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
         # Lap_h annihilates the k = 0 line mean, so its phi1 = 1 is dropped:
         # carried along, its FFT roundoff would be amplified by t Lap_h
@@ -218,8 +227,10 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
 def grad(s: ScalarField, ghost: str = "zero") -> VectorField:
     """Second-order centered gradient respecting the grid's boundary type."""
     g = s.grid
-    comps = [_centered_diff(g, s.values, a, ghost) for a in range(g.dim)]
-    return VectorField(g, np.stack(comps))
+    out = np.empty((g.dim,) + g.cells)
+    for a in range(g.dim):
+        out[a] = _centered_diff(g, s.values, a, ghost)
+    return VectorField(g, out)
 
 
 def div(v: VectorField, ghost: str = "zero") -> ScalarField:
@@ -280,7 +291,7 @@ def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, ghost: str = "ze
     n_extra = q.ndim - dim
     if q.shape[:dim] != grid.cells or n_extra < 0:
         raise ValueError(f"transported array shaped {q.shape} does not match grid {grid.cells}")
-    out = np.zeros_like(q, dtype=float)
+    out = np.zeros(q.shape)
     for a in range(dim):
         up = _pad_axis(grid, u[a], a, "zero")
         qp = _pad_axis(grid, q, a, ghost)

@@ -25,19 +25,21 @@ operator is applied matrix-free from the grid's stencils (`_ViscousOperator`),
 and carries the whole system the solves read: its grid, rho_hat, and the
 scalars nu = dt mu and bulk = dt (lambda + dt mean(c)).  Its `grad div` is
 the wide centered-of-centered stencil, which decouples odd and even modes
-and is kept on purpose.  The system is SPD for
-rho >= RHO_FLOOR.  On 1D grids it is solved directly, by static condensation
-of blocks of its five bands (with the periodic wrap) onto a small interface;
-on 2D grids by preconditioned CG to relative residual 1e-13, restarted from
-the true residual when the recursive one has drifted from it.  Periodic 2D
-grids precondition with the exact inverse of the constant-coefficient system
+and is kept on purpose.  The system is SPD for rho >= RHO_FLOOR.  On 1D
+grids it is solved directly, by static condensation of blocks of its five
+bands (with the periodic wrap) onto a small interface, through an index plan
+cached per grid; on 2D grids by preconditioned CG to relative residual
+1e-13, restarted from the true residual when the recursive one has drifted
+from it.  Periodic 2D grids precondition with the exact inverse of the
+constant-coefficient system
 
     (rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div])^-1,
     rbar = mean(rho_hat),
 
-which the FFT diagonalizes (`_spectral_preconditioner`); Dirichlet 2D grids
-precondition with the diagonal (Jacobi).  Either result is accepted only at
-a true residual below 1e-10.
+which the FFT diagonalizes (`_spectral_preconditioner`, its wavenumber
+tables cached per grid); Dirichlet 2D grids precondition with the diagonal
+(Jacobi).  The cached plan and tables are shared read-only.  Either result
+is accepted only at a true residual below 1e-10.
 """
 
 from __future__ import annotations
@@ -99,14 +101,13 @@ class PhysCoeffs:
 
 
 def fluid_pressure(rho: ScalarField, law: PressureLaw) -> ScalarField:
-    """pi = rho^gamma computed as exp(gamma ln rho), with pi = 0 where rho = 0."""
+    """pi = rho^gamma computed as exp(gamma ln rho), with pi = 0 where rho = 0:
+    ln rho fills a -inf buffer where rho > 0, and exp(-inf) is exactly 0."""
     r = rho.values
-    if np.any(r < 0.0):
+    if r.min() < 0.0:
         raise ValueError("fluid pressure of a negative density")
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = np.exp(law.gamma * np.log(r[pos]))
-    return ScalarField(rho.grid, out)
+    log = np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0)
+    return ScalarField(rho.grid, np.exp(law.gamma * log))
 
 
 def total_pressure(pi: ScalarField, eta: ScalarField) -> ScalarField:
@@ -114,14 +115,14 @@ def total_pressure(pi: ScalarField, eta: ScalarField) -> ScalarField:
     if pi.grid != eta.grid:
         raise ValueError("pressure contributions live on different grids")
     e = eta.values
-    if np.any(e < 0.0):
+    if e.min() < 0.0:
         raise ValueError("total pressure of a negative number density")
     return ScalarField(pi.grid, pi.values + e + e * e)
 
 
 def _advective_ok(grid, u: np.ndarray, dt: float) -> bool:
     for a in range(grid.dim):
-        vmax = float(np.max(np.abs(u[a])))
+        vmax = float(np.abs(u[a]).max())
         if dt * vmax > grid.h[a] * _CFL_SLACK:
             return False
     return True
@@ -143,7 +144,7 @@ def transport_step(
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
-    if np.any(s.values < 0.0):
+    if s.values.min() < 0.0:
         raise ValueError("transport of a negative field")
     g = s.grid
     if not _advective_ok(g, u.values, dt):
@@ -153,8 +154,8 @@ def transport_step(
     out = s.values - dt * flux
     # roundoff guard: the update is nonnegative in exact arithmetic under the
     # CFL bound, but mixed-sign rounding can land 1 ulp below zero
-    tiny = 1e-13 * max(float(np.max(s.values)), 1.0)
-    low = float(np.min(out))
+    tiny = 1e-13 * max(float(s.values.max()), 1.0)
+    low = float(out.min())
     if low < 0.0:
         if low < -tiny:
             raise NumericalError(f"transport produced negative values ({low:.3e})")
@@ -179,7 +180,7 @@ class _ViscousOperator:
         self.grid = grid
         self.rho_hat = rho_hat
         self.nu = dt * mu
-        self.bulk = dt * (lam + dt * float(np.mean(c)))
+        self.bulk = dt * (lam + dt * (float(c.sum()) / c.size))  # np.mean's value
         self.w = dt * lam + (dt * dt) * c
         self._centre = rho_hat + self.nu * sum(2.0 / (h * h) for h in grid.h)
         self._w_quarter = self.w * (0.25 / grid.h[0] ** 2)
@@ -213,19 +214,22 @@ class _ViscousOperator:
     def diagonal(self) -> np.ndarray:
         """Flat: rho_hat + nu sum_b 2 / h_b^2 + (w_+ + w_-) / (4 h_a^2), component a."""
         g = self.grid
-        out = []
+        out = np.empty((g.dim,) + g.cells)
         for a, h in enumerate(g.h):
             p = _pad_axis(g, self.w, a, "zero")
-            out.append(self._centre + ((p[2:] + p[:-2]) / (4.0 * h * h)).swapaxes(0, a))
-        return np.stack(out).ravel()
+            out[a] = self._centre + ((p[2:] + p[:-2]) / (4.0 * h * h)).swapaxes(0, a)
+        return out.ravel()
 
     def bands(self) -> np.ndarray:
         """(5, n) on a 1D grid: row k holds the entries (i, i + k - 2 mod n), zero
-        past a Dirichlet end; on 4 periodic cells the +-2 entries share a column."""
+        past a Dirichlet end; on 4 periodic cells the +-2 entries share a column.
+        Its flat `base` ends in the zero `_substructured_solve` reads off the bands."""
         (h,), n = self.grid.h, self.grid.n_cells
         p = _pad_axis(self.grid, self.w, 0, "zero") / (4.0 * h * h)
-        side = np.full(n, -self.nu / (h * h))
-        bands = np.stack((-p[:-2], side, self.diagonal(), side, -p[2:]))
+        bands = np.zeros(5 * n + 1)[:-1].reshape(5, n)
+        bands[0], bands[4] = -p[:-2], -p[2:]
+        bands[1] = bands[3] = -self.nu / (h * h)
+        bands[2] = self.diagonal()
         if self.grid.bc != PERIODIC:  # (band, row) of each column past an end
             bands[(0, 0, 1, 3, 4, 4), (0, 1, 0, -1, -2, -1)] = 0.0
         return bands
@@ -241,7 +245,7 @@ def _substructure_plan(grid):
     bandwidth 2 (with the periodic wrap), so a block couples only to its
     window: the 2 cells before it and the 2 after, all interface cells, and
     the blocks are mutually decoupled.  Returns (interior, iface, window,
-    take_block, take_window, ss_take, ss_at, wz_at):
+    take_block, take_window, ss_take, schur_at):
 
         interior     the m _BLOCK block cells, block by block
         iface        the k interface cells
@@ -250,11 +254,11 @@ def _substructure_plan(grid):
                      the 2 window cells before, the block, the 2 after
         take_window  (m, 4, _BLOCK) window rows, block columns
         ss_take      interface-interface entries
-        ss_at        their flat positions in the (k, k) Schur complement
-        wz_at        the flat (k, k) positions of each block's (4, 4) window
+        schur_at     the flat positions in the (k, k) Schur complement of
+                     those entries, then of each block's (4, 4) window
 
     The take_* and ss_take arrays index the flat `_ViscousOperator.bands`
-    with one zero appended (entries outside the bands read it).
+    with its trailing zero (entries outside the bands read it).
     """
     n, size = grid.n_cells, _BLOCK + 2
     m = n // size
@@ -292,7 +296,10 @@ def _substructure_plan(grid):
     ss_take = at[e]
     ss_at = number[rows[e]] * k + number[cols[e]]
     wz_at = (window[:, :, None] * k + window[:, None, :]).ravel()
-    return interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at
+    plan = (interior, iface, window, take_block, take_window, ss_take, np.concatenate((ss_at, wz_at)))
+    for arr in plan:
+        arr.flags.writeable = False  # shared by every solve on the grid
+    return plan
 
 
 def _substructured_solve(a, b: np.ndarray) -> np.ndarray:
@@ -304,17 +311,15 @@ def _substructured_solve(a, b: np.ndarray) -> np.ndarray:
     unknowns), then back-substitution into the blocks.  Reads the blocks
     from the bands of `a` (`_ViscousOperator.bands`); it assumes no symmetry.
     """
-    interior, iface, window, take_block, take_window, ss_take, ss_at, wz_at = _substructure_plan(a.grid)
+    interior, iface, window, take_block, take_window, ss_take, schur_at = _substructure_plan(a.grid)
     k = iface.size
-    data = np.append(a.bands().ravel(), 0.0)
+    data = a.bands().base
     rows = data[take_block]
     rhs = (rows[..., :2], rows[..., _BLOCK + 2 :], b[interior].reshape(-1, _BLOCK, 1))
     y = np.linalg.solve(rows[..., 2 : _BLOCK + 2], np.concatenate(rhs, axis=2))
     wy = data[take_window] @ y
     schur = np.bincount(
-        np.concatenate((ss_at, wz_at)),
-        np.concatenate((data[ss_take], -wy[..., :4].ravel())),
-        minlength=k * k,
+        schur_at, np.concatenate((data[ss_take], -wy[..., :4].ravel())), minlength=k * k
     ).reshape(k, k)
     g = b[iface] - np.bincount(window.ravel(), wy[..., 4].ravel(), minlength=k)
     x = np.empty_like(b)
@@ -388,10 +393,11 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
     """
     grid, shape = a.grid, b.shape
     b = b.ravel()
-    b_norm = np.linalg.norm(b)
+    b_norm = math.sqrt(b.dot(b))  # np.linalg.norm, without its wrapper
     if grid.dim == 1:
         x = _substructured_solve(a, b)
-        res = np.linalg.norm(b - a @ x)
+        r = b - a @ x
+        res = math.sqrt(r.dot(r))
         path = "direct 1D"
     else:
         if grid.bc == PERIODIC:
@@ -461,27 +467,28 @@ def momentum_step(state, dt: float) -> VectorField:
     g = state.rho.grid
     rho = state.rho.values
     u = state.u.values
-    m = np.moveaxis(rho * u, 0, -1)  # channels-last for the shared donor flux
+    last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
+    m = (rho * u).transpose(last)
     m = m - dt * upwind_divergence(g, m, u, ghost="zero")
 
     law, coeffs = state.law, state.coeffs
     pi = fluid_pressure(state.rho, law)
     gp = grad(total_pressure(pi, eta_moment(state.f)), ghost="edge").values
     sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
-    force = -gp.transpose(tuple(range(1, g.dim + 1)) + (0,))  # channels-last, like m
+    force = -gp.transpose(last)
     for j in range(g.dim):
         force += _centered_diff(g, sigma[..., j], j, "zero")  # column j of div sigma, every row
     m += dt * force
 
-    m = np.moveaxis(m, -1, 0)
+    m = m.transpose((g.dim,) + tuple(range(g.dim)))
     rho_hat = np.maximum(rho, RHO_FLOOR)
     vacuum = rho < RHO_FLOOR
-    if np.any(vacuum):
+    if vacuum.any():
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi.values - resolved, 0.0)
     u_new = _viscous_solve(_ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m)
-    if np.any(vacuum):
+    if vacuum.any():
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)
 
@@ -507,28 +514,28 @@ def _cfl_bounds(state) -> dict:
     rho, u = state.rho.values, state.u.values
     law = state.law
     bounds = {}
-    vmax = [float(np.max(np.abs(u[a]))) for a in range(g.dim)]
+    vmax = [float(np.abs(u[a]).max()) for a in range(g.dim)]
     advective = [h / v for h, v in zip(g.h, vmax) if v > 0.0]
     if advective:
         bounds["advective"] = min(advective)
     h_min = min(g.h)
     rho_live = np.where(rho >= RHO_FLOOR, rho, math.inf)  # vacuum cells add nothing
     eta = eta_moment(state.f).values
-    c2 = float(np.max(eta * (1.0 + 2.0 * eta) / rho_live))
+    c2 = float((eta * (1.0 + 2.0 * eta) / rho_live).max())
     if c2 > 0.0:
         bounds["polymer"] = h_min / math.sqrt(c2)
-    rate = float(np.max(state.density_flux / rho_live))
+    rate = float((state.density_flux / rho_live).max())
     if rate > 0.0:
         # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho
-        a2 = law.gamma * float(np.max(rho)) ** (law.gamma - 1.0)
+        a2 = law.gamma * float(rho.max()) ** (law.gamma - 1.0)
         acoustic = 1.0 / math.sqrt(a2 * sum(1.0 / h**2 for h in g.h))
         bounds["pressure"] = max(1.0 / (law.gamma * rate), acoustic)
     if g.bc != PERIODIC:
         bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(state.coeffs.d_trans, 1.0))
     gv = velocity_gradient(state.u)
-    g_max = float(np.max(np.sqrt(np.sum(gv * gv, axis=(-2, -1)))))
+    g_max = float(np.sqrt((gv * gv).sum(axis=(-2, -1))).max())
     if g_max > 0.0:
-        L = int(np.max(state.f.basis.l_index))  # the highest degree held
+        L = int(state.f.basis.l_index[-1])  # the highest degree held, last in order
         bounds["drift"] = 1.0 / (L * (L + 1) * g_max)
     return bounds
 

@@ -30,7 +30,7 @@ it reproduces the discrete continuity residual, which vanishes to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -63,9 +63,9 @@ class FluidState:
     coeffs: PhysCoeffs
 
     def __post_init__(self):
-        if any(x.grid != self.rho.grid for x in (self.u, self.f)):
+        if self.u.grid != self.rho.grid or self.f.grid != self.rho.grid:
             raise ValueError("state fields live on different grids")
-        if float(np.min(self.rho.values)) < 0.0:
+        if self.rho.values.min() < 0.0:
             raise ValueError("state density is negative")
         if not np.isfinite(self.t):
             raise ValueError("state time is not finite")
@@ -84,9 +84,11 @@ class FluidState:
         """div_h(rho u), the donor divergence of the density substep.
 
         Read by both the pressure bound of `cfl_dt` and `step`, so it is
-        computed once per state.
+        computed once per state, and is read-only.
         """
-        return upwind_divergence(self.grid, self.rho.values, self.u.values, ghost="edge")
+        flux = upwind_divergence(self.grid, self.rho.values, self.u.values, ghost="edge")
+        flux.flags.writeable = False
+        return flux
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 def pressure_energy(state: FluidState) -> float:
     """The ledger's pressure entry int rho^gamma / (gamma - 1) dx."""
     pi = fluid_pressure(state.rho, state.law)
-    return float(np.sum(pi.values)) * state.grid.cell_volume / (state.law.gamma - 1.0)
+    return float(pi.values.sum()) * state.grid.cell_volume / (state.law.gamma - 1.0)
 
 
 def energy_total(state: FluidState) -> DiagnosticsRecord:
@@ -211,14 +213,15 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
     f1 = _substep("orientation fokker-planck", t, fp_update)
 
+    law, coeffs = state.law, state.coeffs
     if freeze_velocity:
         u1 = state.u
     else:
-        u1 = _substep("momentum", t, lambda: momentum_step(replace(state, rho=rho1, f=f1), dt))
+        u1 = _substep(
+            "momentum", t, lambda: momentum_step(FluidState(rho1, state.u, f1, t, law, coeffs), dt)
+        )
 
-    return _substep(
-        "state assembly", t, lambda: replace(state, rho=rho1, u=u1, f=f1, t=t + dt)
-    )
+    return _substep("state assembly", t, lambda: FluidState(rho1, u1, f1, t + dt, law, coeffs))
 
 
 def run(

@@ -9,9 +9,10 @@ the tangential projection of the macroscopic shear acting on a rod axis,
     P_perp(g tau) = g tau - (tau . g tau) tau,
 
 and its sphere divergence is applied weakly in the harmonic basis: the
-coefficient update contracts the per-cell velocity gradient against the
-precomputed Galerkin matrices of the basis, which conserves per-cell sphere
-mass identically (the constant-harmonic row is zero).  The coefficients are
+coefficient update contracts the per-cell velocity gradient (computed once
+per velocity field and kept on it, read-only) against the Galerkin matrices
+of the basis, which conserves per-cell sphere mass identically (the
+constant-harmonic row is zero).  The coefficients are
 those of the even-degree basis of `sphere`: rods are head-tail symmetric,
 advection and the diffusions act degree by degree, and the drift maps degree
 l only into l and l +- 2, so no operator here creates an odd degree.
@@ -36,14 +37,19 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 def velocity_gradient(u: VectorField) -> np.ndarray:
     """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
 
-    Zero-ghost centered differences of the velocity; the sphere drift of
-    `fp_rhs`, the drift bound of `hydro.cfl_dt` and the energy ledger read it.
+    Zero-ghost centered differences of the velocity, computed once per field
+    and kept on it, read-only: the sphere drift of `fp_rhs`, the drift bound
+    of `hydro.cfl_dt` and the energy ledger share it.
     """
-    g = u.grid
-    uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
-    out = np.empty(g.cells + (g.dim, g.dim))
-    for j in range(g.dim):
-        out[..., j] = _centered_diff(g, uc, j, "zero")
+    out = vars(u).get("_gradient")
+    if out is None:
+        g = u.grid
+        uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
+        out = np.empty(g.cells + (g.dim, g.dim))
+        for j in range(g.dim):
+            out[..., j] = _centered_diff(g, uc, j, "zero")
+        out.flags.writeable = False
+        object.__setattr__(u, "_gradient", out)
     return out
 
 
@@ -81,7 +87,7 @@ def fp_rhs(f: OrientationField, u: VectorField) -> OrientationField:
     g = f.grid
     adv = upwind_divergence(g, f.coeffs, u.values, ghost="zero")
     drift = _drift_coefficients(f.basis, velocity_gradient(u), f.coeffs)
-    return OrientationField(g, f.basis, -adv + drift)
+    return OrientationField(g, f.basis, drift - adv)
 
 
 def eta_moment(f: OrientationField) -> ScalarField:
@@ -96,7 +102,8 @@ def stress_moment(f: OrientationField) -> np.ndarray:
     because 3|tau|^2 - 3 vanishes at every node, and only harmonic degrees
     l in {0, 2} contribute (the l = 0 part cancels identically).
     """
-    return np.tensordot(f.coeffs, f.basis.stress_map, axes=(-1, 0))
+    q = f.basis.n_coeff
+    return (f.coeffs.reshape(-1, q) @ f.basis.stress_map.reshape(q, 9)).reshape(f.grid.cells + (3, 3))
 
 
 def entropy_and_fisher(f: OrientationField) -> tuple:

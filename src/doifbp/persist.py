@@ -79,20 +79,6 @@ def write_sweep(result: SweepResult, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_sweep(path) -> SweepResult:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != ",".join(SWEEP_FIELDS):
-        raise ValueError(f"{path}: not a sweep CSV (bad header)")
-    rows = []
-    slope = None
-    for line in lines[1:]:
-        values = [float(tok) for tok in line.split(",")]
-        rows.append(GammaDiagnostics(*values[:-1]))
-        slope = None if math.isnan(values[-1]) else values[-1]
-    return SweepResult(rows=tuple(rows), l2_slope=slope)
-
-
 def snapshot(state: FluidState, path) -> None:
     """Serialize the full simulation state, bit-exactly, to `path`."""
     grid = state.grid

@@ -305,7 +305,7 @@ class OrientationField:
     def check_positive(self) -> None:
         """Raise ValueError if f dips below -EPS_POS at a quadrature node."""
         nodal = self.nodal_values()
-        worst = float(np.min(nodal))
+        worst = float(nodal.min())
         if worst < -EPS_POS:
             *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
             tau = self.basis.nodes[self.basis.hemi_index[k]]

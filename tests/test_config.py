@@ -73,12 +73,19 @@ def _floats(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
 
 
+#: outdir characters: the safe ones, then '#', blanks and line breaks, which
+#: the text form cannot carry inside a value (`str.splitlines` breaks lines
+#: at \x0b, \x0c, \x85 and \u2028 too)
+_OUTDIR_CHARS = string.ascii_letters + string.digits + "/._-" + "#= \t\n\r\x0b\x0c\x85\u2028"
+
+
 @st.composite
-def _valid_configs(draw):
+def _config_fields(draw):
+    """RunConfig keyword arguments, every one valid except perhaps outdir."""
     dim = draw(st.sampled_from((1, 2)))
     rho0 = draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
     gammas = draw(st.lists(_floats(1.5, 1e6, exclude_min=True), min_size=1, max_size=6, unique=True))
-    return RunConfig(
+    return dict(
         dim=dim,
         cells=tuple(draw(st.integers(4, 4096)) for _ in range(dim)),
         lengths=tuple(draw(_floats(0.0, 1e6, exclude_min=True)) for _ in range(dim)),
@@ -100,15 +107,20 @@ def _valid_configs(draw):
         cfl_safety=draw(_floats(0.0, 1.0, exclude_min=True)),
         record_every=draw(st.integers(1, 10**6)),
         snapshot_every=draw(st.integers(0, 10**6)),
-        outdir=draw(st.text(string.ascii_letters + string.digits + "/._-", min_size=1, max_size=20)),
+        outdir=draw(st.text(_OUTDIR_CHARS, min_size=1, max_size=20)),
         freeze_velocity=draw(st.booleans()),
         eps_congestion=draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(cfg=_valid_configs())
-def test_serialize_parse_round_trips_every_valid_config(cfg):
+@given(kwargs=_config_fields())
+def test_serialize_parse_round_trips_every_valid_config(kwargs):
+    try:
+        cfg = RunConfig(**kwargs)
+    except ConfigError as err:  # an outdir the text form cannot carry
+        assert str(err).startswith("outdir must not"), err
+        return
     text = config_text(cfg)
     assert parse_config(text) == cfg
     assert config_text(parse_config(text)) == text
@@ -211,6 +223,22 @@ def test_int_fields_take_only_integers(name, value):
     # the rule the parser applies to a file: an int default admits ints only
     with pytest.raises(ConfigError, match=f"^{name} takes integers"):
         RunConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "message"),
+    [
+        ({"outdir": "a#b"}, "^outdir must not hold '#' or a line break"),
+        ({"outdir": "a\nb"}, "^outdir must not hold '#' or a line break"),
+        ({"outdir": " x "}, "^outdir must not start or end with blanks"),
+        ({"mu": True}, "^mu takes numbers, not booleans"),
+        ({"gammas": (5.0, True)}, "^gammas takes numbers, not booleans"),
+    ],
+)
+def test_rejects_values_the_text_form_cannot_carry(kwargs, message):
+    # each was accepted once and then read back as another config, or not at all
+    with pytest.raises(ConfigError, match=message):
+        RunConfig(**kwargs)
 
 
 def test_load_config_reads_file(tmp_path):

@@ -29,8 +29,10 @@ from doifbp import (
     renormalized_residual,
     run,
     step,
+    velocity_gradient,
 )
-from doifbp.grid import heat_step
+from doifbp.grid import _ghost_index, _sin2_table, heat_step
+from doifbp.hydro import _spectral_symbols, _substructure_plan
 from doifbp.integrator import FluidState
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
@@ -151,6 +153,37 @@ def test_step_reports_failing_substep():
     state = _state(g, basis, np.full(8, 0.5), np.full((1, 8), 4.0), np.full(8, 0.1))
     with pytest.raises(NumericalError, match="substep 'density transport' failed at t="):
         step(state, 10.0 * g.h[0])  # violates the advective CFL on purpose
+
+
+@pytest.mark.parametrize(
+    ("dim", "bc", "preset"),
+    [(1, "periodic", "colliding_streams"), (2, "periodic", "taylor_vortex"), (2, "dirichlet", "taylor_vortex")],
+)
+def test_step_twice_from_one_state_is_bit_identical_and_its_shared_caches_are_read_only(dim, bc, preset):
+    # 32 cells give the 1D direct solve interior blocks; the 2D grids take CG
+    cells = (32,) if dim == 1 else (8, 8)
+    cfg = RunConfig(dim=dim, cells=cells, lengths=(1.0,) * dim, bc=bc, sphere_degree=3, preset=preset)
+    state = build_initial_state(cfg)
+    dt = cfl_dt(state, cfg.cfl_safety)
+    first, second = step(state, dt), step(state, dt)
+    for a, b in zip((first.rho.values, first.u.values, first.f.coeffs),
+                    (second.rho.values, second.u.values, second.f.coeffs)):
+        assert a.tobytes() == b.tobytes()
+
+    g = state.grid
+    periodic = bc == "periodic"
+    shared = [velocity_gradient(state.u), state.density_flux]
+    shared += [_ghost_index(n, periodic) for n in g.cells]
+    shared += [table for table in vars(state.f.basis).values() if isinstance(table, np.ndarray)]
+    if periodic:
+        shared += [_sin2_table(n) for n in g.cells]
+    if dim == 1:
+        shared += list(_substructure_plan(g))
+    elif periodic:
+        shared += list(_spectral_symbols(g))
+    for arr in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_step_decays_each_degree_by_its_exact_rotational_factor():
