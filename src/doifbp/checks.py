@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .grid import Grid, ScalarField, VectorField, heat_step, integral
+from .grid import Grid, ScalarField, VectorField, heat_step, integral, upwind_divergence
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, transport_step
 from .integrator import FluidState, energy_total, renormalized_residual, run, step
 from .kinetics import SQRT_4PI, eta_moment, stress_moment
@@ -120,7 +120,8 @@ def check_moment_consistency() -> tuple:
         g = state.grid
         eta_ref = ScalarField(g, np.full(g.cells, cfg.eta0))
         for _ in range(n_steps):
-            eta_star = transport_step(eta_ref, state.u, dt, ghost="zero").values
+            flux = upwind_divergence(g, eta_ref.values, state.u.values, "rods")
+            eta_star = transport_step(eta_ref, state.u, dt, flux).values
             eta_ref = ScalarField(g, heat_step(g, eta_star, dt * state.coeffs.d_trans))
             state = step(state, dt)
         defect = np.max(np.abs(eta_moment(state.f).values - eta_ref.values))

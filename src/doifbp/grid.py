@@ -18,16 +18,14 @@ any trailing channels that share one stencil.  The implicit viscous operator
 of `hydro` applies these same stencils matrix-free.
 
 On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
-the ghost policy is per-quantity: ``"zero"`` imposes the homogeneous
-boundary value (velocity, number density, orientation coefficients),
-``"edge"`` copies the adjacent interior cell, giving a zero-normal-gradient
-extrapolation (mass density, pressure).
+it is the quantity's entry in `WALL_GHOST`, the one place that declares it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +34,16 @@ from .errors import NumericalError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
-_GHOST_MODES = ("zero", "edge")
+#: The Dirichlet ghost of each quantity a stencil names: "zero" imposes the
+#: boundary value 0, "edge" copies the adjacent cell (zero normal gradient).
+WALL_GHOST = {
+    "velocity": "zero",  # u and the momentum rho u
+    "rods": "zero",  # f, its nodal values and eta
+    "stress": "zero",
+    "bulk stress": "zero",  # w div u of the implicit solve and its coefficient w
+    "density": "edge",
+    "pressure": "edge",
+}
 #: relative slack of the explicit stability bounds, so a step at the bound passes
 _CFL_SLACK = 1.0 + 1e-12
 
@@ -48,9 +55,9 @@ class Grid:
     Parameters
     ----------
     cells : tuple of int
-        Cell count per axis; at least 4 per axis, 1 or 2 axes.
+        Cell count per axis, integers; at least 4 per axis, 1 or 2 axes.
     lengths : tuple of float
-        Box extent per axis.
+        Box extent per axis, positive and finite.
     bc : str
         ``"periodic"`` or ``"dirichlet"``.
     """
@@ -60,7 +67,10 @@ class Grid:
     bc: str = PERIODIC
 
     def __post_init__(self):
-        cells = tuple(int(n) for n in np.atleast_1d(self.cells))
+        try:
+            cells = tuple(map(operator.index, np.atleast_1d(self.cells)))
+        except TypeError:
+            raise ValueError(f"cell counts must be integers, got {self.cells!r}") from None
         lengths = tuple(float(x) for x in np.atleast_1d(self.lengths))
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "lengths", lengths)
@@ -70,8 +80,8 @@ class Grid:
             raise ValueError("cells and lengths must have matching axis counts")
         if any(n < 4 for n in cells):
             raise ValueError(f"need at least 4 cells per axis, got {cells}")
-        if any(x <= 0.0 for x in lengths):
-            raise ValueError(f"box lengths must be positive, got {lengths}")
+        if not all(0.0 < x < math.inf for x in lengths):  # rejects NaN too
+            raise ValueError(f"box lengths must be positive and finite, got {lengths}")
         if self.bc not in (PERIODIC, DIRICHLET):
             raise ValueError(f"unknown boundary condition {self.bc!r}")
 
@@ -154,16 +164,17 @@ def _sin2_table(n: int) -> np.ndarray:
     return table
 
 
-def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarray:
     """`arr` with one ghost cell on each side of `axis`, that axis moved to the front.
 
     The one ghost fill of the package: a gather through the cached
-    `_ghost_index`, after which the zero ghost of a Dirichlet grid overwrites
-    the two end slabs.  Callers slice the front axis (`p[2:]`, `p[:-2]`) and
-    swap it back.
+    `_ghost_index`, after which a zero `WALL_GHOST` of `quantity` overwrites
+    the two end slabs of a Dirichlet grid.  Callers slice the front axis
+    (`p[2:]`, `p[:-2]`) and swap it back.
     """
-    if ghost not in _GHOST_MODES:
-        raise ValueError(f"unknown ghost policy {ghost!r}")
+    ghost = WALL_GHOST.get(quantity)
+    if ghost is None:
+        raise ValueError(f"unknown quantity {quantity!r}")
     periodic = grid.bc == PERIODIC
     p = arr.take(_ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
     if ghost == "zero" and not periodic:
@@ -172,16 +183,16 @@ def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
     return p
 
 
-def _centered_diff(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+def _centered_diff(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarray:
     """Centered difference along `axis` of `arr`, shaped grid.cells + channels."""
-    p = _pad_axis(grid, arr, axis, ghost)
+    p = _pad_axis(grid, arr, axis, quantity)
     return ((p[2:] - p[:-2]) / (2.0 * grid.h[axis])).swapaxes(0, axis)
 
 
-def _second_diff(grid: Grid, arr: np.ndarray, axis: int, ghost: str) -> np.ndarray:
+def _second_diff(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarray:
     """3-point second difference along `axis` of `arr`, shaped grid.cells + channels."""
     h = grid.h[axis]
-    p = _pad_axis(grid, arr, axis, ghost)
+    p = _pad_axis(grid, arr, axis, quantity)
     return ((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)).swapaxes(0, axis)
 
 
@@ -198,7 +209,7 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
     outer Lap_h applied by the stencil, so cell sums telescope and stay exact
     to roundoff for any t >= 0, and nonnegative data stay nonnegative up to
     roundoff.  On Dirichlet grids it is, until an exact Dirichlet propagator
-    replaces it, one explicit Euler step q + t Lap_h q with the zero ghost,
+    replaces it, one explicit Euler step q + t Lap_h q with the "rods" ghost,
     stable only under the diffusive bound t sum_a 2 / h_a^2 <= 1.  Under it the
     update is a convex combination of neighbouring cells (so nonnegativity
     holds); beyond it NumericalError is raised.
@@ -208,7 +219,7 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
             raise NumericalError(f"explicit diffusion unstable for t={t:.3e}")
         lap = np.zeros_like(q)
         for a in range(grid.dim):
-            lap += _second_diff(grid, q, a, "zero")
+            lap += _second_diff(grid, q, a, "rods")
         return q + t * lap
     out = q
     for a in range(grid.dim):
@@ -220,34 +231,34 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
         phi1[0] = 0.0
         phi1 = phi1.reshape((-1,) + (1,) * (q.ndim - a - 1))
         smoothed = np.fft.irfft(np.fft.rfft(out, axis=a) * phi1, n=n, axis=a)
-        out = out + t * _second_diff(grid, smoothed, a, "zero")
+        out = out + t * _second_diff(grid, smoothed, a, "rods")
     return out
 
 
-def grad(s: ScalarField, ghost: str = "zero") -> VectorField:
-    """Second-order centered gradient respecting the grid's boundary type."""
+def grad(s: ScalarField, quantity: str) -> VectorField:
+    """Second-order centered gradient of the quantity `s` holds."""
     g = s.grid
     out = np.empty((g.dim,) + g.cells)
     for a in range(g.dim):
-        out[a] = _centered_diff(g, s.values, a, ghost)
+        out[a] = _centered_diff(g, s.values, a, quantity)
     return VectorField(g, out)
 
 
-def div(v: VectorField, ghost: str = "zero") -> ScalarField:
-    """Second-order centered divergence, the negative adjoint of grad."""
+def div(v: VectorField) -> ScalarField:
+    """Second-order centered divergence of a velocity, the negative adjoint of grad."""
     g = v.grid
     out = np.zeros(g.cells)
     for a in range(g.dim):
-        out += _centered_diff(g, v.values[a], a, ghost)
+        out += _centered_diff(g, v.values[a], a, "velocity")
     return ScalarField(g, out)
 
 
-def laplacian(s: ScalarField, ghost: str = "zero") -> ScalarField:
-    """Compact second-order Laplacian (3-point per axis)."""
+def laplacian(s: ScalarField, quantity: str) -> ScalarField:
+    """Compact second-order Laplacian (3-point per axis) of the quantity `s` holds."""
     g = s.grid
     out = np.zeros(g.cells)
     for a in range(g.dim):
-        out += _second_diff(g, s.values, a, ghost)
+        out += _second_diff(g, s.values, a, quantity)
     return ScalarField(g, out)
 
 
@@ -267,7 +278,7 @@ def integral(s: ScalarField) -> float:
     return float(np.sum(s.values)) * s.grid.cell_volume
 
 
-def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, ghost: str = "zero") -> np.ndarray:
+def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, quantity: str) -> np.ndarray:
     """Donor-cell divergence of the flux q*u, div_h(q u).
 
     Face velocities are two-point averages of the cell velocities; the donor
@@ -283,9 +294,8 @@ def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, ghost: str = "ze
         the same donor pattern (used for harmonic coefficients and momentum).
     u : ndarray, shape (dim,) + grid.cells
         Advecting velocity.
-    ghost : str
-        Ghost policy for q on Dirichlet grids ("zero" or "edge"); the
-        velocity ghost is always the boundary value u = 0.
+    quantity : str
+        The `WALL_GHOST` entry of q; u reads the "velocity" entry.
     """
     dim = grid.dim
     n_extra = q.ndim - dim
@@ -293,8 +303,8 @@ def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, ghost: str = "ze
         raise ValueError(f"transported array shaped {q.shape} does not match grid {grid.cells}")
     out = np.zeros(q.shape)
     for a in range(dim):
-        up = _pad_axis(grid, u[a], a, "zero")
-        qp = _pad_axis(grid, q, a, ghost)
+        up = _pad_axis(grid, u[a], a, "velocity")
+        qp = _pad_axis(grid, q, a, quantity)
         uf = 0.5 * (up[:-1] + up[1:])  # one face per interior cell pair, ends included
         uf = uf.reshape(uf.shape + (1,) * n_extra)
         flux = np.maximum(uf, 0.0) * qp[:-1] + np.minimum(uf, 0.0) * qp[1:]

@@ -120,37 +120,20 @@ def total_pressure(pi: ScalarField, eta: ScalarField) -> ScalarField:
     return ScalarField(pi.grid, pi.values + e + e * e)
 
 
-def _advective_ok(grid, u: np.ndarray, dt: float) -> bool:
-    for a in range(grid.dim):
-        vmax = float(np.abs(u[a]).max())
-        if dt * vmax > grid.h[a] * _CFL_SLACK:
-            return False
-    return True
-
-
-def transport_step(
-    s: ScalarField,
-    u: VectorField,
-    dt: float,
-    ghost: str = "zero",
-    flux: np.ndarray | None = None,
-) -> ScalarField:
+def transport_step(s: ScalarField, u: VectorField, dt: float, flux: np.ndarray) -> ScalarField:
     """One explicit donor-cell upwind step of d_t s + div(s u) = 0.
 
-    `ghost` is the ghost policy of the donor flux; `flux`, if given, is the
-    donor divergence upwind_divergence(s, u, ghost) already computed for
-    these fields.  Conservative (exact cell sum on periodic grids), monotone,
-    and nonnegativity-preserving under the advective CFL bound.
+    `flux` is the donor divergence upwind_divergence(s, u, quantity) of these
+    fields, computed by the caller.  Conservative (exact cell sum on periodic
+    grids), monotone, and nonnegativity-preserving under the advective CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
     if s.values.min() < 0.0:
         raise ValueError("transport of a negative field")
     g = s.grid
-    if not _advective_ok(g, u.values, dt):
+    if any(dt * float(np.abs(u.values[a]).max()) > h * _CFL_SLACK for a, h in enumerate(g.h)):
         raise NumericalError(f"advective CFL violated for dt={dt:.3e}")
-    if flux is None:
-        flux = upwind_divergence(g, s.values, u.values, ghost=ghost)
     out = s.values - dt * flux
     # roundoff guard: the update is nonnegative in exact arithmetic under the
     # CFL bound, but mixed-sign rounding can land 1 ulp below zero
@@ -171,8 +154,10 @@ class _ViscousOperator:
     nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered differences
     D_a are antisymmetric, and positive definite for rho_hat > 0 and c >= 0.
     `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
-    `diagonal` and, in 1D, `bands` give its entries in closed form.  It keeps
-    `rho_hat` and bulk = dt (lam + dt mean(c)), which with `nu` set the
+    `diagonal` and, in 1D, `bands` give its entries in closed form.  Those
+    forms (`_centre`, `diagonal()`, the Dirichlet zeroing in `bands()`) hold
+    for zero "velocity" and "bulk stress" entries of `grid.WALL_GHOST`.  It
+    keeps `rho_hat` and bulk = dt (lam + dt mean(c)), which with `nu` set the
     constant-coefficient preconditioner of `_viscous_solve`.
     """
 
@@ -191,7 +176,7 @@ class _ViscousOperator:
         g, h0 = self.grid, self.grid.h[0]
         u = x.reshape((g.dim,) + g.cells)
         for a, h in enumerate(g.h):
-            p = _pad_axis(g, u, a + 1, "zero")  # every component, padded along axis a
+            p = _pad_axis(g, u, a + 1, "velocity")  # every component, padded along axis a
             s = (p[2:] + p[:-2]).swapaxes(0, a + 1)
             pa = p.swapaxes(0, a + 1)[a].swapaxes(0, a)  # component a alone
             d = (pa[2:] - pa[:-2]).swapaxes(0, a)
@@ -204,7 +189,7 @@ class _ViscousOperator:
         out -= side
         q = self._w_quarter * dv
         for a, h in enumerate(g.h):
-            p = _pad_axis(g, q, a, "zero")
+            p = _pad_axis(g, q, a, "bulk stress")
             gq = (p[2:] - p[:-2]).swapaxes(0, a)
             if h != h0:
                 gq *= h0 / h
@@ -216,7 +201,7 @@ class _ViscousOperator:
         g = self.grid
         out = np.empty((g.dim,) + g.cells)
         for a, h in enumerate(g.h):
-            p = _pad_axis(g, self.w, a, "zero")
+            p = _pad_axis(g, self.w, a, "bulk stress")
             out[a] = self._centre + ((p[2:] + p[:-2]) / (4.0 * h * h)).swapaxes(0, a)
         return out.ravel()
 
@@ -225,7 +210,7 @@ class _ViscousOperator:
         past a Dirichlet end; on 4 periodic cells the +-2 entries share a column.
         Its flat `base` ends in the zero `_substructured_solve` reads off the bands."""
         (h,), n = self.grid.h, self.grid.n_cells
-        p = _pad_axis(self.grid, self.w, 0, "zero") / (4.0 * h * h)
+        p = _pad_axis(self.grid, self.w, 0, "bulk stress") / (4.0 * h * h)
         bands = np.zeros(5 * n + 1)[:-1].reshape(5, n)
         bands[0], bands[4] = -p[:-2], -p[2:]
         bands[1] = bands[3] = -self.nu / (h * h)
@@ -469,15 +454,15 @@ def momentum_step(state, dt: float) -> VectorField:
     u = state.u.values
     last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
     m = (rho * u).transpose(last)
-    m = m - dt * upwind_divergence(g, m, u, ghost="zero")
+    m = m - dt * upwind_divergence(g, m, u, "velocity")
 
     law, coeffs = state.law, state.coeffs
     pi = fluid_pressure(state.rho, law)
-    gp = grad(total_pressure(pi, eta_moment(state.f)), ghost="edge").values
+    gp = grad(total_pressure(pi, eta_moment(state.f)), "pressure").values
     sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
     force = -gp.transpose(last)
     for j in range(g.dim):
-        force += _centered_diff(g, sigma[..., j], j, "zero")  # column j of div sigma, every row
+        force += _centered_diff(g, sigma[..., j], j, "stress")  # column j of div sigma, every row
     m += dt * force
 
     m = m.transpose((g.dim,) + tuple(range(g.dim)))

@@ -86,7 +86,7 @@ class FluidState:
         Read by both the pressure bound of `cfl_dt` and `step`, so it is
         computed once per state, and is read-only.
         """
-        flux = upwind_divergence(self.grid, self.rho.values, self.u.values, ghost="edge")
+        flux = upwind_divergence(self.grid, self.rho.values, self.u.values, "density")
         flux.flags.writeable = False
         return flux
 
@@ -156,9 +156,9 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
 
     gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
-    divu = np.trace(gv, axis1=-2, axis2=-1)  # the zero-ghost centered div u
+    divu = np.trace(gv, axis1=-2, axis2=-1)  # the centered div u
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
-    geta = grad(eta, ghost="zero").values
+    geta = grad(eta, "rods").values
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
 
     return DiagnosticsRecord(
@@ -198,9 +198,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
         raise ValueError(f"step size must be positive, got {dt}")
     t = state.t
     rho1 = _substep(
-        "density transport",
-        t,
-        lambda: transport_step(state.rho, state.u, dt, ghost="edge", flux=state.density_flux),
+        "density transport", t, lambda: transport_step(state.rho, state.u, dt, state.density_flux)
     )
 
     def fp_update():
@@ -280,7 +278,7 @@ def renormalized_residual(s0: FluidState, s1: FluidState, b, db) -> float:
     g = s0.grid
     rho0 = s0.rho.values
     rho1 = s1.rho.values
-    flux_div = upwind_divergence(g, b(rho0), s0.u.values, ghost="edge")
-    divu = div(s0.u, ghost="zero").values
+    flux_div = upwind_divergence(g, b(rho0), s0.u.values, "density")
+    divu = div(s0.u).values
     resid = (b(rho1) - b(rho0)) / dt + flux_div + (db(rho0) * rho0 - b(rho0)) * divu
     return lp_norm(ScalarField(g, np.abs(resid)), 1)

@@ -37,9 +37,9 @@ SQRT_4PI = math.sqrt(4.0 * math.pi)
 def velocity_gradient(u: VectorField) -> np.ndarray:
     """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
 
-    Zero-ghost centered differences of the velocity, computed once per field
-    and kept on it, read-only: the sphere drift of `fp_rhs`, the drift bound
-    of `hydro.cfl_dt` and the energy ledger share it.
+    Centered differences of the velocity, computed once per field and kept
+    on it, read-only: the sphere drift of `fp_rhs`, the drift bound of
+    `hydro.cfl_dt` and the energy ledger share it.
     """
     out = vars(u).get("_gradient")
     if out is None:
@@ -47,7 +47,7 @@ def velocity_gradient(u: VectorField) -> np.ndarray:
         uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
         out = np.empty(g.cells + (g.dim, g.dim))
         for j in range(g.dim):
-            out[..., j] = _centered_diff(g, uc, j, "zero")
+            out[..., j] = _centered_diff(g, uc, j, "velocity")
         out.flags.writeable = False
         object.__setattr__(u, "_gradient", out)
     return out
@@ -85,7 +85,7 @@ def fp_rhs(f: OrientationField, u: VectorField) -> OrientationField:
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
     g = f.grid
-    adv = upwind_divergence(g, f.coeffs, u.values, ghost="zero")
+    adv = upwind_divergence(g, f.coeffs, u.values, "rods")
     drift = _drift_coefficients(f.basis, velocity_gradient(u), f.coeffs)
     return OrientationField(g, f.basis, drift - adv)
 
@@ -122,7 +122,7 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
     on in place, on every grid: clamped, then read for f ln f, then replaced
     by sqrt(f), then scaled by the square roots of the hemisphere weights, so
     that fisher_x is a plain sum of squares, sum_a |D_a(sqrt(w f))|^2 /
-    (2 h_a)^2, of the undivided zero-ghost differences D_a of that array.
+    (2 h_a)^2, of the undivided centered differences D_a of that array.
     """
     g = f.grid
     basis = f.basis
@@ -145,7 +145,7 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
     nodal *= np.sqrt(basis.hemi_weights)
     fisher_x = 0.0
     for a in range(g.dim):
-        p = _pad_axis(g, nodal, a, "zero")
+        p = _pad_axis(g, nodal, a, "rods")
         diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
         fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
         # free both before the next axis pads: with at most three nodal-size

@@ -104,7 +104,7 @@ def incompressibility_defect(state: FluidState, eps: float) -> tuple:
     volume = float(np.count_nonzero(mask)) * state.grid.cell_volume
     if volume == 0.0:
         return 0.0, 0.0
-    divu = div(state.u, ghost="zero").values
+    divu = div(state.u).values
     defect = math.sqrt(float(np.sum(divu[mask] ** 2)) * state.grid.cell_volume)
     return defect, volume
 

@@ -1,6 +1,8 @@
 """Grid construction, discrete calculus, norms, and conservative transport."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doifbp
 from doifbp import (
     Grid,
     NumericalError,
@@ -21,7 +24,7 @@ from doifbp import (
     transport_step,
     upwind_divergence,
 )
-from doifbp.grid import heat_step
+from doifbp.grid import WALL_GHOST, heat_step
 
 
 def _sin_field(n, length=1.0):
@@ -55,8 +58,23 @@ def test_grid_rejects_bad_shapes():
         Grid(cells=(8,), lengths=(1.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
         Grid(cells=(8,), lengths=(-1.0,))
+    for length in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(cells=(8,), lengths=(length,))
     with pytest.raises(ValueError, match="boundary"):
         Grid(cells=(8,), lengths=(1.0,), bc="reflecting")
+
+
+def test_grid_cell_counts_must_be_integers():
+    # truncating a float count would silently build a grid other than the one asked for
+    with pytest.raises(ValueError, match=r"integers, got \(16\.5,\)"):
+        Grid(cells=(16.5,), lengths=(1.0,))
+    with pytest.raises(ValueError, match=r"integers, got \(8\.9, 6\)"):
+        Grid(cells=(8.9, 6), lengths=(1.0, 1.0))
+    for cells in ((16,), (np.int64(8), 6), np.array([8, 6], dtype=np.int32)):
+        g = Grid(cells=cells, lengths=(1.0,) * len(cells))
+        assert g.cells == tuple(int(n) for n in cells)
+        assert all(type(n) is int for n in g.cells)
 
 
 def test_field_validation():
@@ -76,12 +94,12 @@ def test_field_validation():
 def test_gradient_of_constant_is_zero():
     g = Grid(cells=(16, 8), lengths=(1.0, 1.0))
     s = ScalarField(g, np.full(g.cells, 3.7))
-    assert np.max(np.abs(grad(s).values)) == 0.0
+    assert np.max(np.abs(grad(s, "pressure").values)) == 0.0
 
 
 def test_periodic_laplacian_sums_to_zero():
     g, s = _sin_field(64)
-    assert abs(np.sum(laplacian(s).values)) * g.cell_volume < 1e-12
+    assert abs(np.sum(laplacian(s, "rods").values)) * g.cell_volume < 1e-12
 
 
 def test_laplacian_second_order_refinement():
@@ -90,7 +108,7 @@ def test_laplacian_second_order_refinement():
     for n in (64, 128):
         g, s = _sin_field(n)
         k = 2.0 * np.pi
-        errs.append(float(np.max(np.abs(laplacian(s).values + k * k * s.values))))
+        errs.append(float(np.max(np.abs(laplacian(s, "rods").values + k * k * s.values))))
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6, f"refinement ratio {ratio:.3f}"
 
@@ -100,7 +118,7 @@ def test_grad_div_negative_adjoint():
     g = Grid(cells=(16, 12), lengths=(1.5, 1.0))
     s = ScalarField(g, rng.standard_normal(g.cells))
     v = VectorField(g, rng.standard_normal((2,) + g.cells))
-    pair = float(np.sum(grad(s).values * v.values)) + float(
+    pair = float(np.sum(grad(s, "pressure").values * v.values)) + float(
         np.sum(s.values * div(v).values)
     )
     scale = float(np.max(np.abs(s.values))) * float(np.max(np.abs(v.values))) * g.n_cells
@@ -126,8 +144,11 @@ def _neighbour(q, axis, step, bc, ghost):
 
 @pytest.mark.parametrize("shape", [(7,), (6, 5)])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("ghost", ["zero", "edge"])
+@pytest.mark.parametrize("ghost", sorted(set(WALL_GHOST.values())))
 def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
+    # every quantity of WALL_GHOST whose ghost is `ghost`; div and the donor
+    # face velocities read the "velocity" entry
+    u_ghost = WALL_GHOST["velocity"]
     rng = np.random.default_rng(19)
     g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
     s = rng.standard_normal(shape)
@@ -140,25 +161,42 @@ def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
     want_div, want_lap, want_up = np.zeros(shape), np.zeros(shape), np.zeros(q.shape)
     for a in range(g.dim):
         h = g.h[a]
-        want_div += (_neighbour(v[a], a, 1, bc, ghost) - _neighbour(v[a], a, -1, bc, ghost)) / (2.0 * h)
+        want_div += (_neighbour(v[a], a, 1, bc, u_ghost) - _neighbour(v[a], a, -1, bc, u_ghost)) / (2.0 * h)
         want_lap += (_neighbour(s, a, 1, bc, ghost) - 2.0 * s + _neighbour(s, a, -1, bc, ghost)) / (h * h)
-        # faces i - 1/2 and i + 1/2 of cell i; the velocity ghost is always zero
-        u_lo, u_hi = _neighbour(v[a], a, -1, bc, "zero"), _neighbour(v[a], a, 1, bc, "zero")
+        # faces i - 1/2 and i + 1/2 of cell i
+        u_lo, u_hi = _neighbour(v[a], a, -1, bc, u_ghost), _neighbour(v[a], a, 1, bc, u_ghost)
         uf_lo, uf_hi = (0.5 * (u_lo + v[a]))[..., None], (0.5 * (v[a] + u_hi))[..., None]
         q_lo, q_hi = _neighbour(q, a, -1, bc, ghost), _neighbour(q, a, 1, bc, ghost)
         flux_lo = np.maximum(uf_lo, 0.0) * q_lo + np.minimum(uf_lo, 0.0) * q
         flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
         want_up += (flux_hi - flux_lo) / h
-    assert np.array_equal(grad(ScalarField(g, s), ghost=ghost).values, want_grad)
-    assert np.array_equal(div(VectorField(g, v), ghost=ghost).values, want_div)
-    assert np.array_equal(laplacian(ScalarField(g, s), ghost=ghost).values, want_lap)
-    assert np.array_equal(upwind_divergence(g, q, v, ghost=ghost), want_up)
+    for quantity in [name for name, mode in WALL_GHOST.items() if mode == ghost]:
+        assert np.array_equal(grad(ScalarField(g, s), quantity).values, want_grad)
+        assert np.array_equal(laplacian(ScalarField(g, s), quantity).values, want_lap)
+        assert np.array_equal(upwind_divergence(g, q, v, quantity), want_up)
+    assert np.array_equal(div(VectorField(g, v)).values, want_div)
 
 
 def test_unknown_ghost_policy_is_rejected():
-    g = Grid(cells=(8,), lengths=(1.0,), bc="dirichlet")
-    with pytest.raises(ValueError, match="ghost policy"):
-        grad(ScalarField(g, np.ones(8)), ghost="mirror")
+    for bc in ("periodic", "dirichlet"):
+        g = Grid(cells=(8,), lengths=(1.0,), bc=bc)
+        with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
+            grad(ScalarField(g, np.ones(8)), "vorticity")
+        with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
+            upwind_divergence(g, np.ones(8), np.ones((1, 8)), "vorticity")
+
+
+def test_only_grid_declares_wall_ghosts():
+    # a "zero" or "edge" literal elsewhere would be a second declaration of
+    # some quantity's wall condition, which WALL_GHOST alone holds
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Constant) and node.value in ("zero", "edge"):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found, f"wall ghosts declared outside grid.py: {found}"
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +259,7 @@ def test_square_pulse_one_full_period():
     dt = 0.5 * g.h[0]
     mass0 = integral(s)
     for _ in range(2 * n):  # 2n steps x h/2 per step = one period
-        s = transport_step(s, u, dt, ghost="zero")
+        s = transport_step(s, u, dt, upwind_divergence(g, s.values, u.values, "density"))
     assert abs(integral(s) - mass0) <= 1e-13 * abs(mass0)
     assert np.max(s.values) <= 1.0 + 1e-13
     assert np.min(s.values) >= -1e-13
@@ -231,7 +269,7 @@ def test_transport_u_zero_is_identity():
     g = Grid(cells=(8,), lengths=(1.0,))
     s = ScalarField(g, np.linspace(0.1, 1.0, 8))
     u = VectorField(g, np.zeros((1, 8)))
-    out = transport_step(s, u, 1e-3, ghost="zero")
+    out = transport_step(s, u, 1e-3, upwind_divergence(g, s.values, u.values, "density"))
     assert np.array_equal(out.values, s.values)
 
 
@@ -244,7 +282,7 @@ def test_transport_of_uniform_field_under_divergence_free_velocity():
     u[0] = np.cos(2.0 * np.pi * my)
     u[1] = np.sin(2.0 * np.pi * mx)
     s = ScalarField(g, np.full(g.cells, 0.8))
-    out = transport_step(s, VectorField(g, u), 1e-3, ghost="zero")
+    out = transport_step(s, VectorField(g, u), 1e-3, upwind_divergence(g, s.values, u, "density"))
     assert np.max(np.abs(out.values - 0.8)) < 1e-12
 
 
@@ -253,7 +291,7 @@ def test_transport_rejects_cfl_violation():
     s = ScalarField(g, np.ones(8))
     u = VectorField(g, np.ones((1, 8)))
     with pytest.raises(NumericalError, match="CFL"):
-        transport_step(s, u, 3.0 * g.h[0], ghost="zero")
+        transport_step(s, u, 3.0 * g.h[0], upwind_divergence(g, s.values, u.values, "density"))
 
 
 def test_transport_rejects_negative_input():
@@ -261,7 +299,7 @@ def test_transport_rejects_negative_input():
     s = ScalarField(g, np.full(8, -0.1))
     u = VectorField(g, np.zeros((1, 8)))
     with pytest.raises(ValueError, match="negative"):
-        transport_step(s, u, 1e-4, ghost="zero")
+        transport_step(s, u, 1e-4, upwind_divergence(g, s.values, u.values, "density"))
 
 
 def test_upwind_divergence_telescopes_with_channels():
@@ -270,7 +308,7 @@ def test_upwind_divergence_telescopes_with_channels():
     g = Grid(cells=(24,), lengths=(1.0,))
     q = rng.random((24, 5))
     u = rng.standard_normal((1, 24))
-    out = upwind_divergence(g, q, u, ghost="zero")
+    out = upwind_divergence(g, q, u, "rods")
     sums = np.abs(np.sum(out, axis=0))
     assert np.max(sums) < 1e-12 * np.max(np.abs(q)) * 24 / g.h[0]
 
@@ -295,7 +333,7 @@ def test_heat_step_is_the_exact_periodic_heat_propagator(shape, stiffness, seed)
     t = stiffness / sum(4.0 / h**2 for h in g.h)
     q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
     eye = np.eye(g.n_cells).reshape((-1,) + shape)
-    lap = np.array([laplacian(ScalarField(g, e)).values.ravel() for e in eye]).T
+    lap = np.array([laplacian(ScalarField(g, e), "rods").values.ravel() for e in eye]).T
     want = (scipy.linalg.expm(t * lap) @ q.reshape(g.n_cells, 3)).reshape(q.shape)
     got = heat_step(g, q, t)
     scale = max(float(np.max(q)), 1e-300)
@@ -316,7 +354,7 @@ def test_heat_step_is_one_explicit_euler_step_on_dirichlet_grids():
         q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
         got = heat_step(g, q, t)
         for k in range(3):
-            want = q[..., k] + t * laplacian(ScalarField(g, q[..., k]), ghost="zero").values
+            want = q[..., k] + t * laplacian(ScalarField(g, q[..., k]), "rods").values
             assert np.array_equal(got[..., k], want)
         assert np.min(got) >= -1e-15 * np.max(q)  # nonnegative up to roundoff
         with pytest.raises(NumericalError, match="explicit diffusion unstable"):

@@ -253,8 +253,8 @@ def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, 
     u = VectorField(g, rng.standard_normal((dim,) + g.cells))
     a = hydro._ViscousOperator(g, rho_hat, dt, mu, lam, c)
     got = (a @ u.values.ravel()).reshape(u.values.shape)
-    gd = grad(ScalarField(g, (lam + dt * c) * div(u).values)).values
-    lap = [laplacian(ScalarField(g, comp)).values for comp in u.values]
+    gd = grad(ScalarField(g, (lam + dt * c) * div(u).values), "bulk stress").values
+    lap = [laplacian(ScalarField(g, comp), "velocity").values for comp in u.values]
     want = np.stack([rho_hat * u.values[i] - dt * (mu * lap[i] + gd[i]) for i in range(dim)])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     dense = _dense(a)
@@ -510,7 +510,7 @@ def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, sca
     gv = np.zeros(g.cells + (3, 3))
     for i in range(dim):
         for j in range(dim):
-            gv[..., i, j] = grad(ScalarField(g, u[i]), ghost="zero").values[j]
+            gv[..., i, j] = grad(ScalarField(g, u[i]), "velocity").values[j]
     padded = np.sqrt(np.sum(gv * gv, axis=(-2, -1)))
     block = velocity_gradient(state.u)
     assert np.array_equal(np.sqrt(np.sum(block * block, axis=(-2, -1))), padded)
