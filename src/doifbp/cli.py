@@ -62,7 +62,7 @@ def _cmd_sweep(config_path: str) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     log.info("sweep: gammas=%s t_final=%g", cfg.gammas, cfg.t_final)
-    result = gamma_sweep(cfg, cfg.gammas, cfg.t_final)
+    result = gamma_sweep(cfg)
     path = outdir / "sweep.csv"
     write_sweep(result, path)
     slope = "absent" if result.l2_slope is None else f"{result.l2_slope:.4f}"

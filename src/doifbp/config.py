@@ -17,6 +17,7 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 from .grid import DIRICHLET, PERIODIC
+from .sphere import MAX_DEGREE
 
 PRESETS = ("uniform", "colliding_streams", "taylor_vortex")
 
@@ -113,8 +114,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"domain lengths must be positive, got {cfg.lengths}")
     if cfg.bc not in (PERIODIC, DIRICHLET):
         raise ConfigError(f"bc must be {PERIODIC!r} or {DIRICHLET!r}, got {cfg.bc!r}")
-    if cfg.sphere_degree < 2:
-        raise ConfigError(f"sphere_degree must be at least 2, got {cfg.sphere_degree}")
+    if not 2 <= cfg.sphere_degree <= MAX_DEGREE:
+        raise ConfigError(f"sphere_degree must lie in 2..{MAX_DEGREE}, got {cfg.sphere_degree}")
     if cfg.gamma <= 1.5:
         raise ConfigError(f"gamma must exceed 3/2, got {cfg.gamma}")
     gs = cfg.gammas

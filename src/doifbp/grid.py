@@ -264,8 +264,8 @@ def laplacian(s: ScalarField, quantity: str) -> ScalarField:
 
 def lp_norm(s: ScalarField, p) -> float:
     """(sum |s|^p * cellvolume)^(1/p); max norm for p = inf."""
-    if p == math.inf or p == np.inf:
-        return float(np.max(np.abs(s.values))) if s.values.size else 0.0
+    if p == math.inf:
+        return float(np.max(np.abs(s.values)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")

@@ -79,8 +79,8 @@ class PressureLaw:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", float(self.gamma))
-        if not self.gamma > 1.5:
-            raise ValueError(f"gamma must exceed 3/2, got {self.gamma}")
+        if not 1.5 < self.gamma < math.inf:  # rejects NaN too
+            raise ValueError(f"gamma must be finite and exceed 3/2, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,8 @@ class PhysCoeffs:
         for name in ("mu", "lam", "d_trans", "d_rot"):
             val = float(getattr(self, name))
             object.__setattr__(self, name, val)
-            if not val > 0.0:
-                raise ValueError(f"coefficient {name} must be positive, got {val}")
+            if not 0.0 < val < math.inf:  # rejects NaN too
+                raise ValueError(f"coefficient {name} must be positive and finite, got {val}")
 
 
 def fluid_pressure(rho: ScalarField, law: PressureLaw) -> ScalarField:

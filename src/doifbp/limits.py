@@ -177,18 +177,17 @@ def fit_l2_slope(rows) -> object:
 def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, workers=None) -> SweepResult:
     """Run the coupled integrator once per gamma and aggregate diagnostics.
 
-    gamma_list defaults to the template's `gammas`; t_final overrides the
-    template when given.  Runs execute concurrently when more than one worker
-    is available; the result is identical to the sequential one.
+    gamma_list and t_final, when given, replace the template's `gammas` and
+    `t_final`, so `RunConfig` validates them before any run.  Runs execute
+    concurrently when more than one worker is available; the result is
+    identical to the sequential one.
     """
-    gammas = [float(g) for g in (gamma_list if gamma_list is not None else template_config.gammas)]
-    if not gammas:
-        raise ValueError("gamma sweep needs at least one gamma")
-    if any(b <= a for a, b in zip(gammas, gammas[1:])):
-        raise ValueError("gamma values must be strictly increasing")
-    if any(g <= 1.5 for g in gammas):
-        raise ValueError("every gamma must exceed 3/2")
-    cfg = template_config if t_final is None else replace(template_config, t_final=float(t_final))
+    cfg = template_config
+    if gamma_list is not None:
+        cfg = replace(cfg, gammas=tuple(gamma_list))
+    if t_final is not None:
+        cfg = replace(cfg, t_final=t_final)
+    gammas = cfg.gammas
 
     n_workers = _resolve_workers(len(gammas), workers)
     with contextlib.ExitStack() as stack:

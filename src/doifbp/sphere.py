@@ -52,6 +52,8 @@ from .grid import Grid, _check_values
 
 #: absolute tolerance for nodal negativity of orientation distributions
 EPS_POS = 1e-10
+#: the largest harmonic degree a basis is built for
+MAX_DEGREE = 64
 
 
 def _gauss_legendre(n: int):
@@ -230,8 +232,8 @@ def make_sphere_basis(L: int) -> SphereBasis:
     (k, partner(k)) with k < partner(k).
     """
     L = int(L)
-    if L < 2:
-        raise ValueError(f"sphere basis degree must be at least 2, got {L}")
+    if not 2 <= L <= MAX_DEGREE:
+        raise ValueError(f"sphere basis degree must be at least 2 and at most {MAX_DEGREE}, got {L}")
     degrees = range(0, L + 1, 2)
     theta, phi, nodes, weights = _gauss_product_nodes(L + 1, 2 * L + 2)
     y, grad_y, l_index = _harmonic_tables(degrees, theta, phi)

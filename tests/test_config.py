@@ -198,6 +198,11 @@ def test_rejects_non_finite_values(name, bad):
 def test_constructor_validates_like_parser():
     with pytest.raises(ConfigError, match="sphere_degree"):
         RunConfig(sphere_degree=1)
+    # above the largest degree a sphere basis (and so a snapshot) is built for
+    with pytest.raises(ConfigError, match=r"^sphere_degree must lie in 2\.\.64, got 65"):
+        RunConfig(sphere_degree=65)
+    with pytest.raises(ConfigError, match=r"^sphere_degree must lie in 2\.\.64, got 65"):
+        parse_config("sphere_degree = 65")
     with pytest.raises(ConfigError, match="cells must list"):
         RunConfig(dim=2, cells=(16,), lengths=(1.0, 1.0))
     with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1"):

@@ -111,6 +111,13 @@ def test_law_and_coefficient_validation():
         PhysCoeffs(mu=0.0)
     with pytest.raises(ValueError, match="positive"):
         PhysCoeffs(d_rot=-1.0)
+    for gamma in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="3/2"):
+            PressureLaw(gamma)
+    for name in ("mu", "lam", "d_trans", "d_rot"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"coefficient {name} must be positive and finite"):
+                PhysCoeffs(**{name: value})
 
 
 # ---------------------------------------------------------------------------

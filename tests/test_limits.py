@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from doifbp import (
+    ConfigError,
     Grid,
     NumericalError,
     PhysCoeffs,
@@ -20,6 +21,7 @@ from doifbp import (
     run,
     uniform_orientation,
 )
+from doifbp import limits
 from doifbp.integrator import FluidState
 from doifbp.limits import (
     GammaDiagnostics,
@@ -236,12 +238,28 @@ def test_sweep_single_gamma():
 
 
 def test_sweep_validates_gamma_list():
-    with pytest.raises(ValueError, match="at least one"):
+    with pytest.raises(ConfigError, match="at least one"):
         gamma_sweep(QUIET_CONFIG, gamma_list=())
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ConfigError, match="strictly increasing"):
         gamma_sweep(QUIET_CONFIG, gamma_list=(10.0, 5.0))
-    with pytest.raises(ValueError, match="3/2"):
+    with pytest.raises(ConfigError, match="3/2"):
         gamma_sweep(QUIET_CONFIG, gamma_list=(1.0, 5.0))
+
+
+def test_sweep_rejects_a_bad_gamma_list_or_t_final_before_any_run(monkeypatch):
+    calls = []
+    inner = limits.run
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(limits, "run", counting)
+    with pytest.raises(ConfigError, match="^gammas must be finite"):
+        gamma_sweep(QUIET_CONFIG, (5.0, math.inf), workers=1)
+    with pytest.raises(ConfigError, match="^t_final must be nonnegative"):
+        gamma_sweep(QUIET_CONFIG, (5.0, 10.0), -1.0, workers=1)
+    assert calls == []
 
 
 def test_sweep_parallel_matches_sequential():

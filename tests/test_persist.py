@@ -223,8 +223,18 @@ def test_snapshot_rejects_corrupt_header_fields(tmp_path):
 
     bad_degree = full[:32] + struct.pack("<I", 100) + full[36:]
     path.write_bytes(bad_degree)
-    with pytest.raises(SnapshotError, match="sphere degree = 100"):
+    with pytest.raises(SnapshotError, match="header inconsistent: sphere basis degree .*, got 100"):
         load_snapshot(path)
+
+    # a 1D header holds the length at byte 24, gamma at 36 and mu at 44
+    for offset, value, message in (
+        (36, math.inf, "gamma must be finite and exceed 3/2, got inf"),
+        (44, math.nan, "coefficient mu must be positive and finite, got nan"),
+        (24, -1.0, r"box lengths must be positive and finite, got \(-1.0,\)"),
+    ):
+        path.write_bytes(full[:offset] + struct.pack("<d", value) + full[offset + 8 :])
+        with pytest.raises(SnapshotError, match=f"^snapshot header inconsistent: {message}"):
+            load_snapshot(path)
 
 
 def test_snapshot_rejects_trailing_and_bad_payload(tmp_path):
@@ -239,7 +249,7 @@ def test_snapshot_rejects_trailing_and_bad_payload(tmp_path):
 
     negative_rho = full[:84] + struct.pack("<d", -1.0) + full[92:]
     path.write_bytes(negative_rho)
-    with pytest.raises(SnapshotError, match="negative density"):
+    with pytest.raises(SnapshotError, match="payload inconsistent: state density is negative"):
         load_snapshot(path)
 
 
@@ -268,7 +278,7 @@ def test_snapshot_rejects_non_finite_density_payload(tmp_path):
     start = 84
     assert struct.unpack_from("<d", full, start)[0] == state.rho.values[0]
     path.write_bytes(full[:start] + struct.pack("<d", math.nan) + full[start + 8 :])
-    with pytest.raises(SnapshotError, match="payload inconsistent: non-finite density"):
+    with pytest.raises(SnapshotError, match="payload inconsistent: scalar field values contains non-finite"):
         load_snapshot(path)
 
 

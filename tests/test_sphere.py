@@ -17,6 +17,7 @@ from doifbp import (
     make_sphere_basis,
     uniform_orientation,
 )
+from doifbp import sphere
 from doifbp.kinetics import _drift_coefficients
 from doifbp.sphere import _gauss_legendre, _gauss_product_nodes, _harmonic_tables, _legendre
 
@@ -44,6 +45,15 @@ def _monomial_integral(alpha) -> float:
 def test_rejects_degree_below_two():
     with pytest.raises(ValueError, match="at least 2"):
         make_sphere_basis(1)
+
+
+def test_rejects_degree_above_the_cap_before_building(monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature built for a rejected degree")
+
+    monkeypatch.setattr(sphere, "_gauss_product_nodes", no_quadrature)
+    with pytest.raises(ValueError, match=f"at most {sphere.MAX_DEGREE}, got 65"):
+        make_sphere_basis(sphere.MAX_DEGREE + 1)
 
 
 def test_weights_and_nodes():
