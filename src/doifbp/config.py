@@ -6,8 +6,8 @@ values are errors that report the offending line number; a parsed value out
 of range is an error that names its key.  The keys are the fields of
 `RunConfig` (`lambda` for the attribute `lam`), and each field's default
 types its value; a `RunConfig` built in Python is held to the same types
-for its integer fields.  `config_text` writes every key in a fixed order so
-that parse -> serialize -> parse is the identity.
+(a float field also takes an int).  `config_text` writes every key in a
+fixed order so that parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -87,21 +87,26 @@ def _parser(default):
 _ATTR_TO_KEY = {f.name: "lambda" if f.name == "lam" else f.name for f in fields(RunConfig)}
 # File key -> (attribute, parser).
 _KEYS = {_ATTR_TO_KEY[f.name]: (f.name, _parser(f.default)) for f in fields(RunConfig)}
+_KINDS = {bool: "booleans", int: "integers", float: "numbers", str: "text"}
 
 
 def _validate(cfg: RunConfig) -> None:
     for f in fields(cfg):
         value, key = getattr(cfg, f.name), _ATTR_TO_KEY[f.name]
-        items = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ConfigError(f"{key} must be finite, got {value}")
-        # the type rule of `_parser`: an int default (or first element)
-        # admits Python ints only, not floats or bools; a float one, no bools
-        kind = type(f.default[0] if isinstance(f.default, tuple) else f.default)
-        if kind is int and not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
-            raise ConfigError(f"{key} takes integers, got {value!r}")
-        if kind is float and any(isinstance(v, bool) for v in items):
-            raise ConfigError(f"{key} takes numbers, not booleans, got {value!r}")
+        # the type rule of `_parser`: a value (each item of a tuple) has its
+        # default's type (its first item's); a float field also takes an int
+        items, kind = (value,), type(f.default)
+        if kind is tuple:
+            if not isinstance(value, tuple):
+                raise ConfigError(f"{key} takes a tuple, got {value!r}")
+            items, kind = value, type(f.default[0])
+        admits = (int, float) if kind is float else kind
+        for v in items:
+            if isinstance(v, bool) != (kind is bool) or not isinstance(v, admits):
+                not_bool = ", not booleans" if kind is float and isinstance(v, bool) else ""
+                raise ConfigError(f"{key} takes {_KINDS[kind]}{not_bool}, got {value!r}")
+            if kind is float and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {value}")
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:
@@ -130,6 +135,8 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{_ATTR_TO_KEY[name]} must be positive, got {getattr(cfg, name)}")
     if cfg.preset not in PRESETS:
         raise ConfigError(f"preset must be one of {PRESETS}, got {cfg.preset!r}")
+    if cfg.preset == "taylor_vortex" and cfg.dim != 2:
+        raise ConfigError("preset 'taylor_vortex' needs dim = 2")
     if not 0.0 < cfg.rho0 < 1.0:
         raise ConfigError(
             f"rho0 must lie in (0, 1) so the mean density stays below 1, got {cfg.rho0}"
@@ -199,9 +206,9 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, tuple):
-        return ", ".join(repr(v) if isinstance(v, float) else str(v) for v in value)
+        return ", ".join(map(_format_value, value))
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's repr names its type
     return str(value)
 
 

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .grid import ScalarField, VectorField, _centered_diff, _pad_axis, upwind_divergence
-from .sphere import EPS_POS, OrientationField
+from .sphere import OrientationField
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -111,27 +111,23 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
 
     Returns (psi, fisher_tau, fisher_x) with psi the per-cell nodal quadrature
     of f ln f (0 ln 0 = 0; nodal values in [-EPS_POS, 0) are clamped to 0,
-    anything below -EPS_POS is rejected), fisher_tau = int int |grad_tau
+    `f.check_positive` rejects any below), fisher_tau = int int |grad_tau
     sqrt(f)|^2 from the spectral gradient energy of the projected square-root
     field, and fisher_x = int int |grad_x sqrt(f)|^2 by nodal quadrature of
     centered spatial differences.
 
     All three read f on the hemisphere rule of the basis, one node of each
     antipodal pair with twice its weight: f, and so every function of it,
-    takes one value on each pair.  One nodal array is synthesized and worked
-    on in place, on every grid: clamped, then read for f ln f, then replaced
-    by sqrt(f), then scaled by the square roots of the hemisphere weights, so
-    that fisher_x is a plain sum of squares, sum_a |D_a(sqrt(w f))|^2 /
-    (2 h_a)^2, of the undivided centered differences D_a of that array.
+    takes one value on each pair.  The one nodal array `check_positive`
+    synthesizes is worked on in place, on every grid: clamped, then read for
+    f ln f, then replaced by sqrt(f), then scaled by the square roots of the
+    hemisphere weights, so that fisher_x is a plain sum of squares,
+    sum_a |D_a(sqrt(w f))|^2 / (2 h_a)^2, of the undivided centered
+    differences D_a of that array.
     """
     g = f.grid
     basis = f.basis
-    nodal = f.nodal_values()
-    worst = float(np.min(nodal))
-    if worst < -EPS_POS:
-        raise ValueError(
-            f"entropy of a distribution with nodal value {worst:.3e} below -{EPS_POS:.1e}"
-        )
+    nodal = f.check_positive()
     np.maximum(nodal, 0.0, out=nodal)
     plogp = np.log(nodal, out=np.zeros_like(nodal), where=nodal > 0.0)
     plogp *= nodal

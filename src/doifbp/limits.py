@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import RunConfig
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .grid import ScalarField, div, lp_norm
 from .hydro import fluid_pressure
 from .integrator import FluidState, pressure_energy, run
@@ -147,15 +147,19 @@ def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
-    if workers is not None:
-        return max(1, int(workers))
+    """`workers`, else DOIFBP_THREADS, else one per task up to the CPU count."""
     env = os.environ.get("DOIFBP_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"DOIFBP_THREADS must be an integer, got {env!r}") from None
-    return max(1, min(n_tasks, os.cpu_count() or 1))
+    if workers is None and env is None:
+        return min(n_tasks, os.cpu_count() or 1)
+    try:
+        count = int(env if workers is None else workers)
+    except ValueError:
+        count = 0
+    if count >= 1:
+        return count
+    if workers is None:
+        raise ConfigError(f"DOIFBP_THREADS must be a positive integer, got {env!r}")
+    raise ValueError(f"workers must be at least 1, got {workers!r}")
 
 
 def fit_l2_slope(rows) -> object:

@@ -304,8 +304,8 @@ class OrientationField:
     def min_nodal(self) -> float:
         return float(np.min(self.nodal_values()))
 
-    def check_positive(self) -> None:
-        """Raise ValueError if f dips below -EPS_POS at a quadrature node."""
+    def check_positive(self) -> np.ndarray:
+        """The nodal values; ValueError if f dips below -EPS_POS at a quadrature node."""
         nodal = self.nodal_values()
         worst = float(nodal.min())
         if worst < -EPS_POS:
@@ -316,6 +316,7 @@ class OrientationField:
                 f"-{EPS_POS:.1e}: cell {tuple(int(c) for c in cell)}, "
                 f"tau = +-({tau[0]:.3f}, {tau[1]:.3f}, {tau[2]:.3f})"
             )
+        return nodal
 
 
 def uniform_orientation(grid: Grid, basis: SphereBasis, density: float) -> OrientationField:

@@ -130,6 +130,17 @@ def test_config_errors_exit_2(tmp_path, text):
     assert "config error:" in proc.stderr
 
 
+@pytest.mark.parametrize("threads", ["x", "0", "-3"])
+def test_bad_thread_count_exits_2(tmp_path, threads):
+    import os
+
+    cfg, _ = _write(tmp_path, FAST_SWEEP)
+    proc = doifbp("sweep", str(cfg), env=dict(os.environ, DOIFBP_THREADS=threads))
+    assert proc.returncode == 2, proc.stderr
+    message = f"config error: DOIFBP_THREADS must be a positive integer, got '{threads}'"
+    assert proc.stderr.startswith(message)
+
+
 def test_usage_errors_exit_2(tmp_path):
     cfg, _ = _write(tmp_path, FAST_RUN)
     assert doifbp().returncode == 2  # missing subcommand

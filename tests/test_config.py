@@ -1,13 +1,17 @@
 """Strict key=value configuration parsing and canonical serialization."""
 
+import ast
 import math
 import string
 from dataclasses import fields, replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import doifbp
 from doifbp import ConfigError, RunConfig
 from doifbp.config import PRESETS, config_text, load_config, parse_config
 
@@ -61,6 +65,8 @@ def test_lambda_key_maps_to_lam_attribute():
         RunConfig(gamma=3.75, gammas=(2.0, 7.0), lam=0.125, mu=0.5),
         RunConfig(freeze_velocity=True, seed=42, snapshot_every=9, outdir="results/a"),
         RunConfig(rho0=0.5, perturbation=0.25, eta0=0.0, eps_congestion=0.01),
+        # a numpy float is a float whose repr names its type
+        RunConfig(mu=np.float64(0.5), lengths=(np.float64(2.0),)),
     ],
 )
 def test_serialize_parse_round_trip(cfg):
@@ -97,7 +103,7 @@ def _config_fields(draw):
         lam=draw(_floats(0.0, 1e6, exclude_min=True)),
         d_trans=draw(_floats(0.0, 1e6, exclude_min=True)),
         d_rot=draw(_floats(0.0, 1e6, exclude_min=True)),
-        preset=draw(st.sampled_from(PRESETS)),
+        preset=draw(st.sampled_from([p for p in PRESETS if dim == 2 or p != "taylor_vortex"])),
         rho0=rho0,
         amplitude=draw(_floats(0.0, 1e6)),
         eta0=draw(_floats(0.0, 1e6)),
@@ -151,6 +157,13 @@ def test_every_key_appears_exactly_once_in_canonical_text():
         ("record_every = 0", "record_every"),
         ("seed = -1", "^seed must be nonnegative"),
         ("outdir =", "empty value"),
+        ("lengths = 0.0", "^domain lengths must be positive"),
+        ("amplitude = -0.5", "^amplitude must be nonnegative"),
+        ("eta0 = -0.1", "^eta0 must be nonnegative"),
+        ("snapshot_every = -1", "^snapshot_every must be nonnegative"),
+        ("eps_congestion = 0.0", r"^eps_congestion must lie in \(0, 1\)"),
+        ("eps_congestion = 1.0", r"^eps_congestion must lie in \(0, 1\)"),
+        ("preset = taylor_vortex", "^preset 'taylor_vortex' needs dim = 2"),
     ],
 )
 def test_rejects_out_of_range_values(text, message):
@@ -236,14 +249,44 @@ def test_int_fields_take_only_integers(name, value):
         ({"outdir": "a#b"}, "^outdir must not hold '#' or a line break"),
         ({"outdir": "a\nb"}, "^outdir must not hold '#' or a line break"),
         ({"outdir": " x "}, "^outdir must not start or end with blanks"),
+        ({"outdir": ""}, "^outdir must be nonempty"),
         ({"mu": True}, "^mu takes numbers, not booleans"),
         ({"gammas": (5.0, True)}, "^gammas takes numbers, not booleans"),
+        ({"freeze_velocity": "no"}, "^freeze_velocity takes booleans"),
+        ({"freeze_velocity": 0}, "^freeze_velocity takes booleans"),
+        ({"mu": "1.0"}, "^mu takes numbers"),
+        ({"eps_congestion": "0.1"}, "^eps_congestion takes numbers"),
+        ({"outdir": 5}, "^outdir takes text"),
+        ({"cells": 128}, "^cells takes a tuple"),
+        ({"lengths": 1.0}, "^lengths takes a tuple"),
+        ({"gammas": [5.0, 10.0]}, "^gammas takes a tuple"),
     ],
 )
 def test_rejects_values_the_text_form_cannot_carry(kwargs, message):
     # each was accepted once and then read back as another config, or not at all
     with pytest.raises(ConfigError, match=message):
         RunConfig(**kwargs)
+
+
+def test_only_config_raises_config_errors_and_only_sphere_reads_eps_pos():
+    # a `raise ConfigError` elsewhere would restate a rule of RunConfig (the
+    # one exception: limits reads the DOIFBP_THREADS deployment setting),
+    # and a comparison with EPS_POS elsewhere a second statement of f's
+    # positivity, which `OrientationField.check_positive` alone holds
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Raise) and path.name != "config.py":
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ConfigError":
+                    if path.name != "limits.py" or "DOIFBP_THREADS" not in ast.unparse(node):
+                        found.append(f"{where} raises ConfigError")
+            if isinstance(node, ast.Compare) and path.name != "sphere.py":
+                names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+                if "EPS_POS" in names:
+                    found.append(f"{where} compares with EPS_POS")
+    assert not found, f"validity rules stated outside their one module: {found}"
 
 
 def test_load_config_reads_file(tmp_path):

@@ -302,6 +302,31 @@ def test_transport_rejects_negative_input():
         transport_step(s, u, 1e-4, upwind_divergence(g, s.values, u.values, "density"))
 
 
+def test_transport_clamps_a_roundoff_undershoot_and_rejects_a_real_one():
+    # at a CFL number of exactly 1, s - dt * flux lands at -4.4e-16 in cell 1,
+    # within the guard of 1e-13 * max(s): the step returns 0 there
+    g = Grid(cells=(4,), lengths=(1.0562219778473674,))
+    speed = 3.9442592301077375
+    u = VectorField(g, np.full((1, 4), speed))
+    s = ScalarField(g, np.array([0.0, 3.0326450980871584, 0.0, 0.0]))
+    dt = g.h[0] / speed
+    flux = upwind_divergence(g, s.values, u.values, "density")
+    assert np.min(s.values - dt * flux) < 0.0
+    out = transport_step(s, u, dt, flux)
+    assert out.values[1] == 0.0 and np.min(out.values) >= 0.0
+    assert np.sum(out.values) == pytest.approx(np.sum(s.values), rel=1e-15)
+    # an undershoot beyond the guard is a numerical failure, not a clamp
+    flux[1] += 1e-9 / dt
+    with pytest.raises(NumericalError, match="transport produced negative values"):
+        transport_step(s, u, dt, flux)
+
+
+def test_upwind_divergence_rejects_an_array_off_the_grid():
+    g = Grid(cells=(8,), lengths=(1.0,))
+    with pytest.raises(ValueError, match=r"^transported array shaped \(7,\) does not match grid \(8,\)"):
+        upwind_divergence(g, np.ones(7), np.ones((1, 8)), "density")
+
+
 def test_upwind_divergence_telescopes_with_channels():
     # channels share one donor pattern; each channel's cell sum telescopes
     rng = np.random.default_rng(3)

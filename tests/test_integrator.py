@@ -29,6 +29,7 @@ from doifbp import (
     renormalized_residual,
     run,
     step,
+    uniform_orientation,
     velocity_gradient,
 )
 from doifbp.grid import _ghost_index, _sin2_table, heat_step
@@ -139,6 +140,15 @@ def test_step_with_zero_velocity_only_diffuses():
     assert np.array_equal(out.rho.values, frozen.rho.values)  # no advection at all
     assert not np.array_equal(out.eta.values, frozen.eta.values)  # diffusion acted
     assert integral(out.eta) == pytest.approx(integral(frozen.eta), rel=1e-13)
+
+
+def test_state_rejects_fields_on_different_grids():
+    state = _smooth_state()
+    other = Grid(cells=(16,), lengths=(1.0,))
+    with pytest.raises(ValueError, match="^state fields live on different grids"):
+        replace(state, u=VectorField(other, np.zeros((1, 16))))
+    with pytest.raises(ValueError, match="^state fields live on different grids"):
+        replace(state, f=uniform_orientation(other, state.f.basis, 0.1))
 
 
 def test_step_rejects_nonpositive_dt():

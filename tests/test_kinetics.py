@@ -11,10 +11,13 @@ from doifbp import (
     EPS_POS,
     Grid,
     OrientationField,
+    PhysCoeffs,
+    PressureLaw,
     RunConfig,
     ScalarField,
     VectorField,
     build_initial_state,
+    energy_total,
     entropy_and_fisher,
     eta_moment,
     fp_rhs,
@@ -27,6 +30,7 @@ from doifbp import (
     velocity_gradient,
 )
 from doifbp.grid import _centered_diff, heat_step
+from doifbp.integrator import FluidState
 from doifbp.kinetics import _drift_coefficients
 
 
@@ -157,8 +161,26 @@ def test_entropy_rejects_genuinely_negative_f():
     basis, grid = _basis_and_grid()
     bad = np.zeros(grid.cells + (basis.n_coeff,))
     bad[..., basis.index(2, 0)] = 1.0
-    with pytest.raises(ValueError, match="below -1.0e-10"):
+    with pytest.raises(ValueError, match=r"below -1\.0e-10: cell \(0,\), tau = "):
         entropy_and_fisher(OrientationField(grid, basis, bad))
+
+
+def test_energy_ledger_names_the_cell_where_f_dips():
+    # the ledger rejects a negative f through `check_positive`, so its
+    # failure names the cell and the direction, as every other check does
+    basis, grid = _basis_and_grid()
+    f = uniform_orientation(grid, basis, 0.1)
+    f.coeffs[2, basis.index(2, 0)] = 1.0
+    state = FluidState(
+        rho=ScalarField(grid, np.full(grid.cells, 0.5)),
+        u=VectorField(grid, np.zeros((1,) + grid.cells)),
+        f=f,
+        t=0.0,
+        law=PressureLaw(5.0),
+        coeffs=PhysCoeffs(),
+    )
+    with pytest.raises(ValueError, match=r"^orientation distribution dips to .* cell \(2,\), tau = "):
+        energy_total(state)
 
 
 def _reference_entropy_and_fisher(f, rule="hemisphere"):
@@ -168,13 +190,18 @@ def _reference_entropy_and_fisher(f, rule="hemisphere"):
     # on the hemisphere rule that the ledger reads, or on the full rule
     g, basis = f.grid, f.basis
     if rule == "full":
-        nodal, y, w = basis.synth(f.coeffs), basis.y, basis.weights
+        nodal, y, w, nodes = basis.synth(f.coeffs), basis.y, basis.weights, basis.nodes
     else:
         nodal, y, w = f.nodal_values(), basis.hemi_y, basis.hemi_weights
+        nodes = basis.nodes[basis.hemi_index]
     worst = float(np.min(nodal))
     if worst < -EPS_POS:
+        *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
+        tau = nodes[k]
         raise ValueError(
-            f"entropy of a distribution with nodal value {worst:.3e} below -{EPS_POS:.1e}"
+            f"orientation distribution dips to {worst:.3e} at a quadrature node, below "
+            f"-{EPS_POS:.1e}: cell {tuple(int(c) for c in cell)}, "
+            f"tau = +-({tau[0]:.3f}, {tau[1]:.3f}, {tau[2]:.3f})"
         )
     clamped = np.maximum(nodal, 0.0)
     safe = np.where(clamped > 0.0, clamped, 1.0)
@@ -225,8 +252,10 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
         entropy_and_fisher(f)
     with pytest.raises(ValueError) as want:
         _reference_entropy_and_fisher(f)
-    message = "entropy of a distribution with nodal value -1.500e-10 below -1.0e-10"
-    assert str(got.value) == str(want.value) == message
+    message = "orientation distribution dips to -1.500e-10 at a quadrature node, below -1.0e-10"
+    last = tuple(n - 1 for n in cfg.cells)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"{message}: cell {last}, tau = +-(")
 
 
 @settings(max_examples=60, deadline=None)

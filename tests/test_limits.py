@@ -275,8 +275,15 @@ def test_sweep_worker_count_from_environment(monkeypatch):
     result = gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01)
     assert len(result.rows) == 1
     monkeypatch.setenv("DOIFBP_THREADS", "many")
-    with pytest.raises(ValueError, match="DOIFBP_THREADS"):
+    with pytest.raises(ConfigError, match="DOIFBP_THREADS"):
         gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01)
+    # a count below 1 was once clamped to 1 without a word
+    monkeypatch.setenv("DOIFBP_THREADS", "-3")
+    with pytest.raises(ConfigError, match="^DOIFBP_THREADS must be a positive integer, got '-3'"):
+        gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01)
+    monkeypatch.delenv("DOIFBP_THREADS")
+    with pytest.raises(ValueError, match="^workers must be at least 1, got 0"):
+        gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01, workers=0)
 
 
 def test_sweep_tags_failing_gamma():

@@ -221,6 +221,11 @@ def test_snapshot_rejects_corrupt_header_fields(tmp_path):
     with pytest.raises(SnapshotError, match="snapshot header inconsistent: dim = 7"):
         load_snapshot(path)
 
+    bad_bc = full[:12] + struct.pack("<I", 5) + full[16:]
+    path.write_bytes(bad_bc)
+    with pytest.raises(SnapshotError, match="snapshot header inconsistent: bc code = 5"):
+        load_snapshot(path)
+
     bad_degree = full[:32] + struct.pack("<I", 100) + full[36:]
     path.write_bytes(bad_degree)
     with pytest.raises(SnapshotError, match="header inconsistent: sphere basis degree .*, got 100"):
@@ -250,6 +255,12 @@ def test_snapshot_rejects_trailing_and_bad_payload(tmp_path):
     negative_rho = full[:84] + struct.pack("<d", -1.0) + full[92:]
     path.write_bytes(negative_rho)
     with pytest.raises(SnapshotError, match="payload inconsistent: state density is negative"):
+        load_snapshot(path)
+
+    # a 1D header holds t at byte 76, just before the payload
+    non_finite_t = full[:76] + struct.pack("<d", math.inf) + full[84:]
+    path.write_bytes(non_finite_t)
+    with pytest.raises(SnapshotError, match="payload inconsistent: state time is not finite"):
         load_snapshot(path)
 
 

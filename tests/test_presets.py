@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from doifbp import ConfigError, RunConfig
+from doifbp import ConfigError, RunConfig, cfl_dt, run
 from doifbp.kinetics import stress_moment
 from doifbp.presets import build_initial_state
 
@@ -40,7 +40,7 @@ def test_taylor_vortex_is_divergence_free_and_2d_only():
 
     assert np.max(np.abs(div(state.u).values)) < 1e-12
     with pytest.raises(ConfigError, match="needs dim = 2"):
-        build_initial_state(RunConfig(preset="taylor_vortex", sphere_degree=2))
+        RunConfig(preset="taylor_vortex", sphere_degree=2)  # RunConfig states the rule
 
 
 def test_initial_orientation_is_isotropic_and_stress_free():
@@ -61,3 +61,25 @@ def test_perturbation_is_seeded_and_mean_preserving():
     assert np.max(np.abs(a - 0.9)) == pytest.approx(0.05, rel=1e-12)
     c = build_initial_state(RunConfig(cells=(64,), perturbation=0.05, seed=8, sphere_degree=2))
     assert not np.array_equal(a, c.rho.values)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # perturbation = rho0: (perturbation * noise) / peak rounds an ulp
+        # past -rho0, which once failed as a negative density
+        RunConfig(cells=(16,), rho0=0.9, perturbation=0.9, seed=25, sphere_degree=2),
+        # the mean-free noise rounds the mean onto 1, which once failed as a
+        # supercritical mean
+        RunConfig(
+            cells=(7,), rho0=float(np.nextafter(1.0, 0.0)), perturbation=0.3, seed=0, sphere_degree=2
+        ),
+    ],
+)
+def test_every_perturbation_in_range_builds_and_runs(cfg):
+    state = build_initial_state(cfg)
+    assert np.min(state.rho.values) >= 0.0
+    assert np.mean(state.rho.values) == pytest.approx(cfg.rho0, abs=1e-15)
+    t_final = 5 * cfl_dt(state, cfg.cfl_safety)
+    _, final = run(state, t_final)
+    assert final.t == pytest.approx(t_final, rel=1e-12)
