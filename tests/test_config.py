@@ -249,7 +249,6 @@ def test_int_fields_take_only_integers(name, value):
         ({"outdir": "a#b"}, "^outdir must not hold '#' or a line break"),
         ({"outdir": "a\nb"}, "^outdir must not hold '#' or a line break"),
         ({"outdir": " x "}, "^outdir must not start or end with blanks"),
-        ({"outdir": ""}, "^outdir must be nonempty"),
         ({"mu": True}, "^mu takes numbers, not booleans"),
         ({"gammas": (5.0, True)}, "^gammas takes numbers, not booleans"),
         ({"freeze_velocity": "no"}, "^freeze_velocity takes booleans"),
@@ -260,6 +259,7 @@ def test_int_fields_take_only_integers(name, value):
         ({"cells": 128}, "^cells takes a tuple"),
         ({"lengths": 1.0}, "^lengths takes a tuple"),
         ({"gammas": [5.0, 10.0]}, "^gammas takes a tuple"),
+        ({"outdir": ""}, "^outdir must be nonempty"),
     ],
 )
 def test_rejects_values_the_text_form_cannot_carry(kwargs, message):
