@@ -21,6 +21,7 @@ from .grid import (
     laplacian,
     lp_norm,
     upwind_divergence,
+    velocity_gradient,
 )
 from .hydro import (
     PhysCoeffs,
@@ -44,7 +45,6 @@ from .kinetics import (
     eta_moment,
     fp_rhs,
     stress_moment,
-    velocity_gradient,
 )
 from .limits import (
     GammaDiagnostics,

@@ -6,8 +6,9 @@ values are errors that report the offending line number; a parsed value out
 of range is an error that names its key.  The keys are the fields of
 `RunConfig` (`lambda` for the attribute `lam`), and each field's default
 types its value; a `RunConfig` built in Python is held to the same types
-(a float field also takes an int).  `config_text` writes every key in a
-fixed order so that parse -> serialize -> parse is the identity.
+(a float field also takes an int, and stores every value as a Python float).
+`config_text` writes every key in a fixed order so that parse -> serialize
+-> parse is the identity and the text of any valid config is a fixed point.
 """
 
 from __future__ import annotations
@@ -96,7 +97,8 @@ def _validate(cfg: RunConfig) -> None:
         # the type rule of `_parser`: a value (each item of a tuple) has its
         # default's type (its first item's); a float field also takes an int
         items, kind = (value,), type(f.default)
-        if kind is tuple:
+        is_tuple = kind is tuple
+        if is_tuple:
             if not isinstance(value, tuple):
                 raise ConfigError(f"{key} takes a tuple, got {value!r}")
             items, kind = value, type(f.default[0])
@@ -107,6 +109,9 @@ def _validate(cfg: RunConfig) -> None:
                 raise ConfigError(f"{key} takes {_KINDS[kind]}{not_bool}, got {value!r}")
             if kind is float and not math.isfinite(v):
                 raise ConfigError(f"{key} must be finite, got {value}")
+        if kind is float:  # held as the plain float its text form reads back
+            floats = tuple(map(float, items))
+            object.__setattr__(cfg, f.name, floats if is_tuple else floats[0])
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:
@@ -207,9 +212,7 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(map(_format_value, value))
-    if isinstance(value, float):
-        return repr(float(value))  # a numpy float's repr names its type
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_text(cfg: RunConfig) -> str:

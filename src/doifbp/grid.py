@@ -3,10 +3,13 @@
 Physical space is a periodic or Dirichlet box in one or two dimensions,
 discretized with uniform cell-centered volumes.  Gradient, divergence, and
 Laplacian use second-order centered stencils; on periodic grids grad and div
-are exact negative adjoints under the cell-sum inner product.  The donor-cell
-upwind divergence that every transport equation shares also lives here, so
-density, number density, momentum, and harmonic coefficient channels are all
-advected with one flux definition.
+are exact negative adjoints under the cell-sum inner product.  The one
+derivative of a velocity is `velocity_gradient`, computed once per field and
+kept on it, read-only; `div` is its trace, so the sphere drift, the step
+bound, the energy ledger and the incompressibility defect all read one
+discrete grad u.  The donor-cell upwind divergence that every transport
+equation shares also lives here, so density, number density, momentum, and
+harmonic coefficient channels are all advected with one flux definition.
 
 Every stencil reads its neighbours through one ghost fill, `_pad_axis`: a
 single gather along one axis through an index cached per (axis length,
@@ -196,6 +199,25 @@ def _second_diff(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.nd
     return ((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)).swapaxes(0, axis)
 
 
+def velocity_gradient(u: VectorField) -> np.ndarray:
+    """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
+
+    Centered differences of the velocity, computed once per field and kept
+    on it, read-only: the sphere drift of `kinetics.fp_rhs`, the drift bound
+    of `hydro.cfl_dt`, the energy ledger and `div` share it.
+    """
+    out = vars(u).get("_gradient")
+    if out is None:
+        g = u.grid
+        uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
+        out = np.empty(g.cells + (g.dim, g.dim))
+        for j in range(g.dim):
+            out[..., j] = _centered_diff(g, uc, j, "velocity")
+        out.flags.writeable = False
+        object.__setattr__(u, "_gradient", out)
+    return out
+
+
 def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
     """The translational-diffusion substep q -> exp(t Lap_h) q, 3-point Lap_h.
 
@@ -245,12 +267,9 @@ def grad(s: ScalarField, quantity: str) -> VectorField:
 
 
 def div(v: VectorField) -> ScalarField:
-    """Second-order centered divergence of a velocity, the negative adjoint of grad."""
-    g = v.grid
-    out = np.zeros(g.cells)
-    for a in range(g.dim):
-        out += _centered_diff(g, v.values[a], a, "velocity")
-    return ScalarField(g, out)
+    """Centered divergence of a velocity, the negative adjoint of grad: the
+    trace of its `velocity_gradient`."""
+    return ScalarField(v.grid, np.trace(velocity_gradient(v), axis1=-2, axis2=-1))
 
 
 def laplacian(s: ScalarField, quantity: str) -> ScalarField:

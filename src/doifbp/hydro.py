@@ -60,8 +60,9 @@ from .grid import (
     _pad_axis,
     grad,
     upwind_divergence,
+    velocity_gradient,
 )
-from .kinetics import eta_moment, stress_moment, velocity_gradient
+from .kinetics import eta_moment, stress_moment
 
 #: densities below this are treated as vacuum; velocity is forced to zero there
 RHO_FLOOR = 1e-10

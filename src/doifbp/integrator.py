@@ -156,7 +156,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
 
     gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
-    divu = np.trace(gv, axis1=-2, axis2=-1)  # the centered div u
+    divu = div(state.u).values  # the trace of gv
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
     geta = grad(eta, "rods").values
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
@@ -178,13 +178,6 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     )
 
 
-def _substep(name, t, fn):
-    try:
-        return fn()
-    except (ValueError, NumericalError) as err:
-        raise NumericalError(f"substep '{name}' failed at t={t:.9g}: {err}") from err
-
-
 def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidState:
     """One Lie-split step: rho, f, then the momentum update.
 
@@ -193,33 +186,32 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     sees the post-transport density and distribution.  With `freeze_velocity`
     the velocity is held fixed (the pure-diffusion configuration used by the
     energy-monotonicity checks).
+
+    A ValueError or NumericalError raised inside a substep is re-raised as
+    NumericalError("substep '<name>' failed at t=<t>: <cause>"), naming
+    'density transport', 'orientation fokker-planck' or 'momentum'.
     """
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
-    t = state.t
-    rho1 = _substep(
-        "density transport", t, lambda: transport_step(state.rho, state.u, dt, state.density_flux)
-    )
+    t, f, u, law, coeffs = state.t, state.f, state.u, state.law, state.coeffs
+    try:
+        substep = "density transport"
+        rho1 = transport_step(state.rho, u, dt, state.density_flux)
 
-    def fp_update():
-        f, c = state.f, state.coeffs
-        decay = np.exp(dt * c.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
-        coeffs = heat_step(f.grid, f.coeffs + dt * fp_rhs(f, state.u).coeffs, dt * c.d_trans)
-        f1 = OrientationField(f.grid, f.basis, coeffs * decay)
+        substep = "orientation fokker-planck"
+        decay = np.exp(dt * coeffs.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
+        f_coeffs = heat_step(f.grid, f.coeffs + dt * fp_rhs(f, u).coeffs, dt * coeffs.d_trans)
+        f1 = OrientationField(f.grid, f.basis, f_coeffs * decay)
         f1.check_positive()
-        return f1
 
-    f1 = _substep("orientation fokker-planck", t, fp_update)
-
-    law, coeffs = state.law, state.coeffs
-    if freeze_velocity:
-        u1 = state.u
-    else:
-        u1 = _substep(
-            "momentum", t, lambda: momentum_step(FluidState(rho1, state.u, f1, t, law, coeffs), dt)
-        )
-
-    return _substep("state assembly", t, lambda: FluidState(rho1, u1, f1, t + dt, law, coeffs))
+        substep = "momentum"
+        u1 = u if freeze_velocity else momentum_step(FluidState(rho1, u, f1, t, law, coeffs), dt)
+    except (ValueError, NumericalError) as err:
+        raise NumericalError(f"substep '{substep}' failed at t={t:.9g}: {err}") from err
+    # FluidState's checks cannot fail here: the fields share one grid,
+    # transport_step has checked rho1 >= 0, and t + dt is finite (run clips it
+    # to t_final)
+    return FluidState(rho1, u1, f1, t + dt, law, coeffs)
 
 
 def run(

@@ -9,8 +9,8 @@ the tangential projection of the macroscopic shear acting on a rod axis,
     P_perp(g tau) = g tau - (tau . g tau) tau,
 
 and its sphere divergence is applied weakly in the harmonic basis: the
-coefficient update contracts the per-cell velocity gradient (computed once
-per velocity field and kept on it, read-only) against the Galerkin matrices
+coefficient update contracts the per-cell velocity gradient (`grid`'s
+`velocity_gradient`, whose trace is `grid.div`) against the Galerkin matrices
 of the basis, which conserves per-cell sphere mass identically (the
 constant-harmonic row is zero).  The coefficients are
 those of the even-degree basis of `sphere`: rods are head-tail symmetric,
@@ -28,29 +28,10 @@ import math
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, _centered_diff, _pad_axis, upwind_divergence
+from .grid import ScalarField, VectorField, _pad_axis, upwind_divergence, velocity_gradient
 from .sphere import OrientationField
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
-
-
-def velocity_gradient(u: VectorField) -> np.ndarray:
-    """d u_i / d x_j for i, j < dim, shaped grid.cells + (dim, dim).
-
-    Centered differences of the velocity, computed once per field and kept
-    on it, read-only: the sphere drift of `fp_rhs`, the drift bound of
-    `hydro.cfl_dt` and the energy ledger share it.
-    """
-    out = vars(u).get("_gradient")
-    if out is None:
-        g = u.grid
-        uc = u.values.transpose(tuple(range(1, g.dim + 1)) + (0,))  # components as trailing channels
-        out = np.empty(g.cells + (g.dim, g.dim))
-        for j in range(g.dim):
-            out[..., j] = _centered_diff(g, uc, j, "velocity")
-        out.flags.writeable = False
-        object.__setattr__(u, "_gradient", out)
-    return out
 
 
 def _drift_coefficients(basis, g_values: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

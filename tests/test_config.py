@@ -67,6 +67,8 @@ def test_lambda_key_maps_to_lam_attribute():
         RunConfig(rho0=0.5, perturbation=0.25, eta0=0.0, eps_congestion=0.01),
         # a numpy float is a float whose repr names its type
         RunConfig(mu=np.float64(0.5), lengths=(np.float64(2.0),)),
+        # an int in a float field is stored, and so written, as a float
+        RunConfig(mu=1, lengths=(2,), gammas=(5, 10.0)),
     ],
 )
 def test_serialize_parse_round_trip(cfg):
@@ -77,6 +79,13 @@ def test_serialize_parse_round_trip(cfg):
 
 def _floats(lo, hi, **kw):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+def _numbers(lo, hi, exclude_min=False):
+    """A float field's values in [lo, hi] (lo excluded if asked): floats, or
+    the ints among them, which a float field also takes."""
+    ints = st.integers(math.floor(lo) + 1 if exclude_min else math.ceil(lo), math.floor(hi))
+    return _floats(lo, hi, exclude_min=exclude_min) | ints
 
 
 #: outdir characters: the safe ones, then '#', blanks and line breaks, which
@@ -90,27 +99,28 @@ def _config_fields(draw):
     """RunConfig keyword arguments, every one valid except perhaps outdir."""
     dim = draw(st.sampled_from((1, 2)))
     rho0 = draw(_floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-    gammas = draw(st.lists(_floats(1.5, 1e6, exclude_min=True), min_size=1, max_size=6, unique=True))
+    # equal int and float draws count as one, so the sorted gammas increase strictly
+    gammas = draw(st.lists(_numbers(1.5, 1e6, exclude_min=True), min_size=1, max_size=6, unique=True))
     return dict(
         dim=dim,
         cells=tuple(draw(st.integers(4, 4096)) for _ in range(dim)),
-        lengths=tuple(draw(_floats(0.0, 1e6, exclude_min=True)) for _ in range(dim)),
+        lengths=tuple(draw(_numbers(0.0, 1e6, exclude_min=True)) for _ in range(dim)),
         bc=draw(st.sampled_from(("periodic", "dirichlet"))),
         sphere_degree=draw(st.integers(2, 64)),
-        gamma=draw(_floats(1.5, 1e6, exclude_min=True)),
+        gamma=draw(_numbers(1.5, 1e6, exclude_min=True)),
         gammas=tuple(sorted(gammas)),
-        mu=draw(_floats(0.0, 1e6, exclude_min=True)),
-        lam=draw(_floats(0.0, 1e6, exclude_min=True)),
-        d_trans=draw(_floats(0.0, 1e6, exclude_min=True)),
-        d_rot=draw(_floats(0.0, 1e6, exclude_min=True)),
+        mu=draw(_numbers(0.0, 1e6, exclude_min=True)),
+        lam=draw(_numbers(0.0, 1e6, exclude_min=True)),
+        d_trans=draw(_numbers(0.0, 1e6, exclude_min=True)),
+        d_rot=draw(_numbers(0.0, 1e6, exclude_min=True)),
         preset=draw(st.sampled_from([p for p in PRESETS if dim == 2 or p != "taylor_vortex"])),
         rho0=rho0,
-        amplitude=draw(_floats(0.0, 1e6)),
-        eta0=draw(_floats(0.0, 1e6)),
+        amplitude=draw(_numbers(0.0, 1e6)),
+        eta0=draw(_numbers(0.0, 1e6)),
         perturbation=rho0 * draw(_floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**64)),
-        t_final=draw(_floats(0.0, 1e6)),
-        cfl_safety=draw(_floats(0.0, 1.0, exclude_min=True)),
+        t_final=draw(_numbers(0.0, 1e6)),
+        cfl_safety=draw(_numbers(0.0, 1.0, exclude_min=True)),
         record_every=draw(st.integers(1, 10**6)),
         snapshot_every=draw(st.integers(0, 10**6)),
         outdir=draw(st.text(_OUTDIR_CHARS, min_size=1, max_size=20)),
@@ -130,6 +140,9 @@ def test_serialize_parse_round_trips_every_valid_config(kwargs):
     text = config_text(cfg)
     assert parse_config(text) == cfg
     assert config_text(parse_config(text)) == text
+    for name in _FLOAT_FIELDS:  # ints included: held as the floats the text reads back
+        value = getattr(cfg, name)
+        assert all(type(v) is float for v in (value if isinstance(value, tuple) else (value,)))
 
 
 def test_every_key_appears_exactly_once_in_canonical_text():

@@ -199,6 +199,22 @@ def test_only_grid_declares_wall_ghosts():
     assert not found, f"wall ghosts declared outside grid.py: {found}"
 
 
+def test_only_grid_differentiates_the_velocity():
+    # grad u is `velocity_gradient` and div u its trace; a velocity stencil
+    # elsewhere would be a second derivative of u beside the cached one
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        if path.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_centered_diff", "_second_diff")):
+                continue
+            quantity = [kw.value for kw in node.keywords if kw.arg == "quantity"] + node.args[3:4]
+            if any(isinstance(q, ast.Constant) and q.value == "velocity" for q in quantity):
+                found.append(f"{path.name}:{node.lineno} {node.func.id}")
+    assert not found, f"velocity differentiated outside grid.py: {found}"
+
+
 # ---------------------------------------------------------------------------
 # norms and integrals
 
@@ -300,6 +316,14 @@ def test_transport_rejects_negative_input():
     u = VectorField(g, np.zeros((1, 8)))
     with pytest.raises(ValueError, match="negative"):
         transport_step(s, u, 1e-4, upwind_divergence(g, s.values, u.values, "density"))
+
+
+def test_transport_rejects_a_velocity_on_another_grid():
+    g = Grid(cells=(8,), lengths=(1.0,))
+    s = ScalarField(g, np.ones(8))
+    u = VectorField(Grid(cells=(8,), lengths=(2.0,)), np.zeros((1, 8)))
+    with pytest.raises(ValueError, match="^transported field and velocity live on different grids"):
+        transport_step(s, u, 1e-4, np.zeros(8))
 
 
 def test_transport_clamps_a_roundoff_undershoot_and_rejects_a_real_one():

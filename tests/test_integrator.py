@@ -165,6 +165,19 @@ def test_step_reports_failing_substep():
         step(state, 10.0 * g.h[0])  # violates the advective CFL on purpose
 
 
+def test_step_names_the_fokker_planck_substep_when_f_dips():
+    # dt = h is within the advective bound (max|u| < 1) but about four drift
+    # bounds long, and both diffusions are too weak to undo the dip
+    basis = make_sphere_basis(2)
+    g = Grid(cells=(8,), lengths=(1.0,))
+    u = np.sin(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)
+    coeffs = PhysCoeffs(d_trans=1e-3, d_rot=1e-3)
+    state = _state(g, basis, np.full(8, 0.5), u, np.full(8, 0.1), coeffs=coeffs)
+    match = "^substep 'orientation fokker-planck' failed at t=0: orientation distribution dips"
+    with pytest.raises(NumericalError, match=match):
+        step(state, g.h[0])
+
+
 @pytest.mark.parametrize(
     ("dim", "bc", "preset"),
     [(1, "periodic", "colliding_streams"), (2, "periodic", "taylor_vortex"), (2, "dirichlet", "taylor_vortex")],
