@@ -204,7 +204,8 @@ def velocity_gradient(u: VectorField) -> np.ndarray:
 
     Centered differences of the velocity, computed once per field and kept
     on it, read-only: the sphere drift of `kinetics.fp_rhs`, the drift bound
-    of `hydro.cfl_dt`, the energy ledger and `div` share it.
+    of `hydro.cfl_dt`, the energy ledger and `div` share it.  A field whose
+    array is edited in place after the first call keeps its old gradient.
     """
     out = vars(u).get("_gradient")
     if out is None:
@@ -268,7 +269,8 @@ def grad(s: ScalarField, quantity: str) -> VectorField:
 
 def div(v: VectorField) -> ScalarField:
     """Centered divergence of a velocity, the negative adjoint of grad: the
-    trace of its `velocity_gradient`."""
+    trace of its cached `velocity_gradient`, so the array of `v` must not be
+    changed in place after the call."""
     return ScalarField(v.grid, np.trace(velocity_gradient(v), axis1=-2, axis2=-1))
 
 

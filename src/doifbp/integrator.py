@@ -45,9 +45,10 @@ from .grid import (
     integral,
     lp_norm,
     upwind_divergence,
+    velocity_gradient,
 )
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, fluid_pressure, momentum_step, transport_step
-from .kinetics import entropy_and_fisher, eta_moment, fp_rhs, velocity_gradient
+from .kinetics import entropy_and_fisher, eta_moment, fp_rhs
 from .sphere import OrientationField
 
 
@@ -156,7 +157,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
 
     gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
-    divu = div(state.u).values  # the trace of gv
+    divu = np.trace(gv, axis1=-2, axis2=-1)  # div u, as `div` computes it
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
     geta = grad(eta, "rods").values
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
@@ -191,8 +192,8 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     NumericalError("substep '<name>' failed at t=<t>: <cause>"), naming
     'density transport', 'orientation fokker-planck' or 'momentum'.
     """
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"step size must be positive and finite, got {dt}")
     t, f, u, law, coeffs = state.t, state.f, state.u, state.law, state.coeffs
     try:
         substep = "density transport"
@@ -209,8 +210,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
     except (ValueError, NumericalError) as err:
         raise NumericalError(f"substep '{substep}' failed at t={t:.9g}: {err}") from err
     # FluidState's checks cannot fail here: the fields share one grid,
-    # transport_step has checked rho1 >= 0, and t + dt is finite (run clips it
-    # to t_final)
+    # transport_step has checked rho1 >= 0, and t + dt is finite (short of overflow)
     return FluidState(rho1, u1, f1, t + dt, law, coeffs)
 
 

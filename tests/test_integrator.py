@@ -155,6 +155,11 @@ def test_step_rejects_nonpositive_dt():
     state = _smooth_state()
     with pytest.raises(ValueError, match="positive"):
         step(state, 0.0)
+    # NaN and infinite step sizes are rejected as arguments too, before any
+    # substep could report them as a numerical failure
+    for dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^step size must be positive and finite"):
+            step(state, dt)
 
 
 def test_step_reports_failing_substep():
