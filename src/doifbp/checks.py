@@ -28,7 +28,7 @@ import numpy as np
 from .config import RunConfig
 from .grid import Grid, ScalarField, VectorField, heat_step, integral, upwind_divergence
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, transport_step
-from .integrator import FluidState, energy_total, renormalized_residual, run, step
+from .integrator import FluidState, renormalized_residual, run, step
 from .kinetics import SQRT_4PI, eta_moment, stress_moment
 from .presets import build_initial_state
 from .sphere import OrientationField, make_sphere_basis

@@ -190,7 +190,9 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
     A ValueError or NumericalError raised inside a substep is re-raised as
     NumericalError("substep '<name>' failed at t=<t>: <cause>"), naming
-    'density transport', 'orientation fokker-planck' or 'momentum'.
+    'density transport', 'orientation fokker-planck' or 'momentum'.  An
+    orientation failure also states the alignment number Wi and the highest
+    harmonic degree held: a dip of f is a truncation the basis cannot hold.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
@@ -208,7 +210,13 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
         substep = "momentum"
         u1 = u if freeze_velocity else momentum_step(FluidState(rho1, u, f1, t, law, coeffs), dt)
     except (ValueError, NumericalError) as err:
-        raise NumericalError(f"substep '{substep}' failed at t={t:.9g}: {err}") from err
+        cause = f"substep '{substep}' failed at t={t:.9g}: {err}"
+        if substep == "orientation fokker-planck":
+            gv = velocity_gradient(u)  # the Frobenius norm the drift bound of `cfl_dt` reads
+            wi = float(np.sqrt((gv * gv).sum(axis=(-2, -1))).max()) / coeffs.d_rot
+            cause += (f"; alignment number Wi = max|grad u| / d_rot = {wi:.3g} with harmonics "
+                      f"up to degree {int(f.basis.l_index[-1])}: raise sphere_degree by 2")
+        raise NumericalError(cause) from err
     # FluidState's checks cannot fail here: the fields share one grid,
     # transport_step has checked rho1 >= 0, and t + dt is finite (short of overflow)
     return FluidState(rho1, u1, f1, t + dt, law, coeffs)

@@ -43,6 +43,7 @@ from .errors import ConfigError, NumericalError
 from .grid import ScalarField, div, lp_norm
 from .hydro import fluid_pressure
 from .integrator import FluidState, pressure_energy, run
+from .presets import build_initial_state
 
 
 @dataclass(frozen=True)
@@ -111,8 +112,6 @@ def incompressibility_defect(state: FluidState, eps: float) -> tuple:
 
 def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
     """Worker: one coupled run at a single gamma, diagnostics at final time."""
-    from .presets import build_initial_state
-
     cfg_g = replace(cfg, gamma=gamma)
     state = build_initial_state(cfg_g)
     # (gamma - 1) x the ledger's pressure entry is the integrand int rho^gamma,

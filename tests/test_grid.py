@@ -11,20 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import doifbp
-from doifbp import (
-    Grid,
-    NumericalError,
-    ScalarField,
-    VectorField,
-    div,
-    grad,
-    integral,
-    laplacian,
-    lp_norm,
-    transport_step,
-    upwind_divergence,
-)
-from doifbp.grid import WALL_GHOST, heat_step
+from doifbp import Grid, NumericalError, ScalarField, VectorField, integral
+from doifbp.grid import WALL_GHOST, div, grad, heat_step, laplacian, lp_norm, upwind_divergence
+from doifbp.hydro import transport_step
 
 
 def _sin_field(n, length=1.0):

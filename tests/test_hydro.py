@@ -20,23 +20,16 @@ from doifbp import (
     ScalarField,
     VectorField,
     build_initial_state,
-    cfl_dt,
-    div,
     eta_moment,
-    fluid_pressure,
-    grad,
     integral,
-    laplacian,
     make_sphere_basis,
-    momentum_step,
     run,
-    step,
-    total_pressure,
-    uniform_orientation,
-    velocity_gradient,
 )
 from doifbp import hydro
-from doifbp.integrator import FluidState
+from doifbp.grid import div, grad, laplacian, velocity_gradient
+from doifbp.hydro import cfl_dt, fluid_pressure, momentum_step, total_pressure
+from doifbp.integrator import FluidState, step
+from doifbp.sphere import uniform_orientation
 
 
 def _uniform_state(grid, basis, rho=0.8, eta=0.1, gamma=5.0, u=None, coeffs=None):

@@ -1,6 +1,7 @@
 """Coupled stepping, the energy ledger, and the renormalized diagnostic."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,20 +22,15 @@ from doifbp import (
     ScalarField,
     VectorField,
     build_initial_state,
-    cfl_dt,
-    energy_total,
-    fp_rhs,
     integral,
     make_sphere_basis,
-    renormalized_residual,
     run,
-    step,
-    uniform_orientation,
-    velocity_gradient,
 )
-from doifbp.grid import _ghost_index, _sin2_table, heat_step
-from doifbp.hydro import _spectral_symbols, _substructure_plan
-from doifbp.integrator import FluidState
+from doifbp.grid import _ghost_index, _sin2_table, heat_step, velocity_gradient
+from doifbp.hydro import _spectral_symbols, _substructure_plan, cfl_dt
+from doifbp.integrator import FluidState, energy_total, renormalized_residual, step
+from doifbp.kinetics import fp_rhs
+from doifbp.sphere import uniform_orientation
 
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -181,6 +177,35 @@ def test_step_names_the_fokker_planck_substep_when_f_dips():
     match = "^substep 'orientation fokker-planck' failed at t=0: orientation distribution dips"
     with pytest.raises(NumericalError, match=match):
         step(state, g.h[0])
+
+
+@pytest.mark.parametrize(
+    ("bc", "cells", "amplitude", "degree", "t_fail", "wi", "min_f"),
+    [
+        ("periodic", 16, 1.0, 2, "0.0815923771", "70", 2.4e-3),
+        ("dirichlet", 9, 2.0, 3, "0.202777778", "19.1", 8.5e-4),
+    ],
+)
+def test_an_f_dip_names_the_alignment_number_and_two_more_degrees_resolve_it(
+    bc, cells, amplitude, degree, t_fail, wi, min_f
+):
+    # weak diffusion and strong shear: the harmonics up to degree 2 cannot
+    # hold the aligned f, and the remedy the message names runs to the end
+    cfg = RunConfig(
+        cells=(cells,), lengths=(1.0,), bc=bc, rho0=0.5, gamma=5.0, amplitude=amplitude,
+        mu=0.01, lam=0.01, d_trans=0.01, d_rot=0.1, t_final=0.3, sphere_degree=degree,
+    )
+    match = (
+        rf"^substep 'orientation fokker-planck' failed at t={re.escape(t_fail)}: orientation distribution "
+        rf"dips .*; alignment number Wi = max\|grad u\| / d_rot = {re.escape(wi)} with harmonics up to "
+        "degree 2: raise sphere_degree by 2$"
+    )
+    with pytest.raises(NumericalError, match=match):
+        run(build_initial_state(cfg), cfg.t_final, safety=cfg.cfl_safety)
+    cfg = replace(cfg, sphere_degree=degree + 2)
+    _, final = run(build_initial_state(cfg), cfg.t_final, safety=cfg.cfl_safety)
+    assert final.t == pytest.approx(cfg.t_final, rel=1e-12)
+    assert final.f.min_nodal() == pytest.approx(min_f, rel=0.05)
 
 
 @pytest.mark.parametrize(
@@ -511,7 +536,9 @@ def test_steps_load_none_of_the_scipy_modules_measured_as_rss_dead_ends():
     code = """
 import sys
 import doifbp.cli
-from doifbp import RunConfig, build_initial_state, cfl_dt, energy_total, make_sphere_basis, step
+from doifbp import RunConfig, build_initial_state, make_sphere_basis
+from doifbp.hydro import cfl_dt
+from doifbp.integrator import energy_total, step
 make_sphere_basis(7)
 for cfg in (
     RunConfig(dim=1, cells=(32,), lengths=(1.0,)),

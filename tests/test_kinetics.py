@@ -17,21 +17,15 @@ from doifbp import (
     ScalarField,
     VectorField,
     build_initial_state,
-    energy_total,
-    entropy_and_fisher,
     eta_moment,
-    fp_rhs,
     integral,
     make_sphere_basis,
     run,
-    stress_moment,
-    uniform_orientation,
-    upwind_divergence,
-    velocity_gradient,
 )
-from doifbp.grid import _centered_diff, heat_step
-from doifbp.integrator import FluidState
-from doifbp.kinetics import _drift_coefficients
+from doifbp.grid import _centered_diff, heat_step, upwind_divergence, velocity_gradient
+from doifbp.integrator import FluidState, energy_total
+from doifbp.kinetics import _drift_coefficients, entropy_and_fisher, fp_rhs, stress_moment
+from doifbp.sphere import uniform_orientation
 
 
 def _basis_and_grid(L=4, n=4):

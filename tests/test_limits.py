@@ -19,7 +19,6 @@ from doifbp import (
     gamma_sweep,
     make_sphere_basis,
     run,
-    uniform_orientation,
 )
 from doifbp import limits
 from doifbp.integrator import FluidState
@@ -31,6 +30,7 @@ from doifbp.limits import (
     fit_l2_slope,
     incompressibility_defect,
 )
+from doifbp.sphere import uniform_orientation
 
 
 def _state(rho, u=None, gamma=5.0, lengths=None):

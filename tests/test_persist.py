@@ -15,14 +15,13 @@ from doifbp import (
     ScalarField,
     SnapshotError,
     VectorField,
-    cfl_dt,
     load_snapshot,
     make_sphere_basis,
     run,
     snapshot,
-    step,
 )
-from doifbp.integrator import FluidState
+from doifbp.hydro import cfl_dt
+from doifbp.integrator import FluidState, step
 from doifbp.limits import GammaDiagnostics, SweepResult
 from doifbp.persist import (
     SWEEP_FIELDS,

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from doifbp import ConfigError, RunConfig, cfl_dt, run
+from doifbp import ConfigError, RunConfig, run
+from doifbp.hydro import cfl_dt
 from doifbp.kinetics import stress_moment
 from doifbp.presets import build_initial_state
 
@@ -36,7 +37,7 @@ def test_taylor_vortex_is_divergence_free_and_2d_only():
         dim=2, cells=(16, 16), lengths=(1.0, 1.0), preset="taylor_vortex", sphere_degree=2
     )
     state = build_initial_state(cfg)
-    from doifbp import div
+    from doifbp.grid import div
 
     assert np.max(np.abs(div(state.u).values)) < 1e-12
     with pytest.raises(ConfigError, match="needs dim = 2"):

@@ -1,6 +1,15 @@
 """The package's public surface: `__all__` names what the package exports."""
 
+import ast
+import re
+from pathlib import Path
+
 import doifbp
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(doifbp.__file__).parent
+# the Python API the README documents beyond what its example imports
+README_DOCUMENTED = ("snapshot", "load_snapshot", "ConfigError", "SnapshotError", "DoifbpError")
 
 
 def test_every_exported_name_exists_once():
@@ -9,3 +18,48 @@ def test_every_exported_name_exists_once():
     assert not missing, f"__all__ names missing attributes: {missing}"
     repeated = sorted({name for name in doifbp.__all__ if doifbp.__all__.count(name) > 1})
     assert not repeated, f"__all__ lists names more than once: {repeated}"
+
+
+def _names_reached_through_doifbp(tree):
+    """Names taken from the package namespace: `from doifbp import x` and `doifbp.x`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "doifbp":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "doifbp":
+            names.add(node.attr)
+    return {name for name in names if not (PACKAGE / f"{name}.py").exists()}  # submodules are not exports
+
+
+def test_the_package_exports_exactly_what_its_users_reach_through_it():
+    # the demos, the benchmark and the README's Python blocks are the users;
+    # anything else is imported from the module that defines it, so that
+    # each name has one import path
+    sources = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    reached = set()
+    for path in sources:
+        reached |= _names_reached_through_doifbp(ast.parse(path.read_text(), filename=str(path)))
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        reached |= _names_reached_through_doifbp(ast.parse(block))
+    exported = set(doifbp.__all__)
+    unused = sorted(exported - reached - set(README_DOCUMENTED))
+    assert not unused, f"__all__ exports names no demo, benchmark or README reaches: {unused}"
+    lacking = sorted((reached | set(README_DOCUMENTED)) - exported)
+    assert not lacking, f"names reached through doifbp that __all__ lacks: {lacking}"
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # `__init__` is exempt: its `__all__` reads what it imports
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"imported but never read: {found}"

@@ -8,18 +8,16 @@ import numpy as np
 import pytest
 from scipy.special import lpmv
 
-from doifbp import (
-    Grid,
-    OrientationField,
-    VectorField,
-    eta_moment,
-    fp_rhs,
-    make_sphere_basis,
+from doifbp import Grid, OrientationField, VectorField, eta_moment, make_sphere_basis
+from doifbp import sphere
+from doifbp.kinetics import _drift_coefficients, fp_rhs
+from doifbp.sphere import (
+    _gauss_legendre,
+    _gauss_product_nodes,
+    _harmonic_tables,
+    _legendre,
     uniform_orientation,
 )
-from doifbp import sphere
-from doifbp.kinetics import _drift_coefficients
-from doifbp.sphere import _gauss_legendre, _gauss_product_nodes, _harmonic_tables, _legendre
 
 
 def _double_factorial(n: int) -> int:
