@@ -30,16 +30,16 @@ grids it is solved directly, by static condensation of blocks of its five
 bands (with the periodic wrap) onto a small interface, through an index plan
 cached per grid; on 2D grids by preconditioned CG to relative residual
 1e-13, restarted from the true residual when the recursive one has drifted
-from it.  Periodic 2D grids precondition with the exact inverse of the
-constant-coefficient system
+from it, preconditioned by one spectral inverse (`_spectral_preconditioner`,
+its tables cached per grid) of the constant-coefficient system
 
-    (rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div])^-1,
-    rbar = mean(rho_hat),
+    rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div],
+    rbar = mean(rho_hat):
 
-which the FFT diagonalizes (`_spectral_preconditioner`, its wavenumber
-tables cached per grid); Dirichlet 2D grids precondition with the diagonal
-(Jacobi).  The cached plan and tables are shared read-only.  Either result
-is accepted only at a true residual below 1e-10.
+exact in the Fourier basis of periodic grids; in the sine basis of Dirichlet
+grids, without the cross terms of grad div.  The cached plan and tables are
+shared read-only.  Either result is accepted only at a true residual below
+1e-10.
 """
 
 from __future__ import annotations
@@ -155,11 +155,11 @@ class _ViscousOperator:
     nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered differences
     D_a are antisymmetric, and positive definite for rho_hat > 0 and c >= 0.
     `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
-    `diagonal` and, in 1D, `bands` give its entries in closed form.  Those
-    forms (`_centre`, `diagonal()`, the Dirichlet zeroing in `bands()`) hold
-    for zero "velocity" and "bulk stress" entries of `grid.WALL_GHOST`.  It
-    keeps `rho_hat` and bulk = dt (lam + dt mean(c)), which with `nu` set the
-    constant-coefficient preconditioner of `_viscous_solve`.
+    in 1D, `bands` gives its entries in closed form.  Those forms (`_centre`,
+    the Dirichlet zeroing in `bands()`) hold for zero "velocity" and "bulk
+    stress" entries of `grid.WALL_GHOST`.  It keeps `rho_hat` and
+    bulk = dt (lam + dt mean(c)), which with `nu` set the constant-coefficient
+    preconditioner of `_viscous_solve`.
     """
 
     def __init__(self, grid, rho_hat, dt, mu, lam, c):
@@ -197,25 +197,16 @@ class _ViscousOperator:
             out[a] -= gq
         return out.ravel()
 
-    def diagonal(self) -> np.ndarray:
-        """Flat: rho_hat + nu sum_b 2 / h_b^2 + (w_+ + w_-) / (4 h_a^2), component a."""
-        g = self.grid
-        out = np.empty((g.dim,) + g.cells)
-        for a, h in enumerate(g.h):
-            p = _pad_axis(g, self.w, a, "bulk stress")
-            out[a] = self._centre + ((p[2:] + p[:-2]) / (4.0 * h * h)).swapaxes(0, a)
-        return out.ravel()
-
     def bands(self) -> np.ndarray:
         """(5, n) on a 1D grid: row k holds the entries (i, i + k - 2 mod n), zero
         past a Dirichlet end; on 4 periodic cells the +-2 entries share a column.
         Its flat `base` ends in the zero `_substructured_solve` reads off the bands."""
         (h,), n = self.grid.h, self.grid.n_cells
-        p = _pad_axis(self.grid, self.w, 0, "bulk stress") / (4.0 * h * h)
+        w = _pad_axis(self.grid, self.w, 0, "bulk stress")
         bands = np.zeros(5 * n + 1)[:-1].reshape(5, n)
-        bands[0], bands[4] = -p[:-2], -p[2:]
+        bands[0], bands[4] = -w[:-2] / (4.0 * h * h), -w[2:] / (4.0 * h * h)
         bands[1] = bands[3] = -self.nu / (h * h)
-        bands[2] = self.diagonal()
+        bands[2] = self._centre + (w[2:] + w[:-2]) / (4.0 * h * h)
         if self.grid.bc != PERIODIC:  # (band, row) of each column past an end
             bands[(0, 0, 1, 3, 4, 4), (0, 1, 0, -1, -2, -1)] = 0.0
         return bands
@@ -316,42 +307,53 @@ def _substructured_solve(a, b: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _spectral_symbols(grid):
-    """The rfft2 wavenumber tables of `_spectral_preconditioner` on a 2D grid.
+    """The tables of `_spectral_preconditioner` on a 2D grid: (lap, s, sines).
 
-    Returns (lap, s), shaped like the rfft2 of one component: the symbol
-    lap(k) = -sum_a 4 sin^2(pi k_a / n_a) / h_a^2 of the 3-point Laplacian,
-    and, stacked over the axes in front, s_a(k) = sin(2 pi k_a / n_a) / h_a,
-    the centered difference being multiplication by i s_a.
+    lap(k) = -sum_a 4 sin^2(theta_a / 2) / h_a^2 is the 3-point Laplacian's
+    symbol; s, stacked over the axes in front, holds the centered differences'
+    s_a(k) = sin(theta_a) / h_a.  Periodic grids: rfft2 wavenumbers k_a,
+    theta_a = 2 pi k_a / n_a, no sines.  Dirichlet grids: sine modes k_a = 1..n_a,
+    theta_a = pi k_a / (n_a + 1), and per axis the orthonormal DST-I matrix
+    sqrt(2 / (n + 1)) sin(pi k j / (n + 1)), k, j = 1..n, its own inverse.
     """
-    freq = [np.fft.fftfreq(grid.cells[0]), np.fft.rfftfreq(grid.cells[1])]
-    k = np.meshgrid(*freq, indexing="ij")  # k_a / n_a
-    lap = -sum(4.0 * np.sin(np.pi * ka) ** 2 / h**2 for ka, h in zip(k, grid.h))
-    s = np.stack([np.sin(2.0 * np.pi * ka) / h for ka, h in zip(k, grid.h)])
-    lap.flags.writeable = s.flags.writeable = False  # shared by every caller
-    return lap, s
+    if grid.bc == PERIODIC:
+        freq, sines = [np.fft.fftfreq(grid.cells[0]), np.fft.rfftfreq(grid.cells[1])], ()
+        theta = [2.0 * np.pi * ka for ka in np.meshgrid(*freq, indexing="ij")]
+    else:
+        k = [np.arange(1, n + 1) for n in grid.cells]
+        sines = tuple(math.sqrt(2.0 / (ka.size + 1)) * np.sin(np.pi * np.outer(ka, ka) / (ka.size + 1)) for ka in k)
+        theta = np.meshgrid(*(np.pi * ka / (ka.size + 1) for ka in k), indexing="ij")
+    lap = -sum(4.0 * np.sin(0.5 * ta) ** 2 / h**2 for ta, h in zip(theta, grid.h))
+    s = np.stack([np.sin(ta) / h for ta, h in zip(theta, grid.h)])
+    for table in (lap, s, *sines):
+        table.flags.writeable = False  # shared by every caller
+    return lap, s, sines
 
 
 def _spectral_preconditioner(a):
-    """r -> (rbar I - nu Lap - bulk grad div)^-1 r on a periodic 2D grid.
+    """r -> (rbar I - nu Lap - bulk grad div)^-1 r on a 2D grid, by its symbol.
 
     rbar = mean(rho_hat), with grid, rho_hat, nu and bulk those of the
     `_ViscousOperator` a; r is a flat velocity array in the matrix ordering.
-    With the zero-ghost stencils of a, this constant-coefficient operator
-    has the per-wavenumber symbol alpha(k) I + bulk s s^T,
-    alpha = rbar - nu lap(k) > 0 (`_spectral_symbols`), which Sherman-Morrison
-    inverts:
+    With the zero-ghost stencils of a, alpha = rbar - nu lap(k) > 0 and s from
+    `_spectral_symbols`, this operator has on periodic grids the symbol
+    alpha(k) I + bulk s s^T, which Sherman-Morrison inverts exactly:
 
         I / alpha - bulk s s^T / (alpha (alpha + bulk |s|^2)).
 
-    The symbol is real, symmetric and even in k, so the map is real,
-    symmetric and positive definite, as CG needs.
+    On Dirichlet grids the sine transform of component a is divided by
+    alpha(k) + bulk s_a(k)^2; the cross terms of grad div are dropped.  Either
+    map is real, symmetric and positive definite, as CG needs.
     """
     grid, bulk = a.grid, a.bulk
-    lap, s = _spectral_symbols(grid)
+    lap, s, sines = _spectral_symbols(grid)
     alpha = float(np.mean(a.rho_hat)) - a.nu * lap
+    shape = (grid.dim,) + grid.cells
+    if sines:
+        inv_symbol = 1.0 / (alpha + bulk * s**2)
+        return lambda r: (sines[0] @ ((sines[0] @ r.reshape(shape) @ sines[1]) * inv_symbol) @ sines[1]).ravel()
     beta = bulk / (alpha * (alpha + bulk * np.sum(s * s, axis=0)))
     inv_alpha = 1.0 / alpha
-    shape = (grid.dim,) + grid.cells
 
     def apply(r: np.ndarray) -> np.ndarray:
         r_hat = np.fft.rfft2(r.reshape(shape))
@@ -366,9 +368,9 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
 
     `b` is shaped like a velocity array and is flattened to the matrix
     ordering; the grid and rho_hat are those of `a`.  On 1D grids the solve
-    is direct (`_substructured_solve`).  On 2D grids it is preconditioned CG:
-    by `_spectral_preconditioner` on periodic grids, by the diagonal of `a`
-    (Jacobi) on Dirichlet grids.  CG starts from b / rho_hat (exact for
+    is direct (`_substructured_solve`).  On 2D grids it is CG preconditioned
+    by `_spectral_preconditioner`, Fourier on periodic grids and sine on
+    Dirichlet ones.  CG starts from b / rho_hat (exact for
     dt -> 0), iterates to recursive relative residual 1e-13 (so conservation
     sums stay at roundoff) or `_CG_MAX_ITER` steps in all, and stops at once
     on a NaN residual; where the recursive residual has drifted from the true
@@ -386,10 +388,7 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
         res = math.sqrt(r.dot(r))
         path = "direct 1D"
     else:
-        if grid.bc == PERIODIC:
-            precondition = _spectral_preconditioner(a)
-        else:
-            precondition = functools.partial(np.multiply, 1.0 / a.diagonal())
+        precondition = _spectral_preconditioner(a)
         x = b / np.broadcast_to(a.rho_hat, shape).ravel()
         r = b - a @ x
         budget = _CG_MAX_ITER

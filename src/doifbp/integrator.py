@@ -242,8 +242,8 @@ def run(
         raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError("t_final precedes the initial time")
-    if record_every < 1:
-        raise ValueError("record_every must be a positive integer")
+    if type(record_every) is not int or record_every < 1:  # a bool or a float is no count
+        raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     records = [energy_total(initial)]
     state = initial
     k = 0

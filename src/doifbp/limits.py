@@ -146,19 +146,23 @@ def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
-    """`workers`, else DOIFBP_THREADS, else one per task up to the CPU count."""
+    """`workers` (an int >= 1), else DOIFBP_THREADS, else one per task up to the CPU count."""
+    if workers is not None:
+        if type(workers) is not int:  # int() would truncate 2.5 and parse "3"
+            raise ValueError(f"workers must be an integer, got {workers!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers!r}")
+        return workers
     env = os.environ.get("DOIFBP_THREADS")
-    if workers is None and env is None:
+    if env is None:
         return min(n_tasks, os.cpu_count() or 1)
     try:
-        count = int(env if workers is None else workers)
+        count = int(env)
     except ValueError:
         count = 0
-    if count >= 1:
-        return count
-    if workers is None:
+    if count < 1:
         raise ConfigError(f"DOIFBP_THREADS must be a positive integer, got {env!r}")
-    raise ValueError(f"workers must be at least 1, got {workers!r}")
+    return count
 
 
 def fit_l2_slope(rows) -> object:

@@ -244,8 +244,8 @@ def test_momentum_one_step_consistency_first_order():
 def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, dt, c_scale, seed):
     # the operator must apply rho_hat - dt (mu Lap + grad((lam + dt c) div))
     # from the grid's own zero-ghost stencils, and be symmetric, which is the
-    # premise of the conjugate-gradient solve; its closed-form diagonal, and
-    # on 1D grids its five bands, must be the entries of that same matrix
+    # premise of the conjugate-gradient solve; on 1D grids its five bands
+    # must be the entries of that same matrix
     rng = np.random.default_rng(seed)
     g = Grid(cells=(nx, ny)[:dim], lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
     rho_hat = rng.uniform(0.1, 2.0, g.cells)
@@ -260,7 +260,6 @@ def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, 
     dense = _dense(a)
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(dense - dense.T)) <= 1e-12 * scale
-    assert np.max(np.abs(a.diagonal() - np.diag(dense))) <= 1e-12 * scale
     if dim == 1:
         # entry (i, i + k - 2) of band k, the column wrapped; on 4 periodic
         # cells the +-2 offsets are one column and their entries add
@@ -318,6 +317,7 @@ def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, see
 
 @settings(max_examples=60, deadline=None)
 @given(
+    bc=st.sampled_from(("periodic", "dirichlet")),
     nx=st.integers(4, 12),
     ny=st.integers(4, 12),
     mu=st.floats(0.01, 10.0),
@@ -327,19 +327,22 @@ def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, see
     seed=st.integers(0, 2**32 - 1),
 )
 # the 4-cell wrap, where the +-2 offsets of the grad-div stencil coincide,
-# and odd sizes, whose rfft has no Nyquist line
-@example(nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
-@example(nx=5, ny=7, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=1)
-@example(nx=4, ny=9, mu=0.01, lam=10.0, dt=1.0, c_scale=0.0, seed=2)
-def test_periodic_2d_preconditioner_is_spd_and_the_solve_is_exact(nx, ny, mu, lam, dt, c_scale, seed):
-    # the spectral preconditioner must be a symmetric positive definite map
-    # of real vectors, for CG; with it the 2D periodic solve must agree with
-    # a dense LAPACK solve as closely as its true residual allows, cond(a)
-    # times the relative residual (or eps).  The eps-level tolerance of the
-    # 1D direct solve does not apply to CG: the residual is accepted up to
-    # 1e-10, and Jacobi-CG misses that tolerance on these draws as often
+# and odd sizes, whose rfft has no Nyquist line; on Dirichlet grids the
+# smallest box and odd sizes, whose sine tables differ per axis
+@example(bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
+@example(bc="periodic", nx=5, ny=7, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=1)
+@example(bc="periodic", nx=4, ny=9, mu=0.01, lam=10.0, dt=1.0, c_scale=0.0, seed=2)
+@example(bc="dirichlet", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=3)
+@example(bc="dirichlet", nx=5, ny=7, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=4)
+def test_2d_preconditioner_is_spd_and_the_solve_is_exact(bc, nx, ny, mu, lam, dt, c_scale, seed):
+    # the spectral preconditioner, Fourier on periodic grids and sine on
+    # Dirichlet ones, must be a symmetric positive definite map of real
+    # vectors, for CG; with it the 2D solve must agree with a dense LAPACK
+    # solve as closely as its true residual allows, cond(a) times the
+    # relative residual (or eps).  The eps-level tolerance of the 1D direct
+    # solve does not apply to CG: the residual is accepted up to 1e-10
     rng = np.random.default_rng(seed)
-    g = Grid(cells=(nx, ny), lengths=tuple(rng.uniform(0.5, 2.0, 2)))
+    g = Grid(cells=(nx, ny), lengths=tuple(rng.uniform(0.5, 2.0, 2)), bc=bc)
     rho_hat = rng.uniform(0.1, 2.0, g.cells)
     rho_hat[rng.random(g.cells) < 0.3] = hydro.RHO_FLOOR
     c = c_scale * rng.uniform(0.0, 1.0, g.cells)
@@ -372,6 +375,22 @@ def test_periodic_64x64_vortex_solve_needs_few_cg_iterations(monkeypatch):
     state = build_initial_state(cfg)
     dt = cfl_dt(state, cfg.cfl_safety)
     monkeypatch.setattr(hydro, "_CG_MAX_ITER", 15)
+    u_new = momentum_step(state, dt)
+    assert np.all(np.isfinite(u_new.values))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dirichlet_32x32_vortex_solve_needs_few_cg_iterations(monkeypatch, seed):
+    # the first momentum solve of the 32x32 Dirichlet Taylor vortex takes
+    # Jacobi-CG 13-14 iterations; the sine preconditioner must meet a budget
+    # of 12
+    cfg = RunConfig(
+        dim=2, cells=(32, 32), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex", gamma=10.0,
+        rho0=0.6, amplitude=1.0, sphere_degree=2, perturbation=0.05, seed=seed,
+    )
+    state = build_initial_state(cfg)
+    dt = cfl_dt(state, cfg.cfl_safety)
+    monkeypatch.setattr(hydro, "_CG_MAX_ITER", 12)
     u_new = momentum_step(state, dt)
     assert np.all(np.isfinite(u_new.values))
 
@@ -424,9 +443,6 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
     class CountingOperator:
         grid, rho_hat, nu, bulk = a.grid, a.rho_hat, a.nu, a.bulk
 
-        def diagonal(self):
-            return a.diagonal()
-
         def __matmul__(self, v):
             applied.append(v.shape)
             return a @ v
@@ -443,7 +459,7 @@ def test_dense_stiff_state_at_rest_completes_through_a_cg_restart():
     # Jacobi, CG's recursive residual converged while the true one stayed at
     # 1.1e-10, and only a restart from the true residual completed the step;
     # the spectral preconditioner needs no restart here (the vacuum cells of
-    # test_periodic_2d_preconditioner_is_spd_and_the_solve_is_exact do)
+    # test_2d_preconditioner_is_spd_and_the_solve_is_exact do)
     cfg = RunConfig(
         dim=2, cells=(4, 4), lengths=(1.0, 1.0), preset="uniform", rho0=0.95,
         gamma=28.266985956595992, amplitude=1.0821542335388885, d_trans=1e-3, d_rot=0.1,

@@ -232,8 +232,9 @@ def test_step_twice_from_one_state_is_bit_identical_and_its_shared_caches_are_re
         shared += [_sin2_table(n) for n in g.cells]
     if dim == 1:
         shared += list(_substructure_plan(g))
-    elif periodic:
-        shared += list(_spectral_symbols(g))
+    else:  # the Dirichlet tables add the sine matrices
+        lap, s, sines = _spectral_symbols(g)
+        shared += [lap, s, *sines]
     for arr in shared:
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 0
@@ -455,6 +456,10 @@ def test_run_validates_arguments():
         run(state, -1.0)
     with pytest.raises(ValueError, match="record_every"):
         run(state, 0.1, record_every=0)
+    # a float would be truncated (2.5 records every 2nd step) and True taken for 1
+    for every in (2.5, True, "2"):
+        with pytest.raises(ValueError, match=f"^record_every must be a positive integer, got {every!r}$"):
+            run(state, 0.1, record_every=every)
 
 
 @pytest.mark.parametrize("t_final", [math.inf, math.nan])

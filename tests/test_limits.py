@@ -284,6 +284,11 @@ def test_sweep_worker_count_from_environment(monkeypatch):
     monkeypatch.delenv("DOIFBP_THREADS")
     with pytest.raises(ValueError, match="^workers must be at least 1, got 0"):
         gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01, workers=0)
+    # int() would truncate 2.5 to 2, parse "3" and take True for 1
+    for workers in (2.5, "3", True):
+        with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
+            gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01, workers=workers)
+    assert limits._resolve_workers(5, 3) == 3
 
 
 def test_sweep_tags_failing_gamma():
