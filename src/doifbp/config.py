@@ -5,8 +5,9 @@ are ignored.  Unknown keys, malformed lines, duplicate keys and unparsable
 values are errors that report the offending line number; a parsed value out
 of range is an error that names its key.  The keys are the fields of
 `RunConfig` (`lambda` for the attribute `lam`), and each field's default
-types its value; a `RunConfig` built in Python is held to the same types
-(a float field also takes an int, and stores every value as a Python float).
+types its value; a `RunConfig` built in Python is held to the same types:
+an integer field takes what `as_integer` accepts, a float field any real
+number but a bool, and each is stored as a Python int or float.
 `config_text` writes every key in a fixed order so that parse -> serialize
 -> parse is the identity and the text of any valid config is a fixed point.
 """
@@ -14,6 +15,8 @@ types its value; a `RunConfig` built in Python is held to the same types
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -56,6 +59,28 @@ class RunConfig:
         _validate(self)
 
 
+def as_integer(value) -> int:
+    """`value` as a Python int, by the package's one integer rule: an integer
+    is whatever `operator.index` accepts (Python and numpy integers), except
+    a bool.  Anything else raises TypeError: a float is never truncated, nor
+    a string parsed."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
+def _held(kind, value):
+    """`value` as `RunConfig` holds a field of type `kind`, else TypeError: an
+    int by `as_integer`; a float from any `numbers.Real` but a bool; a bool
+    or a string as itself."""
+    if kind is int:
+        return as_integer(value)
+    admits = numbers.Real if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
+        raise TypeError(value)
+    return float(value) if kind is float else value
+
+
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -95,23 +120,22 @@ def _validate(cfg: RunConfig) -> None:
     for f in fields(cfg):
         value, key = getattr(cfg, f.name), _ATTR_TO_KEY[f.name]
         # the type rule of `_parser`: a value (each item of a tuple) has its
-        # default's type (its first item's); a float field also takes an int
+        # default's type (its first item's), held by `_held` as the plain
+        # Python value its text form reads back
         items, kind = (value,), type(f.default)
         is_tuple = kind is tuple
         if is_tuple:
             if not isinstance(value, tuple):
                 raise ConfigError(f"{key} takes a tuple, got {value!r}")
             items, kind = value, type(f.default[0])
-        admits = (int, float) if kind is float else kind
-        for v in items:
-            if isinstance(v, bool) != (kind is bool) or not isinstance(v, admits):
-                not_bool = ", not booleans" if kind is float and isinstance(v, bool) else ""
-                raise ConfigError(f"{key} takes {_KINDS[kind]}{not_bool}, got {value!r}")
-            if kind is float and not math.isfinite(v):
-                raise ConfigError(f"{key} must be finite, got {value}")
-        if kind is float:  # held as the plain float its text form reads back
-            floats = tuple(map(float, items))
-            object.__setattr__(cfg, f.name, floats if is_tuple else floats[0])
+        try:
+            held = tuple(_held(kind, v) for v in items)
+        except TypeError:
+            not_bool = ", not booleans" if kind is float and any(isinstance(v, bool) for v in items) else ""
+            raise ConfigError(f"{key} takes {_KINDS[kind]}{not_bool}, got {value!r}") from None
+        if kind is float and not all(map(math.isfinite, held)):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        object.__setattr__(cfg, f.name, held if is_tuple else held[0])
     if cfg.dim not in (1, 2):
         raise ConfigError(f"dim must be 1 or 2, got {cfg.dim}")
     if len(cfg.cells) != cfg.dim:

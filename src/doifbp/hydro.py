@@ -200,7 +200,10 @@ class _ViscousOperator:
     def bands(self) -> np.ndarray:
         """(5, n) on a 1D grid: row k holds the entries (i, i + k - 2 mod n), zero
         past a Dirichlet end; on 4 periodic cells the +-2 entries share a column.
-        Its flat `base` ends in the zero `_substructured_solve` reads off the bands."""
+        Symmetric entry for entry: band 4 at row i and band 0 at row i + 2 are
+        the same floats, as are bands 3 and 1, and the Dirichlet zeros come in
+        pairs.  Its flat `base` ends in the zero `_substructured_solve` reads
+        off the bands."""
         (h,), n = self.grid.h, self.grid.n_cells
         w = _pad_axis(self.grid, self.w, 0, "bulk stress")
         bands = np.zeros(5 * n + 1)[:-1].reshape(5, n)
@@ -217,63 +220,45 @@ def _substructure_plan(grid):
     """The per-grid index plan of `_substructured_solve` on a 1D grid.
 
     The n cells are cut into m = n // (_BLOCK + 2) interior blocks of
-    _BLOCK cells, each followed by 2 interface cells; the cells left over at
-    the end join the interface too (all of them when m = 0).  The operator has
-    bandwidth 2 (with the periodic wrap), so a block couples only to its
-    window: the 2 cells before it and the 2 after, all interface cells, and
-    the blocks are mutually decoupled.  Returns (interior, iface, window,
-    take_block, take_window, ss_take, schur_at):
+    _BLOCK cells, block j starting at cell (_BLOCK + 2) j, each followed by 2
+    interface cells; the cells left over at the end join the interface too
+    (all of them when m = 0).  The operator has bandwidth 2 (with the
+    periodic wrap), so a block couples only to its window: the 2 cells
+    before it and the 2 after, all interface cells, and the blocks are
+    mutually decoupled.  Returns (interior, iface, window, take_block,
+    ss_take, schur_at):
 
         interior     the m _BLOCK block cells, block by block
         iface        the k interface cells
         window       (m, 4) interface numbers of each block's window
-        take_block   (m, _BLOCK, _BLOCK + 4) block rows, in the columns of
-                     the 2 window cells before, the block, the 2 after
-        take_window  (m, 4, _BLOCK) window rows, block columns
-        ss_take      interface-interface entries
+        take_block   (m, _BLOCK, _BLOCK + 4) block rows in the layout [2
+                     window cells before, the block, 2 window cells after]:
+                     row r holds band d in column r + d
+        ss_take      the interface rows' entries in interface columns
         schur_at     the flat positions in the (k, k) Schur complement of
                      those entries, then of each block's (4, 4) window
 
-    The take_* and ss_take arrays index the flat `_ViscousOperator.bands`
-    with its trailing zero (entries outside the bands read it).
+    take_block and ss_take index the flat `_ViscousOperator.bands` with its
+    trailing zero (entries outside the 5 bands read it).  The window rows
+    need no plan: `_substructured_solve` reads them as the window columns
+    transposed.
     """
     n, size = grid.n_cells, _BLOCK + 2
     m = n // size
-    start = np.arange(m) * size
-    interior = (start[:, None] + np.arange(_BLOCK)).ravel()
-    block = np.full(n, -1)
-    block[interior] = np.repeat(np.arange(m), _BLOCK)
-    iface = np.flatnonzero(block < 0)
+    cell = np.arange(n)
+    is_iface = (cell >= m * size) | (cell % size >= _BLOCK)
+    interior, iface = np.flatnonzero(~is_iface), np.flatnonzero(is_iface)
     k = iface.size
-    number = np.zeros(n, dtype=np.intp)
-    number[iface] = np.arange(k)
-    window = number[(start[:, None] + np.array([-2, -1, _BLOCK, _BLOCK + 1])) % n]
-
-    def offset(cell, j):
-        # place in block j's run of window and block cells: 0, 1 the window
-        # before, 2.._BLOCK+1 the block, _BLOCK+2, _BLOCK+3 the window after
-        return (cell - start[j] + 2) % n
-
-    # every band entry: flat position, row, wrapped column (the bands of a
-    # Dirichlet grid hold zeros past its ends)
-    at = np.arange(5 * n)
-    rows = at % n
-    cols = (rows + at // n - 2) % n
-    in_block = block[rows] >= 0
-    take_block = np.full((m, _BLOCK, _BLOCK + 4), 5 * n)
-    e = np.flatnonzero(in_block)
-    j = block[rows[e]]
-    take_block[j, rows[e] - start[j], offset(cols[e], j)] = at[e]
-    take_window = np.full((m, 4, _BLOCK), 5 * n)
-    e = np.flatnonzero(~in_block & (block[cols] >= 0))
-    j = block[cols[e]]
-    o = offset(rows[e], j)
-    take_window[j, np.where(o < 2, o, o - _BLOCK), cols[e] - start[j]] = at[e]
-    e = np.flatnonzero(~in_block & (block[cols] < 0))
-    ss_take = at[e]
-    ss_at = number[rows[e]] * k + number[cols[e]]
+    number = np.cumsum(is_iface) - 1  # of each interface cell
+    window = number[(np.arange(m)[:, None] * size + np.array([-2, -1, _BLOCK, _BLOCK + 1])) % n]
+    band = np.arange(_BLOCK + 4) - np.arange(_BLOCK)[:, None]  # of row r in layout column c: c - r
+    take_block = np.where((band >= 0) & (band < 5), band * n + interior.reshape(m, _BLOCK, 1), 5 * n)
+    cols = (iface[:, None] + np.arange(5) - 2) % n  # of the interface rows' 5 bands
+    ss = is_iface[cols]
+    ss_take = (np.arange(5) * n + iface[:, None])[ss]
+    ss_at = (np.arange(k)[:, None] * k + number[cols])[ss]
     wz_at = (window[:, :, None] * k + window[:, None, :]).ravel()
-    plan = (interior, iface, window, take_block, take_window, ss_take, np.concatenate((ss_at, wz_at)))
+    plan = (interior, iface, window, take_block, ss_take, np.concatenate((ss_at, wz_at)))
     for arr in plan:
         arr.flags.writeable = False  # shared by every solve on the grid
     return plan
@@ -283,18 +268,19 @@ def _substructured_solve(a, b: np.ndarray) -> np.ndarray:
     """Exact solve of a x = b on a 1D grid by static condensation.
 
     With the `_substructure_plan` of the grid of `a`: one batched LU solve of
-    every interior block against its right-hand side and its 4 window
-    columns, a dense solve of the interface Schur complement (about n/8
+    every interior block against its 4 window columns and its right-hand
+    side, a dense solve of the interface Schur complement (about n/8
     unknowns), then back-substitution into the blocks.  Reads the blocks
-    from the bands of `a` (`_ViscousOperator.bands`); it assumes no symmetry.
+    from the bands of `a` (`_ViscousOperator.bands`), which are symmetric
+    entry for entry, so each window's rows are its columns transposed.
     """
-    interior, iface, window, take_block, take_window, ss_take, schur_at = _substructure_plan(a.grid)
+    interior, iface, window, take_block, ss_take, schur_at = _substructure_plan(a.grid)
     k = iface.size
     data = a.bands().base
     rows = data[take_block]
-    rhs = (rows[..., :2], rows[..., _BLOCK + 2 :], b[interior].reshape(-1, _BLOCK, 1))
-    y = np.linalg.solve(rows[..., 2 : _BLOCK + 2], np.concatenate(rhs, axis=2))
-    wy = data[take_window] @ y
+    rhs = np.concatenate((rows[..., :2], rows[..., _BLOCK + 2 :], b[interior].reshape(-1, _BLOCK, 1)), axis=2)
+    y = np.linalg.solve(rows[..., 2 : _BLOCK + 2], rhs)
+    wy = rhs[..., :4].transpose(0, 2, 1) @ y
     schur = np.bincount(
         schur_at, np.concatenate((data[ss_take], -wy[..., :4].ravel())), minlength=k * k
     ).reshape(k, k)

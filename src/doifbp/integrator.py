@@ -35,6 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import RunConfig, as_integer
 from .errors import NumericalError
 from .grid import (
     ScalarField,
@@ -226,14 +227,15 @@ def run(
     initial: FluidState,
     t_final: float,
     record_every: int = 1,
-    safety: float = 0.45,
+    safety: float = RunConfig.cfl_safety,
     freeze_velocity: bool = False,
     observer=None,
 ):
     """Advance to t_final with adaptive CFL steps, recording diagnostics.
 
     Returns (records, final_state).  A record is appended for the initial
-    state, after every `record_every`-th step, and for the final state;
+    state, after every `record_every`-th step (an integer >= 1 by
+    `config.as_integer`), and for the final state;
     the whole trajectory is a deterministic function of the inputs.  An
     optional `observer(step_index, state)` is called after every step; it
     never influences the trajectory.
@@ -242,7 +244,11 @@ def run(
         raise ValueError(f"t_final must be finite, got {t_final}")
     if t_final < initial.t:
         raise ValueError("t_final precedes the initial time")
-    if type(record_every) is not int or record_every < 1:  # a bool or a float is no count
+    try:
+        every = as_integer(record_every)
+    except TypeError:
+        every = 0  # refused below, in the form given
+    if every < 1:
         raise ValueError(f"record_every must be a positive integer, got {record_every!r}")
     records = [energy_total(initial)]
     state = initial
@@ -255,7 +261,7 @@ def run(
         k += 1
         if observer is not None:
             observer(k, state)
-        recorded = k % record_every == 0
+        recorded = k % every == 0
         if recorded:
             records.append(energy_total(state))
     if not recorded:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, as_integer
 from .errors import ConfigError, NumericalError
 from .grid import ScalarField, div, lp_norm
 from .hydro import fluid_pressure
@@ -146,10 +146,13 @@ def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
-    """`workers` (an int >= 1), else DOIFBP_THREADS, else one per task up to the CPU count."""
+    """`workers` (an integer by `config.as_integer`, >= 1), else DOIFBP_THREADS,
+    else one per task up to the CPU count."""
     if workers is not None:
-        if type(workers) is not int:  # int() would truncate 2.5 and parse "3"
-            raise ValueError(f"workers must be an integer, got {workers!r}")
+        try:
+            workers = as_integer(workers)
+        except TypeError:
+            raise ValueError(f"workers must be an integer, got {workers!r}") from None
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers!r}")
         return workers

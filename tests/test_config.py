@@ -69,12 +69,17 @@ def test_lambda_key_maps_to_lam_attribute():
         RunConfig(mu=np.float64(0.5), lengths=(np.float64(2.0),)),
         # an int in a float field is stored, and so written, as a float
         RunConfig(mu=1, lengths=(2,), gammas=(5, 10.0)),
+        # a numpy integer is an integer, and any numpy number a real number
+        RunConfig(seed=np.int64(3), cells=(np.int64(64),), gamma=np.float32(5.0), mu=np.int64(1)),
     ],
 )
 def test_serialize_parse_round_trip(cfg):
     text = config_text(cfg)
     assert parse_config(text) == cfg
     assert config_text(parse_config(text)) == text  # canonical form is a fixed point
+    for f in fields(cfg):  # held as the plain Python values the text reads back
+        value = getattr(cfg, f.name)
+        assert all(type(v) in (bool, int, float, str) for v in (value if isinstance(value, tuple) else (value,)))
 
 
 def _floats(lo, hi, **kw):
@@ -248,6 +253,7 @@ def test_constructor_validates_like_parser():
         ("snapshot_every", 2.0),
         ("seed", 1.0),
         ("dim", True),
+        ("record_every", np.float64(2.0)),
     ],
 )
 def test_int_fields_take_only_integers(name, value):
@@ -273,6 +279,7 @@ def test_int_fields_take_only_integers(name, value):
         ({"lengths": 1.0}, "^lengths takes a tuple"),
         ({"gammas": [5.0, 10.0]}, "^gammas takes a tuple"),
         ({"outdir": ""}, "^outdir must be nonempty"),
+        ({"mu": np.True_}, "^mu takes numbers"),
     ],
 )
 def test_rejects_values_the_text_form_cannot_carry(kwargs, message):

@@ -268,6 +268,9 @@ def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, 
         for k, band in enumerate(a.bands()):
             np.add.at(banded, (np.arange(n), (np.arange(n) + k - 2) % n), band)
         assert np.max(np.abs(banded - dense)) <= 1e-12 * scale
+        # entry for entry, as the 1D direct solve reads each window's rows
+        # as its columns transposed
+        assert np.array_equal(banded, banded.T)
 
 
 def _dense(a):
@@ -287,10 +290,13 @@ def _dense(a):
     seed=st.integers(0, 2**32 - 1),
 )
 # no interior block (dense interface only), one block whose two windows are
-# the same two cells, exactly two blocks, and two blocks plus 15 leftover cells
+# the same two cells, one whose windows share one cell, the first size whose
+# windows are distinct, exactly two blocks, and two blocks plus 15 leftover cells
 @example(bc="periodic", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
 @example(bc="dirichlet", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
 @example(bc="periodic", n=16, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=2)
+@example(bc="periodic", n=17, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=5)
+@example(bc="periodic", n=18, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=6)
 @example(bc="periodic", n=32, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=3)
 @example(bc="dirichlet", n=47, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=4)
 def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, seed):

@@ -460,6 +460,8 @@ def test_run_validates_arguments():
     for every in (2.5, True, "2"):
         with pytest.raises(ValueError, match=f"^record_every must be a positive integer, got {every!r}$"):
             run(state, 0.1, record_every=every)
+    # but a numpy integer is a count, as in `Grid` and `RunConfig`
+    assert run(state, 0.001, record_every=np.int64(2))[0] == run(state, 0.001, record_every=2)[0]
 
 
 @pytest.mark.parametrize("t_final", [math.inf, math.nan])

@@ -289,6 +289,8 @@ def test_sweep_worker_count_from_environment(monkeypatch):
         with pytest.raises(ValueError, match=f"^workers must be an integer, got {workers!r}$"):
             gamma_sweep(QUIET_CONFIG, gamma_list=(5.0,), t_final=0.01, workers=workers)
     assert limits._resolve_workers(5, 3) == 3
+    workers = limits._resolve_workers(5, np.int64(2))  # a numpy integer counts
+    assert workers == 2 and type(workers) is int
 
 
 def test_sweep_tags_failing_gamma():
