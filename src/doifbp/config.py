@@ -6,8 +6,9 @@ values are errors that report the offending line number; a parsed value out
 of range is an error that names its key.  The keys are the fields of
 `RunConfig` (`lambda` for the attribute `lam`), and each field's default
 types its value; a `RunConfig` built in Python is held to the same types:
-an integer field takes what `as_integer` accepts, a float field any real
-number but a bool, and each is stored as a Python int or float.
+an integer field takes what `grid.as_integer` accepts, a float field what
+`grid.as_real` accepts (any real number but a bool), and each is stored as a
+Python int or float.
 `config_text` writes every key in a fixed order so that parse -> serialize
 -> parse is the identity and the text of any valid config is a fixed point.
 """
@@ -15,12 +16,10 @@ number but a bool, and each is stored as a Python int or float.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
-from .grid import DIRICHLET, PERIODIC
+from .grid import DIRICHLET, PERIODIC, as_integer, as_real
 from .sphere import MAX_DEGREE
 
 PRESETS = ("uniform", "colliding_streams", "taylor_vortex")
@@ -59,26 +58,16 @@ class RunConfig:
         _validate(self)
 
 
-def as_integer(value) -> int:
-    """`value` as a Python int, by the package's one integer rule: an integer
-    is whatever `operator.index` accepts (Python and numpy integers), except
-    a bool.  Anything else raises TypeError: a float is never truncated, nor
-    a string parsed."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a bool, not an integer")
-    return operator.index(value)
-
-
 def _held(kind, value):
     """`value` as `RunConfig` holds a field of type `kind`, else TypeError: an
-    int by `as_integer`; a float from any `numbers.Real` but a bool; a bool
-    or a string as itself."""
+    int by `as_integer`, a float by `as_real`, a bool or a string as itself."""
     if kind is int:
         return as_integer(value)
-    admits = numbers.Real if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, admits):
+    if kind is float:
+        return as_real(value)
+    if not isinstance(value, kind):
         raise TypeError(value)
-    return float(value) if kind is float else value
+    return value
 
 
 def _parse_float(raw: str) -> float:

@@ -1,8 +1,10 @@
 """Uniform rectangular grids, cell-centered fields, and discrete calculus.
 
 Physical space is a periodic or Dirichlet box in one or two dimensions,
-discretized with uniform cell-centered volumes.  Gradient, divergence, and
-Laplacian use second-order centered stencils; on periodic grids grad and div
+discretized with uniform cell-centered volumes.  The operators take a grid
+and arrays and return an array (`div` takes the velocity field whose cached
+gradient it reads); fields hold only a state's unknowns.  Gradient,
+divergence, and Laplacian use second-order centered stencils; on periodic grids grad and div
 are exact negative adjoints under the cell-sum inner product.  The one
 derivative of a velocity is `velocity_gradient`, computed once per field and
 kept on it, read-only; `div` is its trace, so the sphere drift, the step
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -51,6 +54,25 @@ WALL_GHOST = {
 _CFL_SLACK = 1.0 + 1e-12
 
 
+def as_integer(value) -> int:
+    """`value` as a Python int, by the package's one integer rule: an integer
+    is whatever `operator.index` accepts (Python and numpy integers), except
+    a bool.  Anything else raises TypeError: a float is never truncated, nor
+    a string parsed."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a bool, not an integer")
+    return operator.index(value)
+
+
+def as_real(value) -> float:
+    """`value` as a Python float, by the package's one real-number rule: any
+    `numbers.Real` (Python and numpy ints and floats) except a bool.  Anything
+    else raises TypeError: a string is never parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{value!r} is not a real number")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform cell-centered grid on a rectangular box.
@@ -58,9 +80,10 @@ class Grid:
     Parameters
     ----------
     cells : tuple of int
-        Cell count per axis, integers; at least 4 per axis, 1 or 2 axes.
+        Cell count per axis, integers by `as_integer`; at least 4 per axis,
+        1 or 2 axes.
     lengths : tuple of float
-        Box extent per axis, positive and finite.
+        Box extent per axis, real numbers by `as_real`, positive and finite.
     bc : str
         ``"periodic"`` or ``"dirichlet"``.
     """
@@ -71,10 +94,13 @@ class Grid:
 
     def __post_init__(self):
         try:
-            cells = tuple(map(operator.index, np.atleast_1d(self.cells)))
+            cells = tuple(map(as_integer, _axes(self.cells)))
         except TypeError:
             raise ValueError(f"cell counts must be integers, got {self.cells!r}") from None
-        lengths = tuple(float(x) for x in np.atleast_1d(self.lengths))
+        try:
+            lengths = tuple(map(as_real, _axes(self.lengths)))
+        except TypeError:
+            raise ValueError(f"box lengths must be real numbers, got {self.lengths!r}") from None
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "lengths", lengths)
         if len(cells) not in (1, 2):
@@ -113,6 +139,11 @@ class Grid:
         """Cell-center coordinate arrays, shaped like a scalar field."""
         axes = [self.axis_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
+
+
+def _axes(value) -> tuple:
+    """The per-axis entries of `value`: its items, or `value` itself if a scalar."""
+    return tuple(value) if np.ndim(value) else (value,)
 
 
 def _check_values(values: np.ndarray, shape: tuple, what: str) -> np.ndarray:
@@ -258,39 +289,37 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
     return out
 
 
-def grad(s: ScalarField, quantity: str) -> VectorField:
-    """Second-order centered gradient of the quantity `s` holds."""
-    g = s.grid
-    out = np.empty((g.dim,) + g.cells)
-    for a in range(g.dim):
-        out[a] = _centered_diff(g, s.values, a, quantity)
-    return VectorField(g, out)
+def grad(grid: Grid, q: np.ndarray, quantity: str) -> np.ndarray:
+    """Second-order centered gradient of the quantity `q`, shaped (dim,) + grid.cells."""
+    out = np.empty((grid.dim,) + grid.cells)
+    for a in range(grid.dim):
+        out[a] = _centered_diff(grid, q, a, quantity)
+    return out
 
 
-def div(v: VectorField) -> ScalarField:
+def div(v: VectorField) -> np.ndarray:
     """Centered divergence of a velocity, the negative adjoint of grad: the
     trace of its cached `velocity_gradient`, so the array of `v` must not be
     changed in place after the call."""
-    return ScalarField(v.grid, np.trace(velocity_gradient(v), axis1=-2, axis2=-1))
+    return np.trace(velocity_gradient(v), axis1=-2, axis2=-1)
 
 
-def laplacian(s: ScalarField, quantity: str) -> ScalarField:
-    """Compact second-order Laplacian (3-point per axis) of the quantity `s` holds."""
-    g = s.grid
-    out = np.zeros(g.cells)
-    for a in range(g.dim):
-        out += _second_diff(g, s.values, a, quantity)
-    return ScalarField(g, out)
+def laplacian(grid: Grid, q: np.ndarray, quantity: str) -> np.ndarray:
+    """Compact second-order Laplacian (3-point per axis) of the quantity `q`."""
+    out = np.zeros(grid.cells)
+    for a in range(grid.dim):
+        out += _second_diff(grid, q, a, quantity)
+    return out
 
 
-def lp_norm(s: ScalarField, p) -> float:
-    """(sum |s|^p * cellvolume)^(1/p); max norm for p = inf."""
+def lp_norm(grid: Grid, q: np.ndarray, p) -> float:
+    """(sum |q|^p * cellvolume)^(1/p); max norm for p = inf."""
     if p == math.inf:
-        return float(np.max(np.abs(s.values)))
+        return float(np.max(np.abs(q)))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"lp_norm needs p >= 1, got {p}")
-    total = float(np.sum(np.abs(s.values) ** p)) * s.grid.cell_volume
+    total = float(np.sum(np.abs(q) ** p)) * grid.cell_volume
     return total ** (1.0 / p)
 
 

@@ -2,7 +2,11 @@
 
 The barotropic fluid pressure is the stiff power law rho^gamma (gamma > 3/2);
 the total pressure adds the polymer contributions eta + eta^2, where eta is
-the zeroth orientation moment of f.  Scalars are transported with donor-cell
+the zeroth orientation moment of f.  Both laws take and return arrays, and a
+rho^gamma past the float range is a NumericalError that names gamma and max
+rho; the substeps build fields only for the state fields they return (the
+density of `transport_step`, the velocity of `momentum_step`).  Scalars are
+transported with donor-cell
 upwind fluxes, which keep them nonnegative under the advective CFL bound and
 exactly conservative on periodic grids.  `transport_step` is the pure
 donor-cell step; a caller that diffuses (the `eta` reference of check suite
@@ -58,7 +62,6 @@ from .grid import (
     VectorField,
     _centered_diff,
     _pad_axis,
-    grad,
     upwind_divergence,
     velocity_gradient,
 )
@@ -101,24 +104,25 @@ class PhysCoeffs:
                 raise ValueError(f"coefficient {name} must be positive and finite, got {val}")
 
 
-def fluid_pressure(rho: ScalarField, law: PressureLaw) -> ScalarField:
+def fluid_pressure(rho: np.ndarray, law: PressureLaw) -> np.ndarray:
     """pi = rho^gamma computed as exp(gamma ln rho), with pi = 0 where rho = 0:
-    ln rho fills a -inf buffer where rho > 0, and exp(-inf) is exactly 0."""
-    r = rho.values
-    if r.min() < 0.0:
+    ln rho fills a -inf buffer where rho > 0, and exp(-inf) is exactly 0.
+    NumericalError if rho^gamma overflows."""
+    if rho.min() < 0.0:
         raise ValueError("fluid pressure of a negative density")
-    log = np.log(r, out=np.full(r.shape, -np.inf), where=r > 0.0)
-    return ScalarField(rho.grid, np.exp(law.gamma * log))
+    log = np.log(rho, out=np.full(rho.shape, -np.inf), where=rho > 0.0)
+    with np.errstate(over="ignore"):
+        pi = np.exp(law.gamma * log)
+    if not np.isfinite(pi).all():
+        raise NumericalError(f"fluid pressure rho^gamma overflows at gamma = {law.gamma:g}, max rho = {rho.max():.6g}")
+    return pi
 
 
-def total_pressure(pi: ScalarField, eta: ScalarField) -> ScalarField:
+def total_pressure(pi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Total pressure pi + eta + eta^2 (fluid plus polymer parts)."""
-    if pi.grid != eta.grid:
-        raise ValueError("pressure contributions live on different grids")
-    e = eta.values
-    if e.min() < 0.0:
+    if eta.min() < 0.0:
         raise ValueError("total pressure of a negative number density")
-    return ScalarField(pi.grid, pi.values + e + e * e)
+    return pi + eta + eta * eta
 
 
 def transport_step(s: ScalarField, u: VectorField, dt: float, flux: np.ndarray) -> ScalarField:
@@ -443,10 +447,12 @@ def momentum_step(state, dt: float) -> VectorField:
     m = m - dt * upwind_divergence(g, m, u, "velocity")
 
     law, coeffs = state.law, state.coeffs
-    pi = fluid_pressure(state.rho, law)
-    gp = grad(total_pressure(pi, eta_moment(state.f)), "pressure").values
+    pi = fluid_pressure(rho, law)
+    p = total_pressure(pi, eta_moment(state.f).values)
     sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
-    force = -gp.transpose(last)
+    force = np.empty(g.cells + (g.dim,))
+    for j in range(g.dim):
+        force[..., j] = -_centered_diff(g, p, j, "pressure")  # every row, before the stress adds to it
     for j in range(g.dim):
         force += _centered_diff(g, sigma[..., j], j, "stress")  # column j of div sigma, every row
     m += dt * force
@@ -457,7 +463,7 @@ def momentum_step(state, dt: float) -> VectorField:
     if vacuum.any():
         m = np.where(vacuum, 0.0, m)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
-    c = np.maximum(law.gamma * pi.values - resolved, 0.0)
+    c = np.maximum(law.gamma * pi - resolved, 0.0)
     u_new = _viscous_solve(_ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m)
     if vacuum.any():
         u_new = np.where(vacuum, 0.0, u_new)
@@ -479,7 +485,9 @@ def _cfl_bounds(state) -> dict:
     (the momentum update forces u = 0 below it); div_h(rho u) is the
     state's `density_flux`, the donor divergence the density substep applies
     next.  The state's pressure law and coefficients give gamma and D.  A
-    bound whose speed or rate is zero is left out.
+    bound whose speed or rate is zero is left out, and so is the pressure
+    bound when a^2 underflows to 0 (its limit: an infinite acoustic step); an
+    a^2 that overflows leaves the compression step alone.
     """
     g = state.rho.grid
     rho, u = state.rho.values, state.u.values
@@ -497,10 +505,15 @@ def _cfl_bounds(state) -> dict:
         bounds["polymer"] = h_min / math.sqrt(c2)
     rate = float((state.density_flux / rho_live).max())
     if rate > 0.0:
-        # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho
-        a2 = law.gamma * float(rho.max()) ** (law.gamma - 1.0)
-        acoustic = 1.0 / math.sqrt(a2 * sum(1.0 / h**2 for h in g.h))
-        bounds["pressure"] = max(1.0 / (law.gamma * rate), acoustic)
+        # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho;
+        # past the float range either way, a^2 takes its limit: an acoustic
+        # step of 0 as a -> inf, none at all (the bound left out) as a -> 0+
+        try:
+            a2_h2 = law.gamma * float(rho.max()) ** (law.gamma - 1.0) * sum(1.0 / h**2 for h in g.h)
+        except OverflowError:
+            a2_h2 = math.inf
+        if a2_h2 > 0.0:
+            bounds["pressure"] = max(1.0 / (law.gamma * rate), 1.0 / math.sqrt(a2_h2))
     if g.bc != PERIODIC:
         bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(state.coeffs.d_trans, 1.0))
     gv = velocity_gradient(state.u)

@@ -35,11 +35,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig, as_integer
+from .config import RunConfig
 from .errors import NumericalError
 from .grid import (
     ScalarField,
     VectorField,
+    as_integer,
     div,
     grad,
     heat_step,
@@ -132,8 +133,8 @@ DiagnosticsRecord.FIELDS = tuple(f.name for f in fields(DiagnosticsRecord))
 
 def pressure_energy(state: FluidState) -> float:
     """The ledger's pressure entry int rho^gamma / (gamma - 1) dx."""
-    pi = fluid_pressure(state.rho, state.law)
-    return float(pi.values.sum()) * state.grid.cell_volume / (state.law.gamma - 1.0)
+    pi = fluid_pressure(state.rho.values, state.law)
+    return float(pi.sum()) * state.grid.cell_volume / (state.law.gamma - 1.0)
 
 
 def energy_total(state: FluidState) -> DiagnosticsRecord:
@@ -160,7 +161,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
     divu = np.trace(gv, axis1=-2, axis2=-1)  # div u, as `div` computes it
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
-    geta = grad(eta, "rods").values
+    geta = grad(g, eta.values, "rods")
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol
 
     return DiagnosticsRecord(
@@ -204,7 +205,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
         substep = "orientation fokker-planck"
         decay = np.exp(dt * coeffs.d_rot * f.basis.lap_eig)  # exactly 1 on the l = 0 mode
-        f_coeffs = heat_step(f.grid, f.coeffs + dt * fp_rhs(f, u).coeffs, dt * coeffs.d_trans)
+        f_coeffs = heat_step(f.grid, f.coeffs + dt * fp_rhs(f, u), dt * coeffs.d_trans)
         f1 = OrientationField(f.grid, f.basis, f_coeffs * decay)
         f1.check_positive()
 
@@ -235,7 +236,7 @@ def run(
 
     Returns (records, final_state).  A record is appended for the initial
     state, after every `record_every`-th step (an integer >= 1 by
-    `config.as_integer`), and for the final state;
+    `grid.as_integer`), and for the final state;
     the whole trajectory is a deterministic function of the inputs.  An
     optional `observer(step_index, state)` is called after every step; it
     never influences the trajectory.
@@ -285,6 +286,5 @@ def renormalized_residual(s0: FluidState, s1: FluidState, b, db) -> float:
     rho0 = s0.rho.values
     rho1 = s1.rho.values
     flux_div = upwind_divergence(g, b(rho0), s0.u.values, "density")
-    divu = div(s0.u).values
-    resid = (b(rho1) - b(rho0)) / dt + flux_div + (db(rho0) * rho0 - b(rho0)) * divu
-    return lp_norm(ScalarField(g, np.abs(resid)), 1)
+    resid = (b(rho1) - b(rho0)) / dt + flux_div + (db(rho0) * rho0 - b(rho0)) * div(s0.u)
+    return lp_norm(g, np.abs(resid), 1)

@@ -2,9 +2,10 @@
 
 The orientation distribution f(x, tau) evolves by physical-space advection,
 shear-induced drift on the sphere, rotational diffusion, and translational
-diffusion.  Only the first two are a right-hand side here (`fp_rhs`); the
-integrator applies both diffusions as split substeps.  The drift velocity is
-the tangential projection of the macroscopic shear acting on a rod axis,
+diffusion.  Only the first two are a right-hand side here (`fp_rhs`, a
+coefficient array); the integrator applies both diffusions as split
+substeps.  The drift velocity is the tangential projection of the
+macroscopic shear acting on a rod axis,
 
     P_perp(g tau) = g tau - (tau . g tau) tau,
 
@@ -52,11 +53,12 @@ def _drift_coefficients(basis, g_values: np.ndarray, coeffs: np.ndarray) -> np.n
     return out.reshape(cells + (nq,))
 
 
-def fp_rhs(f: OrientationField, u: VectorField) -> OrientationField:
+def fp_rhs(f: OrientationField, u: VectorField) -> np.ndarray:
     """The explicit part of the Fokker-Planck right-hand side.
 
     Returns -div_x(f u) - div_tau(P_perp(grad u tau) f), physical transport
-    plus sphere drift, as a coefficient field; the integrator applies the
+    plus sphere drift, as coefficients shaped like `f.coeffs`: a rate, not a
+    distribution, so it is no `OrientationField`.  The integrator applies the
     translational and rotational diffusions as split substeps.  Physical-space
     advection uses the same donor-cell flux as the scalar transport step,
     applied to every harmonic channel with one donor pattern, so the
@@ -65,10 +67,9 @@ def fp_rhs(f: OrientationField, u: VectorField) -> OrientationField:
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
-    g = f.grid
-    adv = upwind_divergence(g, f.coeffs, u.values, "rods")
+    adv = upwind_divergence(f.grid, f.coeffs, u.values, "rods")
     drift = _drift_coefficients(f.basis, velocity_gradient(u), f.coeffs)
-    return OrientationField(g, f.basis, drift - adv)
+    return drift - adv
 
 
 def eta_moment(f: OrientationField) -> ScalarField:

@@ -38,9 +38,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import RunConfig, as_integer
+from .config import RunConfig
 from .errors import ConfigError, NumericalError
-from .grid import ScalarField, div, lp_norm
+from .grid import as_integer, div, lp_norm
 from .hydro import fluid_pressure
 from .integrator import FluidState, pressure_energy, run
 from .presets import build_initial_state
@@ -86,14 +86,14 @@ class SweepResult:
 
 def excess_density_norms(state: FluidState) -> dict:
     """L^p norms of the density excess (rho - 1)_+ for p = 1, 2, 4 and inf."""
-    excess = ScalarField(state.grid, np.maximum(state.rho.values - 1.0, 0.0))
-    return {p: lp_norm(excess, p) for p in (1, 2, 4, math.inf)}
+    excess = np.maximum(state.rho.values - 1.0, 0.0)
+    return {p: lp_norm(state.grid, excess, p) for p in (1, 2, 4, math.inf)}
 
 
 def complementarity_residual(state: FluidState) -> float:
     """int |rho^gamma (rho - 1)| dx, the finite-gamma constraint defect."""
-    pi = fluid_pressure(state.rho, state.law)
-    resid = pi.values * np.abs(state.rho.values - 1.0)
+    rho = state.rho.values
+    resid = fluid_pressure(rho, state.law) * np.abs(rho - 1.0)
     return float(np.sum(resid)) * state.grid.cell_volume
 
 
@@ -105,8 +105,7 @@ def incompressibility_defect(state: FluidState, eps: float) -> tuple:
     volume = float(np.count_nonzero(mask)) * state.grid.cell_volume
     if volume == 0.0:
         return 0.0, 0.0
-    divu = div(state.u).values
-    defect = math.sqrt(float(np.sum(divu[mask] ** 2)) * state.grid.cell_volume)
+    defect = math.sqrt(float(np.sum(div(state.u)[mask] ** 2)) * state.grid.cell_volume)
     return defect, volume
 
 
@@ -146,7 +145,7 @@ def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
-    """`workers` (an integer by `config.as_integer`, >= 1), else DOIFBP_THREADS,
+    """`workers` (an integer by `grid.as_integer`, >= 1), else DOIFBP_THREADS,
     else one per task up to the CPU count."""
     if workers is not None:
         try:

@@ -275,12 +275,11 @@ def make_sphere_basis(L: int) -> SphereBasis:
 
 @dataclass(frozen=True)
 class OrientationField:
-    """Per-cell harmonic coefficient vector of the orientation distribution.
+    """Per-cell harmonic coefficient vector of an orientation distribution.
 
-    Also used as the container for time derivatives of such fields, for which
-    the nodal-positivity invariant is not meaningful; positivity is enforced
-    where it matters (state construction, entropy evaluation) through
-    `check_positive`.
+    Only ever a distribution: a rate of one, such as `kinetics.fp_rhs`, is a
+    plain coefficient array.  Nodal positivity is checked where it matters
+    (each step's new f, snapshots, the entropy) through `check_positive`.
     """
 
     grid: Grid

@@ -158,6 +158,29 @@ def test_numerical_failure_exits_3(tmp_path):
     assert "failed at t=" in proc.stderr
 
 
+def test_a_sound_speed_that_underflows_leaves_the_pressure_bound_out(tmp_path):
+    # at gamma = 1000, gamma max rho^(gamma - 1) underflows to 0 for max rho
+    # below about 0.49: an infinite acoustic step, not a division by zero
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(f"gamma = 1000.0\nrho0 = 0.4\nt_final = 0.1\noutdir = {tmp_path / 'out'}\n")
+    proc = doifbp("run", str(cfg))
+    assert proc.returncode == 0, proc.stderr
+    assert "run complete: t=0.1, 3 records" in proc.stdout
+
+
+def test_a_pressure_that_overflows_is_a_named_numerical_failure(tmp_path):
+    # rho^1280 leaves the float range at max rho 1.79: the first ledger record
+    # names the overflow, gamma and max rho instead of failing a field check
+    cfg = tmp_path / "stiff.cfg"
+    cfg.write_text(
+        f"gamma = 1280.0\nrho0 = 0.99\nperturbation = 0.99\nt_final = 0.1\noutdir = {tmp_path / 'out'}\n"
+    )
+    proc = doifbp("run", str(cfg))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("numerical failure: fluid pressure rho^gamma overflows at gamma = 1280, max rho = ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_missing_config_exits_4(tmp_path):
     proc = doifbp("run", str(tmp_path / "nowhere.cfg"))
     assert proc.returncode == 4

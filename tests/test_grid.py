@@ -19,7 +19,7 @@ from doifbp.hydro import transport_step
 def _sin_field(n, length=1.0):
     g = Grid(cells=(n,), lengths=(length,))
     x = g.axis_centers(0)
-    return g, ScalarField(g, np.sin(2.0 * np.pi * x / length))
+    return g, np.sin(2.0 * np.pi * x / length)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,21 @@ def test_grid_cell_counts_must_be_integers():
         g = Grid(cells=cells, lengths=(1.0,) * len(cells))
         assert g.cells == tuple(int(n) for n in cells)
         assert all(type(n) is int for n in g.cells)
+    # one integer rule, `as_integer`, which `RunConfig` follows too: a bool is no count
+    with pytest.raises(ValueError, match=r"integers, got \(True, 8\)"):
+        Grid(cells=(True, 8), lengths=(1.0, 1.0))
+
+
+def test_grid_lengths_must_be_real_numbers():
+    # one real-number rule, `as_real`: a string is never parsed, a bool is no length
+    with pytest.raises(ValueError, match=r"^box lengths must be real numbers, got \('1\.0',\)"):
+        Grid(cells=(8,), lengths=("1.0",))
+    with pytest.raises(ValueError, match="^box lengths must be real numbers"):
+        Grid(cells=(8, 8), lengths=(1.0, True))
+    for lengths in ((2,), (np.float32(0.5),), (np.int64(3),), np.array([1.5])):
+        g = Grid(cells=(8,), lengths=lengths)
+        assert g.lengths == (float(lengths[0]),)
+        assert type(g.lengths[0]) is float
 
 
 def test_field_validation():
@@ -82,13 +97,12 @@ def test_field_validation():
 
 def test_gradient_of_constant_is_zero():
     g = Grid(cells=(16, 8), lengths=(1.0, 1.0))
-    s = ScalarField(g, np.full(g.cells, 3.7))
-    assert np.max(np.abs(grad(s, "pressure").values)) == 0.0
+    assert np.max(np.abs(grad(g, np.full(g.cells, 3.7), "pressure"))) == 0.0
 
 
 def test_periodic_laplacian_sums_to_zero():
     g, s = _sin_field(64)
-    assert abs(np.sum(laplacian(s, "rods").values)) * g.cell_volume < 1e-12
+    assert abs(np.sum(laplacian(g, s, "rods"))) * g.cell_volume < 1e-12
 
 
 def test_laplacian_second_order_refinement():
@@ -97,7 +111,7 @@ def test_laplacian_second_order_refinement():
     for n in (64, 128):
         g, s = _sin_field(n)
         k = 2.0 * np.pi
-        errs.append(float(np.max(np.abs(laplacian(s, "rods").values + k * k * s.values))))
+        errs.append(float(np.max(np.abs(laplacian(g, s, "rods") + k * k * s))))
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6, f"refinement ratio {ratio:.3f}"
 
@@ -105,12 +119,10 @@ def test_laplacian_second_order_refinement():
 def test_grad_div_negative_adjoint():
     rng = np.random.default_rng(7)
     g = Grid(cells=(16, 12), lengths=(1.5, 1.0))
-    s = ScalarField(g, rng.standard_normal(g.cells))
+    s = rng.standard_normal(g.cells)
     v = VectorField(g, rng.standard_normal((2,) + g.cells))
-    pair = float(np.sum(grad(s, "pressure").values * v.values)) + float(
-        np.sum(s.values * div(v).values)
-    )
-    scale = float(np.max(np.abs(s.values))) * float(np.max(np.abs(v.values))) * g.n_cells
+    pair = float(np.sum(grad(g, s, "pressure") * v.values)) + float(np.sum(s * div(v)))
+    scale = float(np.max(np.abs(s))) * float(np.max(np.abs(v.values))) * g.n_cells
     assert abs(pair) * g.cell_volume < 1e-12 * scale
 
 
@@ -160,17 +172,17 @@ def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
         flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
         want_up += (flux_hi - flux_lo) / h
     for quantity in [name for name, mode in WALL_GHOST.items() if mode == ghost]:
-        assert np.array_equal(grad(ScalarField(g, s), quantity).values, want_grad)
-        assert np.array_equal(laplacian(ScalarField(g, s), quantity).values, want_lap)
+        assert np.array_equal(grad(g, s, quantity), want_grad)
+        assert np.array_equal(laplacian(g, s, quantity), want_lap)
         assert np.array_equal(upwind_divergence(g, q, v, quantity), want_up)
-    assert np.array_equal(div(VectorField(g, v)).values, want_div)
+    assert np.array_equal(div(VectorField(g, v)), want_div)
 
 
 def test_unknown_ghost_policy_is_rejected():
     for bc in ("periodic", "dirichlet"):
         g = Grid(cells=(8,), lengths=(1.0,), bc=bc)
         with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
-            grad(ScalarField(g, np.ones(8)), "vorticity")
+            grad(g, np.ones(8), "vorticity")
         with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
             upwind_divergence(g, np.ones(8), np.ones((1, 8)), "vorticity")
 
@@ -210,35 +222,31 @@ def test_only_grid_differentiates_the_velocity():
 
 def test_lp_norm_constant():
     g = Grid(cells=(10,), lengths=(1.0,))
-    s = ScalarField(g, np.full(10, -2.5))
     for p in (1.0, 2.0, 4.0, math.inf):
-        assert lp_norm(s, p) == pytest.approx(2.5, rel=1e-14)
+        assert lp_norm(g, np.full(10, -2.5), p) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_lp_norm_half_domain_indicator():
     g = Grid(cells=(16,), lengths=(1.0,))
     vals = np.zeros(16)
     vals[:8] = 1.0
-    s = ScalarField(g, vals)
-    assert lp_norm(s, 2) == pytest.approx(math.sqrt(0.5), rel=1e-14)
+    assert lp_norm(g, vals, 2) == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
 
 def test_lp_norm_matches_direct_summation():
     rng = np.random.default_rng(11)
     g = Grid(cells=(32, 8), lengths=(2.0, 1.0))
     vals = rng.standard_normal(g.cells)
-    s = ScalarField(g, vals)
     for p in (1.0, 2.0, 3.0, 4.0):
         oracle = (np.sum(np.abs(vals) ** p) * g.cell_volume) ** (1.0 / p)
-        assert lp_norm(s, p) == pytest.approx(oracle, rel=1e-13)
-    assert lp_norm(s, math.inf) == pytest.approx(np.max(np.abs(vals)), rel=1e-15)
+        assert lp_norm(g, vals, p) == pytest.approx(oracle, rel=1e-13)
+    assert lp_norm(g, vals, math.inf) == pytest.approx(np.max(np.abs(vals)), rel=1e-15)
 
 
 def test_lp_norm_rejects_p_below_one():
     g = Grid(cells=(8,), lengths=(1.0,))
-    s = ScalarField(g, np.ones(8))
     with pytest.raises(ValueError, match="p >= 1"):
-        lp_norm(s, 0.5)
+        lp_norm(g, np.ones(8), 0.5)
 
 
 def test_integral_is_cell_sum():
@@ -371,7 +379,7 @@ def test_heat_step_is_the_exact_periodic_heat_propagator(shape, stiffness, seed)
     t = stiffness / sum(4.0 / h**2 for h in g.h)
     q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
     eye = np.eye(g.n_cells).reshape((-1,) + shape)
-    lap = np.array([laplacian(ScalarField(g, e), "rods").values.ravel() for e in eye]).T
+    lap = np.array([laplacian(g, e, "rods").ravel() for e in eye]).T
     want = (scipy.linalg.expm(t * lap) @ q.reshape(g.n_cells, 3)).reshape(q.shape)
     got = heat_step(g, q, t)
     scale = max(float(np.max(q)), 1e-300)
@@ -392,7 +400,7 @@ def test_heat_step_is_one_explicit_euler_step_on_dirichlet_grids():
         q = rng.random(shape + (3,)) * (rng.random(shape + (3,)) < 0.5)  # nonnegative, with zeros
         got = heat_step(g, q, t)
         for k in range(3):
-            want = q[..., k] + t * laplacian(ScalarField(g, q[..., k]), "rods").values
+            want = q[..., k] + t * laplacian(g, q[..., k], "rods")
             assert np.array_equal(got[..., k], want)
         assert np.min(got) >= -1e-15 * np.max(q)  # nonnegative up to roundoff
         with pytest.raises(NumericalError, match="explicit diffusion unstable"):

@@ -50,51 +50,51 @@ def _uniform_state(grid, basis, rho=0.8, eta=0.1, gamma=5.0, u=None, coeffs=None
 
 
 def test_fluid_pressure_unit_and_vacuum():
-    g = Grid(cells=(8,), lengths=(1.0,))
     law = PressureLaw(7.0)
-    assert np.array_equal(fluid_pressure(ScalarField(g, np.ones(8)), law).values, np.ones(8))
-    assert np.array_equal(fluid_pressure(ScalarField(g, np.zeros(8)), law).values, np.zeros(8))
+    assert np.array_equal(fluid_pressure(np.ones(8), law), np.ones(8))
+    assert np.array_equal(fluid_pressure(np.zeros(8), law), np.zeros(8))
 
 
 def test_fluid_pressure_high_precision_power():
     # independent oracle: Decimal arithmetic at 50 digits for 1.1^40
     getcontext().prec = 50
     oracle = float(Decimal("1.1") ** 40)
-    g = Grid(cells=(4,), lengths=(1.0,))
-    got = fluid_pressure(ScalarField(g, np.full(4, 1.1)), PressureLaw(40.0)).values
+    got = fluid_pressure(np.full(4, 1.1), PressureLaw(40.0))
     assert np.max(np.abs(got - oracle)) < 1e-12 * oracle
     assert oracle == pytest.approx(45.259256, rel=1e-7)
 
 
 def test_fluid_pressure_rejects_negative_density():
-    g = Grid(cells=(4,), lengths=(1.0,))
     with pytest.raises(ValueError, match="negative"):
-        fluid_pressure(ScalarField(g, np.full(4, -0.1)), PressureLaw(2.0))
+        fluid_pressure(np.full(4, -0.1), PressureLaw(2.0))
+
+
+def test_fluid_pressure_overflow_is_a_named_numerical_error():
+    # rho^gamma past the float range is a stiff state, not invalid input: the
+    # error names gamma and the density that overflowed (and numpy's overflow
+    # warning, an error under the suite's filterwarnings, is not raised)
+    rho = np.array([0.4, 1.0, 2.0, 0.0])
+    with pytest.raises(NumericalError, match=r"overflows at gamma = 1280, max rho = 2$"):
+        fluid_pressure(rho, PressureLaw(1280.0))
+    assert fluid_pressure(rho, PressureLaw(1000.0))[0] == 0.0  # 0.4^1000 underflows to 0
 
 
 def test_pressure_monotonicity():
-    g = Grid(cells=(5,), lengths=(1.0,))
     rhos = np.array([0.2, 0.6, 0.9, 1.0, 1.3])
-    p5 = fluid_pressure(ScalarField(g, rhos), PressureLaw(5.0)).values
-    p9 = fluid_pressure(ScalarField(g, rhos), PressureLaw(9.0)).values
+    p5 = fluid_pressure(rhos, PressureLaw(5.0))
+    p9 = fluid_pressure(rhos, PressureLaw(9.0))
     assert np.all(np.diff(p5) > 0.0)  # nondecreasing in rho
     assert p9[-1] > p5[-1]  # rho > 1: increasing in gamma
     assert np.all(p9[:3] < p5[:3])  # rho < 1: decreasing in gamma
 
 
 def test_total_pressure_values_and_validation():
-    g = Grid(cells=(4,), lengths=(1.0,))
-    zero = ScalarField(g, np.zeros(4))
-    one = ScalarField(g, np.ones(4))
-    two = ScalarField(g, np.full(4, 2.0))
-    assert np.array_equal(total_pressure(zero, zero).values, np.zeros(4))
-    assert np.array_equal(total_pressure(one, one).values, np.full(4, 3.0))
-    assert np.array_equal(total_pressure(zero, two).values, np.full(4, 6.0))
-    other = Grid(cells=(8,), lengths=(1.0,))
-    with pytest.raises(ValueError, match="different grids"):
-        total_pressure(one, ScalarField(other, np.zeros(8)))
+    zero, one, two = np.zeros(4), np.ones(4), np.full(4, 2.0)
+    assert np.array_equal(total_pressure(zero, zero), np.zeros(4))
+    assert np.array_equal(total_pressure(one, one), np.full(4, 3.0))
+    assert np.array_equal(total_pressure(zero, two), np.full(4, 6.0))
     with pytest.raises(ValueError, match="negative"):
-        total_pressure(one, ScalarField(g, np.full(4, -1.0)))
+        total_pressure(one, np.full(4, -1.0))
 
 
 def test_law_and_coefficient_validation():
@@ -253,8 +253,8 @@ def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, 
     u = VectorField(g, rng.standard_normal((dim,) + g.cells))
     a = hydro._ViscousOperator(g, rho_hat, dt, mu, lam, c)
     got = (a @ u.values.ravel()).reshape(u.values.shape)
-    gd = grad(ScalarField(g, (lam + dt * c) * div(u).values), "bulk stress").values
-    lap = [laplacian(ScalarField(g, comp), "velocity").values for comp in u.values]
+    gd = grad(g, (lam + dt * c) * div(u), "bulk stress")
+    lap = [laplacian(g, comp, "velocity") for comp in u.values]
     want = np.stack([rho_hat * u.values[i] - dt * (mu * lap[i] + gd[i]) for i in range(dim)])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     dense = _dense(a)
@@ -410,7 +410,7 @@ def test_viscous_solve_failure_names_residual_and_momentum_substep(monkeypatch):
     state = _uniform_state(g, make_sphere_basis(2), u=u)
     dt = cfl_dt(state, 0.45)
     rho = state.rho.values
-    c = state.law.gamma * fluid_pressure(state.rho, state.law).values
+    c = state.law.gamma * fluid_pressure(rho, state.law)
     a = hydro._ViscousOperator(g, rho, dt, 1.0, 1.0, c)
     nan = np.full((1,) + g.cells, np.nan)
     with pytest.raises(NumericalError, match=r"relative residual nan \(direct 1D\)"):
@@ -501,6 +501,21 @@ def test_cfl_direct_evaluation():
     assert dt == pytest.approx(1.0 / (64.0 * math.sqrt(0.12)), rel=1e-14)
 
 
+def test_pressure_bound_takes_its_limit_when_the_sound_speed_leaves_the_float_range():
+    # a^2 = gamma max rho^(gamma - 1): 0.4^999 underflows to 0 (an infinite
+    # acoustic step, so no pressure bound) and 2^1279 overflows (an acoustic
+    # step of 0, so the compression step alone); neither is an arithmetic error
+    g = Grid(cells=(16,), lengths=(1.0,))
+    u = -0.1 * np.sin(2.0 * np.pi * g.axis_centers(0)).reshape(1, -1)  # compressing at x = 1/2
+    basis = make_sphere_basis(2)
+    dilute = _uniform_state(g, basis, rho=0.4, gamma=1000.0, u=u)
+    assert "pressure" not in hydro._cfl_bounds(dilute)
+    dense = _uniform_state(g, basis, rho=2.0, gamma=1280.0, u=u)
+    rate = float(np.max(dense.density_flux / dense.rho.values))
+    assert rate > 0.0
+    assert hydro._cfl_bounds(dense)["pressure"] == 1.0 / (1280.0 * rate)
+
+
 def test_cfl_direct_evaluation_dirichlet():
     # the same state on a Dirichlet grid, whose translational diffusion is explicit:
     # min(polymer 1/(64 sqrt(0.12)), diffusive 1/8192) = 1/8192
@@ -532,7 +547,7 @@ def test_cfl_drift_bound_equals_the_padded_gradient_form(dim, bc, n, degree, sca
     gv = np.zeros(g.cells + (3, 3))
     for i in range(dim):
         for j in range(dim):
-            gv[..., i, j] = grad(ScalarField(g, u[i]), "velocity").values[j]
+            gv[..., i, j] = grad(g, u[i], "velocity")[j]
     padded = np.sqrt(np.sum(gv * gv, axis=(-2, -1)))
     block = velocity_gradient(state.u)
     assert np.array_equal(np.sqrt(np.sum(block * block, axis=(-2, -1))), padded)

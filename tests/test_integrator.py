@@ -26,6 +26,7 @@ from doifbp import (
     make_sphere_basis,
     run,
 )
+from doifbp import grid, sphere
 from doifbp.grid import _ghost_index, _sin2_table, heat_step, velocity_gradient
 from doifbp.hydro import _spectral_symbols, _substructure_plan, cfl_dt
 from doifbp.integrator import FluidState, energy_total, renormalized_residual, step
@@ -240,6 +241,27 @@ def test_step_twice_from_one_state_is_bit_identical_and_its_shared_caches_are_re
             arr[(0,) * arr.ndim] = 0
 
 
+def test_a_step_validates_only_the_fields_it_builds(monkeypatch):
+    # operators hand back arrays, so one step checks four arrays: the new
+    # state's rho, u and f, and the number density that the momentum
+    # substep reads through `eta_moment`
+    state = build_initial_state(RunConfig(cells=(64,), lengths=(2.0,), sphere_degree=2))
+    dt = cfl_dt(state, 0.45)
+    checked = []
+    check = grid._check_values
+
+    def counted(values, shape, what):
+        checked.append(what)
+        return check(values, shape, what)
+
+    monkeypatch.setattr(grid, "_check_values", counted)
+    monkeypatch.setattr(sphere, "_check_values", counted)
+    step(state, dt)
+    assert sorted(checked) == [
+        "orientation coefficients", "scalar field values", "scalar field values", "vector field values",
+    ]
+
+
 def test_step_decays_each_degree_by_its_exact_rotational_factor():
     # space-uniform f at rest: only rotational diffusion acts on it
     basis = make_sphere_basis(4)
@@ -274,7 +296,7 @@ def test_step_moves_f_by_transport_then_the_diffusion_substep_then_the_rotationa
     state = replace(state, f=OrientationField(g, basis, f))
     dt = cfl_dt(state, 0.45)
     out = step(state, dt)
-    explicit = f + dt * fp_rhs(state.f, state.u).coeffs
+    explicit = f + dt * fp_rhs(state.f, state.u)
     want = heat_step(g, explicit, dt * coeffs.d_trans) * np.exp(dt * coeffs.d_rot * basis.lap_eig)
     assert np.array_equal(out.f.coeffs, want)
 

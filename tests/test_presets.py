@@ -39,7 +39,7 @@ def test_taylor_vortex_is_divergence_free_and_2d_only():
     state = build_initial_state(cfg)
     from doifbp.grid import div
 
-    assert np.max(np.abs(div(state.u).values)) < 1e-12
+    assert np.max(np.abs(div(state.u))) < 1e-12
     with pytest.raises(ConfigError, match="needs dim = 2"):
         RunConfig(preset="taylor_vortex", sphere_degree=2)  # RunConfig states the rule
 

@@ -292,7 +292,7 @@ def test_rigid_rotation_drift_is_rotation_generator():
     grad_f = np.einsum("q,kqa->ka", c, b.grad_y)
     expected = -np.sum(grad_f * w_tau, axis=1)
 
-    interior = rhs.coeffs[1:-1, 1:-1]
+    interior = rhs[1:-1, 1:-1]
     nodal = interior @ b.y.T
     err = np.max(np.abs(nodal - expected))
     assert err < 1e-10 * max(1.0, np.max(np.abs(expected)))
