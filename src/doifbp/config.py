@@ -1,4 +1,4 @@
-"""Plain-text run configuration: strict key=value parsing and canonical output.
+"""Plain-text run configuration: strict key=value parsing.
 
 Format: one `key = value` pair per line; `#` starts a comment; blank lines
 are ignored.  Unknown keys, malformed lines, duplicate keys and unparsable
@@ -9,8 +9,6 @@ types its value; a `RunConfig` built in Python is held to the same types:
 an integer field takes what `grid.as_integer` accepts, a float field what
 `grid.as_real` accepts (any real number but a bool), and each is stored as a
 Python int or float.
-`config_text` writes every key in a fixed order so that parse -> serialize
--> parse is the identity and the text of any valid config is a fixed point.
 """
 
 from __future__ import annotations
@@ -60,7 +58,11 @@ class RunConfig:
 
 def _held(kind, value):
     """`value` as `RunConfig` holds a field of type `kind`, else TypeError: an
-    int by `as_integer`, a float by `as_real`, a bool or a string as itself."""
+    int by `as_integer`, a float by `as_real`, a bool or a string as itself.
+
+    A number is held as a plain Python int or float, so a config built in
+    Python with numpy scalars runs as the file that parses to it (a float32
+    gamma would keep `gamma - 1.0` in single precision)."""
     if kind is int:
         return as_integer(value)
     if kind is float:
@@ -109,8 +111,8 @@ def _validate(cfg: RunConfig) -> None:
     for f in fields(cfg):
         value, key = getattr(cfg, f.name), _ATTR_TO_KEY[f.name]
         # the type rule of `_parser`: a value (each item of a tuple) has its
-        # default's type (its first item's), held by `_held` as the plain
-        # Python value its text form reads back
+        # default's type (its first item's), held by `_held` as a plain
+        # Python value
         items, kind = (value,), type(f.default)
         is_tuple = kind is tuple
         if is_tuple:
@@ -218,22 +220,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {err}") from None
     kwargs = {attr: value for attr, value in assignments.values()}
     return RunConfig(**kwargs)
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ", ".join(map(_format_value, value))
-    return repr(value) if isinstance(value, float) else str(value)
-
-
-def config_text(cfg: RunConfig) -> str:
-    """Canonical serialization: every key, fixed order, exact round-trip."""
-    lines = []
-    for f in fields(cfg):
-        lines.append(f"{_ATTR_TO_KEY[f.name]} = {_format_value(getattr(cfg, f.name))}")
-    return "\n".join(lines) + "\n"
 
 
 def load_config(path) -> RunConfig:

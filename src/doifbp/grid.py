@@ -263,18 +263,15 @@ def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
     outer Lap_h applied by the stencil, so cell sums telescope and stay exact
     to roundoff for any t >= 0, and nonnegative data stay nonnegative up to
     roundoff.  On Dirichlet grids it is, until an exact Dirichlet propagator
-    replaces it, one explicit Euler step q + t Lap_h q with the "rods" ghost,
-    stable only under the diffusive bound t sum_a 2 / h_a^2 <= 1.  Under it the
-    update is a convex combination of neighbouring cells (so nonnegativity
-    holds); beyond it NumericalError is raised.
+    replaces it, one explicit Euler step q + t laplacian(grid, q, "rods"),
+    stable only under the diffusive bound t sum_a 2 / h_a^2 <= 1.  Under it
+    the update is a convex combination of neighbouring cells (so
+    nonnegativity holds); beyond it NumericalError is raised.
     """
     if grid.bc != PERIODIC:
         if t * sum(2.0 / h**2 for h in grid.h) > _CFL_SLACK:
             raise NumericalError(f"explicit diffusion unstable for t={t:.3e}")
-        lap = np.zeros_like(q)
-        for a in range(grid.dim):
-            lap += _second_diff(grid, q, a, "rods")
-        return q + t * lap
+        return q + t * laplacian(grid, q, "rods")
     out = q
     for a in range(grid.dim):
         n, h = grid.cells[a], grid.h[a]
@@ -305,8 +302,9 @@ def div(v: VectorField) -> np.ndarray:
 
 
 def laplacian(grid: Grid, q: np.ndarray, quantity: str) -> np.ndarray:
-    """Compact second-order Laplacian (3-point per axis) of the quantity `q`."""
-    out = np.zeros(grid.cells)
+    """Compact second-order Laplacian (3-point per axis) of the quantity `q`,
+    shaped grid.cells plus any trailing channels, each its own Laplacian."""
+    out = np.zeros(q.shape)
     for a in range(grid.dim):
         out += _second_diff(grid, q, a, quantity)
     return out

@@ -159,7 +159,7 @@ def energy_total(state: FluidState) -> DiagnosticsRecord:
 
     gv = velocity_gradient(state.u)
     diss_grad_u = c.mu * float(np.sum(gv * gv)) * vol
-    divu = np.trace(gv, axis1=-2, axis2=-1)  # div u, as `div` computes it
+    divu = div(state.u)
     diss_div_u = c.lam * float(np.sum(divu * divu)) * vol
     geta = grad(g, eta.values, "rods")
     diss_grad_eta = 2.0 * c.d_trans * float(np.sum(geta * geta)) * vol

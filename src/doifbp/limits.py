@@ -29,8 +29,6 @@ aggregated in gamma order regardless of completion order.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
 import os
 import sys
@@ -110,38 +108,43 @@ def incompressibility_defect(state: FluidState, eps: float) -> tuple:
 
 
 def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
-    """Worker: one coupled run at a single gamma, diagnostics at final time."""
+    """One rung of a sweep: the coupled run at `gamma`, diagnosed at its final
+    time.  A NumericalError is re-raised as "sweep run at gamma=G failed:
+    <cause>"; any other exception leaves with its own type."""
     cfg_g = replace(cfg, gamma=gamma)
-    state = build_initial_state(cfg_g)
-    # (gamma - 1) x the ledger's pressure entry is the integrand int rho^gamma,
-    # sampled at the initial state and after every step; the ledger itself
-    # records only the end points.
-    samples = [(state.t, pressure_energy(state))]
-    _, final = run(
-        state,
-        cfg_g.t_final,
-        record_every=sys.maxsize,
-        safety=cfg_g.cfl_safety,
-        freeze_velocity=cfg_g.freeze_velocity,
-        observer=lambda k, s: samples.append((s.t, pressure_energy(s))),
-    )
-    ts = np.array([t for t, _ in samples])
-    pg = (gamma - 1.0) * np.array([e for _, e in samples])
-    pressure_integral = float(np.trapezoid(pg, ts))
+    try:
+        state = build_initial_state(cfg_g)
+        # (gamma - 1) x the ledger's pressure entry is the integrand int
+        # rho^gamma, sampled at the initial state and after every step; the
+        # ledger itself records only the end points.
+        samples = [(state.t, pressure_energy(state))]
+        _, final = run(
+            state,
+            cfg_g.t_final,
+            record_every=sys.maxsize,
+            safety=cfg_g.cfl_safety,
+            freeze_velocity=cfg_g.freeze_velocity,
+            observer=lambda k, s: samples.append((s.t, pressure_energy(s))),
+        )
+        ts = np.array([t for t, _ in samples])
+        pg = (gamma - 1.0) * np.array([e for _, e in samples])
+        pressure_integral = float(np.trapezoid(pg, ts))
 
-    norms = excess_density_norms(final)
-    defect, volume = incompressibility_defect(final, cfg_g.eps_congestion)
-    return GammaDiagnostics(
-        gamma=gamma,
-        excess_l1=norms[1],
-        excess_l2=norms[2],
-        excess_l4=norms[4],
-        excess_linf=norms[math.inf],
-        pressure_time_integral=pressure_integral,
-        complementarity=complementarity_residual(final),
-        incompressibility_defect=defect,
-        congested_volume=volume,
-    )
+        norms = excess_density_norms(final)
+        defect, volume = incompressibility_defect(final, cfg_g.eps_congestion)
+        return GammaDiagnostics(
+            gamma=gamma,
+            excess_l1=norms[1],
+            excess_l2=norms[2],
+            excess_l4=norms[4],
+            excess_linf=norms[math.inf],
+            pressure_time_integral=pressure_integral,
+            complementarity=complementarity_residual(final),
+            incompressibility_defect=defect,
+            congested_volume=volume,
+        )
+    except NumericalError as err:
+        raise NumericalError(f"sweep run at gamma={gamma} failed: {err}") from err
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
@@ -189,7 +192,9 @@ def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, worke
     gamma_list and t_final, when given, replace the template's `gammas` and
     `t_final`, so `RunConfig` validates them before any run.  Runs execute
     concurrently when more than one worker is available; the result is
-    identical to the sequential one.
+    identical to the sequential one.  A rung's NumericalError is tagged with
+    its gamma (`_run_one_gamma`); any other exception leaves with its own
+    type.
     """
     cfg = template_config
     if gamma_list is not None:
@@ -199,19 +204,13 @@ def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, worke
     gammas = cfg.gammas
 
     n_workers = _resolve_workers(len(gammas), workers)
-    with contextlib.ExitStack() as stack:
-        if n_workers == 1 or len(gammas) == 1:
-            outcomes = [functools.partial(_run_one_gamma, cfg, g) for g in gammas]
-        else:
-            # multiprocessing loads only here, for a sweep that uses it
-            from concurrent.futures import ProcessPoolExecutor
+    rungs = ([cfg] * len(gammas), gammas)
+    if n_workers == 1 or len(gammas) == 1:
+        rows = list(map(_run_one_gamma, *rungs))
+    else:
+        # multiprocessing loads only here, for a sweep that uses it
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_workers))
-            outcomes = [pool.submit(_run_one_gamma, cfg, g).result for g in gammas]
-        rows = []
-        for g, outcome in zip(gammas, outcomes):
-            try:
-                rows.append(outcome())
-            except Exception as err:
-                raise NumericalError(f"sweep run at gamma={g} failed: {err}") from err
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            rows = list(pool.map(_run_one_gamma, *rungs))
     return SweepResult(rows=tuple(rows), l2_slope=fit_l2_slope(rows))

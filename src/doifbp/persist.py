@@ -8,10 +8,9 @@ header (grid metadata, spectral degree, physical parameters, time), then the
 raw float64 payloads of rho, u, and the orientation coefficients, in that
 order and in C order.  The coefficients are those of the even-degree basis,
 (J+1)(2J+1) per cell with J = floor(L/2).  The number density is the zeroth
-moment of f and is not stored.  Files of the older formats are rejected by
-name: "DOIFBP01" carried a separate eta section, and "DOIFBP02" stored every
-harmonic degree of f, (L+1)^2 coefficients per cell.  Loading checks the
-magic, the dimension, the boundary code and the exact payload length (against
+moment of f and is not stored.  Loading checks the magic (a file of another
+format, the retired "DOIFBP01" and "DOIFBP02" included, is refused as a bad
+magic), the dimension, the boundary code and the exact payload length (against
 the file size, before any payload is read); a truncated file reports the
 section that came up short.  Every other header and payload value is
 validated by the type it builds (`Grid`, the sphere basis, `PressureLaw`,
@@ -36,10 +35,6 @@ from .limits import GammaDiagnostics, SweepResult
 from .sphere import OrientationField, make_sphere_basis
 
 MAGIC = b"DOIFBP03"
-_RETIRED_FORMATS = {
-    b"DOIFBP01": "carries a separate eta section",
-    b"DOIFBP02": "stores the odd harmonic degrees of f",
-}
 _BC_CODES = {PERIODIC: 0, DIRICHLET: 1}
 _BC_NAMES = {code: name for name, code in _BC_CODES.items()}
 
@@ -105,11 +100,6 @@ def load_snapshot(path) -> FluidState:
     """Rebuild a FluidState from a snapshot file, validating everything."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, len(MAGIC), "magic")
-        if magic in _RETIRED_FORMATS:
-            raise SnapshotError(
-                f"snapshot format {magic!r} {_RETIRED_FORMATS[magic]} and is no "
-                f"longer read; this version reads {MAGIC!r}"
-            )
         if magic != MAGIC:
             raise SnapshotError(f"bad magic {magic!r}, expected {MAGIC!r}")
         dim, bc_code = struct.unpack("<II", _read_exact(fh, 8, "header"))

@@ -116,6 +116,22 @@ def test_laplacian_second_order_refinement():
     assert 3.4 <= ratio <= 4.6, f"refinement ratio {ratio:.3f}"
 
 
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("shape", [(9,), (6, 5)])
+def test_laplacian_takes_trailing_channels(shape, bc):
+    # each channel is its own scalar Laplacian, bit for bit, and the Dirichlet
+    # heat step is one Euler step of it
+    rng = np.random.default_rng(29)
+    g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
+    q = rng.standard_normal(shape + (3,))
+    lap = laplacian(g, q, "rods")
+    for k in range(3):
+        assert np.array_equal(lap[..., k], laplacian(g, q[..., k], "rods"))
+    if bc == "dirichlet":
+        t = 0.5 / sum(2.0 / h**2 for h in g.h)
+        assert np.array_equal(heat_step(g, q, t), q + t * lap)
+
+
 def test_grad_div_negative_adjoint():
     rng = np.random.default_rng(7)
     g = Grid(cells=(16, 12), lengths=(1.5, 1.0))

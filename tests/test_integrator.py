@@ -472,6 +472,25 @@ def test_run_diffusion_pulse_eta_energy_non_increasing():
     assert all(b <= a + 1e-14 for a, b in zip(e_eta, e_eta[1:]))
 
 
+@pytest.mark.parametrize("gamma", [5.0, 10.0, 20.0, 40.0, 80.0])
+def test_every_step_obeys_the_discrete_energy_inequality_on_the_gamma_ladder(gamma):
+    # the paper's a priori estimate, step by step: E_{n+1} - E_n + dt D_{n+1}
+    # <= 0 up to roundoff relative to E0, on criterion 6's colliding streams
+    # through gamma = 80 (from gamma = 160 on the default steps break it)
+    cfg = RunConfig(
+        cells=(256,), lengths=(6.0,), sphere_degree=2, rho0=0.5, amplitude=2.6,
+        eta0=0.1, mu=0.1, lam=0.1, t_final=0.5, gamma=gamma,
+    )
+    records, _ = run(build_initial_state(cfg), cfg.t_final, record_every=1, safety=cfg.cfl_safety)
+    e0 = records[0].e_total
+    production = [
+        new.e_total - old.e_total + (new.t - old.t) * new.dissipation
+        for old, new in zip(records, records[1:])
+    ]
+    assert len(production) > 50
+    assert max(production) <= 1e-12 * e0, f"largest production {max(production) / e0:.3e} E0"
+
+
 def test_run_validates_arguments():
     state = _smooth_state()
     with pytest.raises(ValueError, match="precedes"):

@@ -262,6 +262,17 @@ def test_sweep_rejects_a_bad_gamma_list_or_t_final_before_any_run(monkeypatch):
     assert calls == []
 
 
+def test_sweep_lets_a_bare_exception_in_a_rung_keep_its_type(monkeypatch):
+    # only a NumericalError is a rung's numerical failure, tagged with its
+    # gamma; any other exception is a fault of the program and says so
+    def broken(*args, **kw):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(limits, "run", broken)
+    with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+        gamma_sweep(QUIET_CONFIG, (5.0,), workers=1)
+
+
 def test_sweep_parallel_matches_sequential():
     cfg = replace(QUIET_CONFIG, preset="colliding_streams", amplitude=0.4, t_final=0.02)
     seq = gamma_sweep(cfg, workers=1)

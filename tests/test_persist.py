@@ -189,24 +189,16 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         load_snapshot(path)
 
 
-def test_snapshot_rejects_old_format_with_eta_section(tmp_path):
+def test_snapshot_rejects_retired_formats_as_bad_magic(tmp_path):
+    # DOIFBP01 carried a separate eta section, DOIFBP02 every harmonic degree of f
     state = _make_state()
     path = tmp_path / "state.bin"
     snapshot(state, path)
-    path.write_bytes(b"DOIFBP01" + path.read_bytes()[8:])
-    with pytest.raises(SnapshotError, match="DOIFBP01.*separate eta section.*no longer read"):
-        load_snapshot(path)
-
-
-def test_snapshot_rejects_old_format_with_odd_degrees(tmp_path):
-    state = _make_state()
-    path = tmp_path / "state.bin"
-    snapshot(state, path)
-    path.write_bytes(b"DOIFBP02" + path.read_bytes()[8:])
-    with pytest.raises(
-        SnapshotError, match="DOIFBP02.*odd harmonic degrees.*no longer read.*DOIFBP03"
-    ):
-        load_snapshot(path)
+    payload = path.read_bytes()[8:]
+    for magic in (b"DOIFBP01", b"DOIFBP02"):
+        path.write_bytes(magic + payload)
+        with pytest.raises(SnapshotError, match=f"^bad magic {magic!r}, expected b'DOIFBP03'$"):
+            load_snapshot(path)
 
 
 def test_snapshot_rejects_corrupt_header_fields(tmp_path):

@@ -1,4 +1,5 @@
-"""The package's public surface: `__all__` names what the package exports."""
+"""The package's public surface: `__all__` names what the package exports,
+and every public module-level name has a reader outside the tests."""
 
 import ast
 import re
@@ -63,3 +64,57 @@ def test_no_module_imports_a_name_it_never_reads():
                     if name not in read:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"imported but never read: {found}"
+
+
+def _names_read_from_doifbp(tree):
+    """Names a user file reads from the package: imported from `doifbp` or
+    one of its modules, or read as an attribute of a name bound to either."""
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or "doifbp" for alias in node.names if alias.name.split(".")[0] == "doifbp")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "doifbp":
+            for alias in node.names:
+                if (PACKAGE / f"{alias.name}.py").exists():
+                    modules.add(alias.asname or alias.name)
+                else:
+                    names.add(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add(node.attr)
+    return names
+
+
+def test_every_public_module_level_name_has_a_reader_outside_the_tests():
+    # a capability only tests reach is kept for nothing; the readers are the
+    # package itself, the demos, the benchmark (through doifbp, not its own
+    # helpers, and by the LAYERS it traces) and the README's Python example
+    read = set()
+    for path in sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        read |= _names_read_from_doifbp(ast.parse(path.read_text(), filename=str(path)))
+    for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
+        read |= _names_read_from_doifbp(ast.parse(block))
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    layers = next(n.value for n in spans.body if isinstance(n, ast.Assign) and n.targets[0].id == "LAYERS")
+    read |= {name.split(".")[0] for names in ast.literal_eval(layers).values() for name in names}
+
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    for module, tree in trees.items():
+        if module != "__init__":  # its imports are exports, read only through `__all__`
+            imports = (n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level)
+            read |= {alias.name for n in imports for alias in n.names}
+    unread = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                continue
+            # or read by another statement of its own module
+            loads = (n for s in tree.body if s is not stmt for n in ast.walk(s) if isinstance(n, ast.Name))
+            local = {n.id for n in loads if isinstance(n.ctx, ast.Load)}
+            unread += [f"{module}.{name}" for name in sorted(defined - read - local) if not name.startswith("_")]
+    assert not unread, f"public names that only tests read: {unread}"
