@@ -165,6 +165,18 @@ def test_serialize_parse_round_trips_every_valid_config(kwargs):
         assert all(type(v) is float for v in (value if isinstance(value, tuple) else (value,)))
 
 
+def test_every_key_appears_exactly_once_in_canonical_text():
+    # the text that sets every field of the defaults: one line per key, each
+    # key read by the parser, and the whole text parses back to the defaults
+    text = _text(RunConfig())
+    keys = [line.split("=")[0].strip() for line in text.strip().splitlines()]
+    assert len(keys) == len(set(keys)) == 24
+    assert "lambda" in keys and "lam" not in keys
+    assert parse_config(text) == RunConfig()
+    for line in text.splitlines():
+        parse_config(line)
+
+
 @pytest.mark.parametrize(
     ("text", "message"),
     [

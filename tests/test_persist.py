@@ -189,16 +189,27 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         load_snapshot(path)
 
 
-def test_snapshot_rejects_retired_formats_as_bad_magic(tmp_path):
-    # DOIFBP01 carried a separate eta section, DOIFBP02 every harmonic degree of f
+def _with_magic(tmp_path, magic):
+    """A valid snapshot file whose 8-byte magic is replaced by `magic`."""
     state = _make_state()
     path = tmp_path / "state.bin"
     snapshot(state, path)
-    payload = path.read_bytes()[8:]
-    for magic in (b"DOIFBP01", b"DOIFBP02"):
-        path.write_bytes(magic + payload)
-        with pytest.raises(SnapshotError, match=f"^bad magic {magic!r}, expected b'DOIFBP03'$"):
-            load_snapshot(path)
+    path.write_bytes(magic + path.read_bytes()[8:])
+    return path
+
+
+def test_snapshot_rejects_old_format_with_eta_section(tmp_path):
+    # DOIFBP01 carried a separate eta section; it is refused as a bad magic
+    path = _with_magic(tmp_path, b"DOIFBP01")
+    with pytest.raises(SnapshotError, match=r"^bad magic b'DOIFBP01', expected b'DOIFBP03'$"):
+        load_snapshot(path)
+
+
+def test_snapshot_rejects_old_format_with_odd_degrees(tmp_path):
+    # DOIFBP02 stored every harmonic degree of f; it is refused as a bad magic
+    path = _with_magic(tmp_path, b"DOIFBP02")
+    with pytest.raises(SnapshotError, match=r"^bad magic b'DOIFBP02', expected b'DOIFBP03'$"):
+        load_snapshot(path)
 
 
 def test_snapshot_rejects_corrupt_header_fields(tmp_path):
