@@ -14,7 +14,9 @@ donor-cell step; a caller that diffuses (the `eta` reference of check suite
 composition the integrator applies to f.
 
 The momentum update is split: explicit conservative advection of m = rho u,
-explicit pressure-gradient and kinetic-stress forces, then a backward
+built from the transported density and the old velocity (rho^{n+1} u^n, not
+rho^n u^n: an O(1) inconsistency that a uniform translation exposes, ROADMAP
+item 19), explicit pressure-gradient and kinetic-stress forces, then a backward
 (implicit) viscous solve in which the part of the stiff fluid pressure that
 the step does not resolve is linearized about the density of the next step,
 
@@ -62,6 +64,7 @@ from .grid import (
     VectorField,
     _centered_diff,
     _pad_axis,
+    as_real,
     upwind_divergence,
     velocity_gradient,
 )
@@ -77,19 +80,26 @@ _BLOCK = 14
 
 @dataclass(frozen=True)
 class PressureLaw:
-    """Barotropic law pi = rho^gamma with the standing constraint gamma > 3/2."""
+    """Barotropic law pi = rho^gamma with the standing constraint gamma > 3/2.
+
+    gamma is a real number by `grid.as_real`, stored as a Python float."""
 
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", float(self.gamma))
+        try:
+            object.__setattr__(self, "gamma", as_real(self.gamma))
+        except TypeError:
+            raise ValueError(f"gamma must be a real number, got {self.gamma!r}") from None
         if not 1.5 < self.gamma < math.inf:  # rejects NaN too
             raise ValueError(f"gamma must be finite and exceed 3/2, got {self.gamma}")
 
 
 @dataclass(frozen=True)
 class PhysCoeffs:
-    """Viscosities and diffusivities; the normalized default is 1 for all."""
+    """Viscosities and diffusivities; the normalized default is 1 for all.
+
+    Each is a real number by `grid.as_real`, stored as a Python float."""
 
     mu: float = 1.0
     lam: float = 1.0
@@ -98,21 +108,22 @@ class PhysCoeffs:
 
     def __post_init__(self):
         for name in ("mu", "lam", "d_trans", "d_rot"):
-            val = float(getattr(self, name))
-            object.__setattr__(self, name, val)
+            try:
+                object.__setattr__(self, name, val := as_real(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"coefficient {name} must be a real number, got {getattr(self, name)!r}") from None
             if not 0.0 < val < math.inf:  # rejects NaN too
                 raise ValueError(f"coefficient {name} must be positive and finite, got {val}")
 
 
 def fluid_pressure(rho: np.ndarray, law: PressureLaw) -> np.ndarray:
     """pi = rho^gamma computed as exp(gamma ln rho), with pi = 0 where rho = 0:
-    ln rho fills a -inf buffer where rho > 0, and exp(-inf) is exactly 0.
-    NumericalError if rho^gamma overflows."""
+    ln 0 = -inf, and exp(-inf) is exactly 0.  NumericalError if rho^gamma
+    overflows."""
     if rho.min() < 0.0:
         raise ValueError("fluid pressure of a negative density")
-    log = np.log(rho, out=np.full(rho.shape, -np.inf), where=rho > 0.0)
-    with np.errstate(over="ignore"):
-        pi = np.exp(law.gamma * log)
+    with np.errstate(divide="ignore", over="ignore"):
+        pi = np.exp(law.gamma * np.log(rho))
     if not np.isfinite(pi).all():
         raise NumericalError(f"fluid pressure rho^gamma overflows at gamma = {law.gamma:g}, max rho = {rho.max():.6g}")
     return pi
@@ -410,9 +421,11 @@ def momentum_step(state, dt: float) -> VectorField:
     Uses the state's density for both the momentum and the viscous operator,
     the zeroth moment of its distribution f as the number density in the
     pressure, and its own pressure law and coefficients (the coupled
-    integrator passes the state with the freshest rho and f).  The explicit
-    force is the edge-ghost gradient of the whole total pressure at rho, plus
-    the stress divergence.  The stiff fluid pressure is then
+    integrator passes the state with the freshest rho and f, so the advected
+    momentum is rho^{n+1} u^n - dt div_h(rho^{n+1} u^n (x) u^n), which does
+    not keep a uniform translation over a varying density: ROADMAP item 19).
+    The explicit force is the edge-ghost gradient of the whole total pressure
+    at rho, plus the stress divergence.  The stiff fluid pressure is then
     corrected toward the density the next step will carry,
 
         p(rho - dt div(rho u_new)) ~ p(rho) - dt c div u_new,
@@ -484,44 +497,33 @@ def _cfl_bounds(state) -> dict:
     The polymer and pressure bounds read only cells with rho >= RHO_FLOOR
     (the momentum update forces u = 0 below it); div_h(rho u) is the
     state's `density_flux`, the donor divergence the density substep applies
-    next.  The state's pressure law and coefficients give gamma and D.  A
-    bound whose speed or rate is zero is left out, and so is the pressure
-    bound when a^2 underflows to 0 (its limit: an infinite acoustic step); an
-    a^2 that overflows leaves the compression step alone.
+    next.  The state's pressure law and coefficients give gamma and D.  Each
+    bound is its formula in float64, and only the finite ones are returned:
+    a zero speed or rate gives an infinite step, and so does an a^2 that
+    underflows to 0 (its limit: an infinite acoustic step, so no pressure
+    bound); an a^2 that overflows gives an acoustic step of 0, which leaves
+    the compression step alone.
     """
     g = state.rho.grid
-    rho, u = state.rho.values, state.u.values
-    law = state.law
-    bounds = {}
-    vmax = [float(np.abs(u[a]).max()) for a in range(g.dim)]
-    advective = [h / v for h, v in zip(g.h, vmax) if v > 0.0]
-    if advective:
-        bounds["advective"] = min(advective)
+    rho, u, gamma = state.rho.values, state.u.values, np.float64(state.law.gamma)
     h_min = min(g.h)
     rho_live = np.where(rho >= RHO_FLOOR, rho, math.inf)  # vacuum cells add nothing
     eta = eta_moment(state.f).values
-    c2 = float((eta * (1.0 + 2.0 * eta) / rho_live).max())
-    if c2 > 0.0:
-        bounds["polymer"] = h_min / math.sqrt(c2)
-    rate = float((state.density_flux / rho_live).max())
-    if rate > 0.0:
-        # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho;
-        # past the float range either way, a^2 takes its limit: an acoustic
-        # step of 0 as a -> inf, none at all (the bound left out) as a -> 0+
-        try:
-            a2_h2 = law.gamma * float(rho.max()) ** (law.gamma - 1.0) * sum(1.0 / h**2 for h in g.h)
-        except OverflowError:
-            a2_h2 = math.inf
-        if a2_h2 > 0.0:
-            bounds["pressure"] = max(1.0 / (law.gamma * rate), 1.0 / math.sqrt(a2_h2))
-    if g.bc != PERIODIC:
-        bounds["diffusive"] = h_min**2 / (2.0 * g.dim * max(state.coeffs.d_trans, 1.0))
+    # the positive part: max keeps its first argument on a tie, so -0.0 reads +0.0
+    rate = max(0.0, (state.density_flux / rho_live).max())
     gv = velocity_gradient(state.u)
-    g_max = float(np.sqrt((gv * gv).sum(axis=(-2, -1))).max())
-    if g_max > 0.0:
-        L = int(state.f.basis.l_index[-1])  # the highest degree held, last in order
-        bounds["drift"] = 1.0 / (L * (L + 1) * g_max)
-    return bounds
+    L = int(state.f.basis.l_index[-1])  # the highest degree held, last in order
+    with np.errstate(divide="ignore", over="ignore"):
+        # gamma rho^(gamma-1) grows with rho, so the fastest sound is at max rho
+        a2_h2 = gamma * rho.max() ** (gamma - 1.0) * sum(1.0 / h**2 for h in g.h)
+        bounds = {
+            "advective": min(h / np.abs(u[a]).max() for a, h in enumerate(g.h)),
+            "polymer": h_min / np.sqrt((eta * (1.0 + 2.0 * eta) / rho_live).max()),
+            "pressure": max(1.0 / (gamma * rate), 1.0 / np.sqrt(a2_h2)),
+            "diffusive": h_min**2 / (2.0 * g.dim * max(state.coeffs.d_trans, 1.0)) if g.bc != PERIODIC else math.inf,
+            "drift": 1.0 / (L * (L + 1) * np.sqrt((gv * gv).sum(axis=(-2, -1))).max()),
+        }
+    return {name: float(b) for name, b in bounds.items() if math.isfinite(b)}
 
 
 def cfl_dt(state, safety: float) -> float:
@@ -542,9 +544,11 @@ def cfl_dt(state, safety: float) -> float:
     integrals 409 and 3.0e8, against about 1.4).  The diffusive bound guards
     the translational-diffusion substep `grid.heat_step`, which is explicit
     on Dirichlet grids only; periodic grids diffuse exactly and have no such
-    bound.  A state with no finite bound (periodic, no velocity, no rods)
-    returns `math.inf`; `integrator.run` then steps straight to its end time.
-    On Dirichlet grids the result is always finite.
+    bound.  Every bound `_cfl_bounds` returns is finite, so a speed that
+    rounds to 0 or a step that overflows simply has no bound, and a state
+    with no finite bound (periodic, no velocity, no rods) returns `math.inf`;
+    `integrator.run` then steps straight to its end time.  On Dirichlet grids
+    the result is always finite.
     """
     if not 0.0 < safety <= 1.0:
         raise ValueError(f"safety factor must lie in (0, 1], got {safety}")

@@ -21,10 +21,11 @@ the criterion-6 colliding streams it binds only from gamma ~ 80 on (91, 99,
 rung is sensitive to roundoff: on Gauss nodes and weights that differ from
 these by a few ulps it takes 851 steps).
 
-Per-gamma runs are independent and may execute concurrently (process pool,
-capped by the DOIFBP_THREADS environment variable; `multiprocessing` is
-imported only by a sweep that uses more than one worker); results are
-aggregated in gamma order regardless of completion order.
+Per-gamma runs are independent and may execute concurrently (process pool
+of at most one worker per gamma, capped by the DOIFBP_THREADS environment
+variable; `multiprocessing` is imported only by a sweep that uses more than
+one worker); results are aggregated in gamma order regardless of completion
+order.
 """
 
 from __future__ import annotations
@@ -96,13 +97,12 @@ def complementarity_residual(state: FluidState) -> float:
 
 
 def incompressibility_defect(state: FluidState, eps: float) -> tuple:
-    """(||div u||_{L^2({rho >= 1-eps})}, volume of that congested set)."""
+    """(||div u||_{L^2({rho >= 1-eps})}, volume of that congested set); both
+    are 0 on an empty set, whose sum is 0."""
     if not 0.0 < eps < 1.0:
         raise ValueError(f"congestion threshold must lie in (0, 1), got {eps}")
     mask = state.rho.values >= 1.0 - eps
     volume = float(np.count_nonzero(mask)) * state.grid.cell_volume
-    if volume == 0.0:
-        return 0.0, 0.0
     defect = math.sqrt(float(np.sum(div(state.u)[mask] ** 2)) * state.grid.cell_volume)
     return defect, volume
 
@@ -148,26 +148,27 @@ def _run_one_gamma(cfg: RunConfig, gamma: float) -> GammaDiagnostics:
 
 
 def _resolve_workers(n_tasks: int, workers) -> int:
-    """`workers` (an integer by `grid.as_integer`, >= 1), else DOIFBP_THREADS,
-    else one per task up to the CPU count."""
+    """The sweep's worker count, at most one per task: `workers` (an integer
+    by `grid.as_integer`, >= 1), else DOIFBP_THREADS, else the CPU count.  A
+    process pool starts all its workers at once, so a count past the number
+    of tasks would only start idle processes."""
     if workers is not None:
         try:
-            workers = as_integer(workers)
+            count = as_integer(workers)
         except TypeError:
             raise ValueError(f"workers must be an integer, got {workers!r}") from None
-        if workers < 1:
+        if count < 1:
             raise ValueError(f"workers must be at least 1, got {workers!r}")
-        return workers
-    env = os.environ.get("DOIFBP_THREADS")
-    if env is None:
-        return min(n_tasks, os.cpu_count() or 1)
-    try:
-        count = int(env)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"DOIFBP_THREADS must be a positive integer, got {env!r}")
-    return count
+    elif (env := os.environ.get("DOIFBP_THREADS")) is None:
+        count = os.cpu_count() or 1
+    else:
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ConfigError(f"DOIFBP_THREADS must be a positive integer, got {env!r}")
+    return min(count, n_tasks)
 
 
 def fit_l2_slope(rows) -> object:
@@ -201,11 +202,10 @@ def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, worke
         cfg = replace(cfg, gammas=tuple(gamma_list))
     if t_final is not None:
         cfg = replace(cfg, t_final=t_final)
-    gammas = cfg.gammas
 
-    n_workers = _resolve_workers(len(gammas), workers)
-    rungs = ([cfg] * len(gammas), gammas)
-    if n_workers == 1 or len(gammas) == 1:
+    n_workers = _resolve_workers(len(cfg.gammas), workers)
+    rungs = ([cfg] * len(cfg.gammas), cfg.gammas)
+    if n_workers == 1:
         rows = list(map(_run_one_gamma, *rungs))
     else:
         # multiprocessing loads only here, for a sweep that uses it

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _check_values
+from .grid import Grid, _check_values, as_integer
 
 #: absolute tolerance for nodal negativity of orientation distributions
 EPS_POS = 1e-10
@@ -229,9 +229,13 @@ def make_sphere_basis(L: int) -> SphereBasis:
     2L+1) whatever the parity of L.  The drift matrices involve integrands of
     degree up to 2L+2, so they are assembled on a finer internal rule and are
     exact.  The hemisphere rule keeps node k of each antipodal pair
-    (k, partner(k)) with k < partner(k).
+    (k, partner(k)) with k < partner(k).  L is an integer by
+    `grid.as_integer`: a float is never truncated, nor a string parsed.
     """
-    L = int(L)
+    try:
+        L = as_integer(L)
+    except TypeError:
+        raise ValueError(f"sphere basis degree must be an integer, got {L!r}") from None
     if not 2 <= L <= MAX_DEGREE:
         raise ValueError(f"sphere basis degree must be at least 2 and at most {MAX_DEGREE}, got {L}")
     degrees = range(0, L + 1, 2)

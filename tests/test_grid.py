@@ -232,6 +232,20 @@ def test_only_grid_differentiates_the_velocity():
     assert not found, f"velocity differentiated outside grid.py: {found}"
 
 
+def test_no_module_catches_a_float_range_error():
+    # a limit of the float range is taken by IEEE arithmetic (an overflowing
+    # step is inf, a vanishing speed gives an infinite step), not by a branch
+    # around an exception
+    float_range = {"OverflowError", "ZeroDivisionError", "FloatingPointError"}
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                found += [f"{path.name}:{node.lineno} {name}" for name in sorted(named & float_range)]
+    assert not found, f"float-range errors caught: {found}"
+
+
 # ---------------------------------------------------------------------------
 # norms and integrals
 

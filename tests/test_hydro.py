@@ -1,6 +1,7 @@
 """Pressure laws, the momentum update, and the stable-step computation."""
 
 import math
+import re
 from dataclasses import replace
 from decimal import Decimal, getcontext
 
@@ -111,6 +112,25 @@ def test_law_and_coefficient_validation():
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"coefficient {name} must be positive and finite"):
                 PhysCoeffs(**{name: value})
+
+
+def test_law_and_coefficients_take_real_numbers_by_the_one_rule():
+    # float() would parse "10" and read True as 1.0; like `Grid`, the law and
+    # the coefficients refuse anything but a real number and name the field
+    for gamma in ("10", True, None, 3.0 + 0.0j):
+        with pytest.raises(ValueError, match=rf"^gamma must be a real number, got {re.escape(repr(gamma))}$"):
+            PressureLaw(gamma)
+    for name in ("mu", "lam", "d_trans", "d_rot"):
+        for value in (True, "2", None):
+            with pytest.raises(ValueError, match=rf"^coefficient {name} must be a real number, got {value!r}$"):
+                PhysCoeffs(**{name: value})
+    # numpy scalars are real numbers, stored as Python floats
+    law = PressureLaw(np.float32(10.0))
+    assert law.gamma == 10.0 and type(law.gamma) is float
+    assert type(PressureLaw(np.int64(7)).gamma) is float
+    coeffs = PhysCoeffs(mu=np.float64(0.5), lam=np.int32(2), d_trans=3, d_rot=np.float16(0.25))
+    assert (coeffs.mu, coeffs.lam, coeffs.d_trans, coeffs.d_rot) == (0.5, 2.0, 3.0, 0.25)
+    assert all(type(getattr(coeffs, name)) is float for name in ("mu", "lam", "d_trans", "d_rot"))
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +534,19 @@ def test_pressure_bound_takes_its_limit_when_the_sound_speed_leaves_the_float_ra
     rate = float(np.max(dense.density_flux / dense.rho.values))
     assert rate > 0.0
     assert hydro._cfl_bounds(dense)["pressure"] == 1.0 / (1280.0 * rate)
+
+
+def test_cfl_bounds_are_finite_when_a_speed_overflows_its_step():
+    # u = 1e-310 is a subnormal speed: h / max|u| overflows, so the advective
+    # step is infinite, which is no bound; the polymer wave alone binds,
+    # h / sqrt(eta (1 + 2 eta) / rho) = 0.125 / sqrt(0.24)
+    g = Grid(cells=(8,), lengths=(1.0,))
+    state = _uniform_state(g, make_sphere_basis(2), rho=0.5, u=np.full((1, 8), 1e-310))
+    bounds = hydro._cfl_bounds(state)
+    assert all(math.isfinite(b) for b in bounds.values()), bounds
+    assert bounds == {"polymer": pytest.approx(0.125 / math.sqrt(0.24), rel=1e-14)}
+    assert cfl_dt(state, 0.45) == 0.45 * bounds["polymer"]
+    assert cfl_dt(state, 0.45) == pytest.approx(0.11482, abs=5e-6)
 
 
 def test_cfl_direct_evaluation_dirichlet():

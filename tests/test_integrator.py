@@ -491,6 +491,21 @@ def test_every_step_obeys_the_discrete_energy_inequality_on_the_gamma_ladder(gam
     assert max(production) <= 1e-12 * e0, f"largest production {max(production) / e0:.3e} E0"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 19: the advected momentum is rho^{n+1} u^n, not rho^n u^n")
+def test_a_uniform_translation_keeps_its_velocity():
+    # u = 1 over rho = 0.5 + 0.2 sin 2 pi x (no rods) is a solution: the
+    # density translates, and the pressure rho^60 <= 0.7^60 ~ 5e-10 barely
+    # pushes.  Advecting rho^{n+1} u^n where rho^n u^n belongs slows the flow
+    # by 0.44 at t = 0.2, and by as much on 64, 128 and 256 cells; the
+    # consistent update holds u = 1 to about 1e-9
+    g = Grid(cells=(32,), lengths=(1.0,))
+    rho = 0.5 + 0.2 * np.sin(2.0 * np.pi * g.axis_centers(0))
+    state = _state(g, make_sphere_basis(2), rho, np.ones((1, 32)), 0.0, gamma=60.0, coeffs=PhysCoeffs(mu=1e-3, lam=1e-3))
+    _, final = run(state, 0.2)
+    assert final.t == pytest.approx(0.2, rel=1e-12)
+    assert np.max(np.abs(final.u.values - 1.0)) < 1e-6
+
+
 def test_run_validates_arguments():
     state = _smooth_state()
     with pytest.raises(ValueError, match="precedes"):

@@ -304,6 +304,48 @@ def test_sweep_worker_count_from_environment(monkeypatch):
     assert workers == 2 and type(workers) is int
 
 
+def test_sweep_starts_no_more_workers_than_it_has_gammas(monkeypatch):
+    # a process pool forks all max_workers processes at its first submit,
+    # so the count is capped at the number of rungs; the fake pool records
+    # the count it is asked for and maps serially, so no process starts
+    import concurrent.futures
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(limits.os, "cpu_count", lambda: 64)
+    cfg = replace(QUIET_CONFIG, t_final=0.01)  # two gammas
+    gamma_sweep(cfg, workers=8)
+    monkeypatch.setenv("DOIFBP_THREADS", "64")
+    gamma_sweep(cfg)
+    monkeypatch.delenv("DOIFBP_THREADS")
+    gamma_sweep(cfg)
+    assert asked == [2, 2, 2]
+    # one gamma needs one worker, which runs in this process
+    assert gamma_sweep(cfg, gamma_list=(5.0,), workers=8).rows[0].gamma == 5.0
+    assert asked == [2, 2, 2]
+    for workers, env in ((8, None), (None, "64"), (None, None)):
+        if env is None:
+            monkeypatch.delenv("DOIFBP_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DOIFBP_THREADS", env)
+        assert limits._resolve_workers(3, workers) == 3
+        assert limits._resolve_workers(1, workers) == 1
+
+
 def test_sweep_tags_failing_gamma():
     # drive the orientation distribution negative under strong frozen shear
     cfg = RunConfig(

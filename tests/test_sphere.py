@@ -54,6 +54,15 @@ def test_rejects_degree_above_the_cap_before_building(monkeypatch):
         make_sphere_basis(sphere.MAX_DEGREE + 1)
 
 
+def test_degree_is_an_integer_by_the_one_rule():
+    # int() would build degree 7 from 7.9 and degree 4 from "4"
+    for degree in (7.9, 4.0, "4", True, None):
+        with pytest.raises(ValueError, match=rf"^sphere basis degree must be an integer, got {re.escape(repr(degree))}$"):
+            make_sphere_basis(degree)
+    basis = make_sphere_basis(np.int64(3))  # a numpy integer counts
+    assert basis.degree == 3 and type(basis.degree) is int
+
+
 def test_weights_and_nodes():
     # even degrees 0, 2, ..., 2J with J = L // 2: (J+1)(2J+1) modes, on the
     # full (L+1) x (2L+2) node set
