@@ -246,12 +246,3 @@ CHECKS = (
     ("5", check_stress),
     ("7", check_renormalized),
 )
-
-
-def run_all_checks():
-    """Execute every suite; returns a list of (label, name, ok, detail)."""
-    results = []
-    for label, fn in CHECKS:
-        name, ok, detail = fn()
-        results.append((label, name, ok, detail))
-    return results

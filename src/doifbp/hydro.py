@@ -14,11 +14,13 @@ donor-cell step; a caller that diffuses (the `eta` reference of check suite
 composition the integrator applies to f.
 
 The momentum update is split: explicit conservative advection of m = rho u,
-built from the transported density and the old velocity (rho^{n+1} u^n, not
+built from the old velocity of the state `momentum_step` advances and the
+transported density `rho1` it is handed beside it (rho^{n+1} u^n, not
 rho^n u^n: an O(1) inconsistency that a uniform translation exposes, ROADMAP
-item 19), explicit pressure-gradient and kinetic-stress forces, then a backward
-(implicit) viscous solve in which the part of the stiff fluid pressure that
-the step does not resolve is linearized about the density of the next step,
+item 19, whose fix is local to `momentum_step`), explicit pressure-gradient
+and kinetic-stress forces, then a backward (implicit) viscous solve in which
+the part of the stiff fluid pressure that the step does not resolve is
+linearized about the density of the next step,
 
     (rho I - dt [mu Lap + grad((lambda + dt c) div .)]) u_new = m_star,
     c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
@@ -406,7 +408,7 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
                 x += alpha * p
                 r -= alpha * ap
             r = b - a @ x
-            res = np.linalg.norm(r)
+            res = math.sqrt(r.dot(r))
             if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
                 break
         path = f"CG, {_CG_MAX_ITER - budget} iterations"
@@ -415,18 +417,20 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-def momentum_step(state, dt: float) -> VectorField:
+def momentum_step(state, rho1: ScalarField, f1, dt: float) -> VectorField:
     """Advance m = rho u by advection, pressure, stress, and implicit viscosity.
 
-    Uses the state's density for both the momentum and the viscous operator,
-    the zeroth moment of its distribution f as the number density in the
-    pressure, and its own pressure law and coefficients (the coupled
-    integrator passes the state with the freshest rho and f, so the advected
-    momentum is rho^{n+1} u^n - dt div_h(rho^{n+1} u^n (x) u^n), which does
-    not keep a uniform translation over a varying density: ROADMAP item 19).
-    The explicit force is the edge-ghost gradient of the whole total pressure
-    at rho, plus the stress divergence.  The stiff fluid pressure is then
-    corrected toward the density the next step will carry,
+    `state` is the state being advanced: its velocity u, pressure law,
+    coefficients and grid.  `rho1` and `f1` are the density and distribution
+    the step has transported (`integrator.step`); rho = `rho1` multiplies u in
+    the momentum and weights the viscous operator, and the zeroth moment of
+    `f1` is the number density in the pressure.  So the advected momentum is
+    rho^{n+1} u^n - dt div_h(rho^{n+1} u^n (x) u^n), which does not keep a
+    uniform translation over a varying density (ROADMAP item 19); rho^n
+    would be `state.rho`.  The explicit force is the edge-ghost gradient of
+    the whole total pressure at rho, plus the stress divergence.  The stiff
+    fluid pressure is then corrected toward the density the next step will
+    carry,
 
         p(rho - dt div(rho u_new)) ~ p(rho) - dt c div u_new,
 
@@ -452,8 +456,8 @@ def momentum_step(state, dt: float) -> VectorField:
     1e-13 CG rule in 2D): fluxes telescope, and centered gradients and the
     columns of mu Lap + grad((lambda + dt c) div .) sum to zero.
     """
-    g = state.rho.grid
-    rho = state.rho.values
+    g = state.grid
+    rho = rho1.values
     u = state.u.values
     last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
     m = (rho * u).transpose(last)
@@ -461,8 +465,8 @@ def momentum_step(state, dt: float) -> VectorField:
 
     law, coeffs = state.law, state.coeffs
     pi = fluid_pressure(rho, law)
-    p = total_pressure(pi, eta_moment(state.f).values)
-    sigma = stress_moment(state.f)[..., : g.dim, : g.dim]
+    p = total_pressure(pi, eta_moment(f1).values)
+    sigma = stress_moment(f1)[..., : g.dim, : g.dim]
     force = np.empty(g.cells + (g.dim,))
     for j in range(g.dim):
         force[..., j] = -_centered_diff(g, p, j, "pressure")  # every row, before the stress adds to it

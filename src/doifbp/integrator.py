@@ -2,7 +2,9 @@
 
 One step applies Lie splitting in a fixed order: density transport, the
 Fokker-Planck substep for the orientation distribution, and finally the
-momentum update driven by the freshest fields.  The Fokker-Planck substep is
+momentum update of the old velocity, handed the transported density and
+distribution beside the state it advances (`hydro.momentum_step`); every
+`FluidState` holds a single instant.  The Fokker-Planck substep is
 an explicit step of physical transport and sphere drift (`fp_rhs`), then the
 translational-diffusion substep `grid.heat_step` of its result, then exact
 rotational diffusion through the integrating factor exp(-dt d_rot l(l+1))
@@ -186,7 +188,9 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
     The orientation update is f -> heat_step(f + dt fp_rhs(f, u), dt d_trans)
     times the rotational factor exp(dt d_rot Lap_tau).  The momentum substep
-    sees the post-transport density and distribution.  With `freeze_velocity`
+    `momentum_step(state, rho1, f1, dt)` advances this state's velocity with
+    the density rho1 and distribution f1 just transported; the one
+    `FluidState` a step builds is its result.  With `freeze_velocity`
     the velocity is held fixed (the pure-diffusion configuration used by the
     energy-monotonicity checks).
 
@@ -210,7 +214,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
         f1.check_positive()
 
         substep = "momentum"
-        u1 = u if freeze_velocity else momentum_step(FluidState(rho1, u, f1, t, law, coeffs), dt)
+        u1 = u if freeze_velocity else momentum_step(state, rho1, f1, dt)
     except (ValueError, NumericalError) as err:
         cause = f"substep '{substep}' failed at t={t:.9g}: {err}"
         if substep == "orientation fokker-planck":

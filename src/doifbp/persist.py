@@ -51,13 +51,26 @@ def write_diagnostics(records, path) -> None:
 
 
 def read_diagnostics(path):
+    """Read the records of a diagnostics CSV written by `write_diagnostics`.
+
+    A file whose first row is not the header, or with a row that is not one
+    float per field (`nan` and `inf` included), is a ValueError that names
+    the path and, for a bad row, quotes it.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if not lines or lines[0] != ",".join(DiagnosticsRecord.FIELDS):
         raise ValueError(f"{path}: not a diagnostics CSV (bad header)")
+    n = len(DiagnosticsRecord.FIELDS)
     out = []
     for line in lines[1:]:
-        out.append(DiagnosticsRecord(*(float(tok) for tok in line.split(","))))
+        try:
+            values = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            values = None
+        if values is None or len(values) != n:
+            raise ValueError(f"{path}: not a diagnostics CSV (row {line!r} is not {n} floats)")
+        out.append(DiagnosticsRecord(*values))
     return out
 
 

@@ -197,3 +197,28 @@ def test_verbose_logs_progress_quiet_does_not(tmp_path):
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
     assert "run complete:" in quiet.stdout  # the result line is not a log record
+
+
+def test_check_exits_1_and_names_the_failed_suite(monkeypatch, capsys):
+    import doifbp.checks
+    from doifbp import cli
+
+    suites = (
+        ("1", lambda: ("passing fake", True, "fine")),
+        ("2", lambda: ("failing fake", False, "broken")),
+    )
+    monkeypatch.setattr(doifbp.checks, "CHECKS", suites)
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        "[1] passing fake: PASS — fine",
+        "[2] failing fake: FAIL — broken",
+        "1 suite(s) failed",
+    ]
+
+
+def test_importing_the_cli_leaves_the_check_suites_unloaded():
+    probe = "import sys, doifbp.cli; print('doifbp.checks' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

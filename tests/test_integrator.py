@@ -262,6 +262,28 @@ def test_a_step_validates_only_the_fields_it_builds(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("cfg", [
+    RunConfig(cells=(32,), lengths=(2.0,), sphere_degree=2),
+    RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex", sphere_degree=2),
+], ids=["periodic-1d", "dirichlet-2d"])
+def test_a_step_builds_one_state(cfg, monkeypatch):
+    # every FluidState holds one instant: the momentum substep is handed the
+    # transported rho and f beside the state it advances, so the only state a
+    # step builds is its result
+    state = build_initial_state(cfg)
+    dt = cfl_dt(state, 0.45)
+    built = []
+    check = FluidState.__post_init__
+
+    def counted(self):
+        built.append(self.t)
+        return check(self)
+
+    monkeypatch.setattr(FluidState, "__post_init__", counted)
+    out = step(state, dt)
+    assert built == [out.t]
+
+
 def test_step_decays_each_degree_by_its_exact_rotational_factor():
     # space-uniform f at rest: only rotational diffusion acts on it
     basis = make_sphere_basis(4)

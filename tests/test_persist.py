@@ -21,7 +21,7 @@ from doifbp import (
     snapshot,
 )
 from doifbp.hydro import cfl_dt
-from doifbp.integrator import FluidState, step
+from doifbp.integrator import DiagnosticsRecord, FluidState, step
 from doifbp.limits import GammaDiagnostics, SweepResult
 from doifbp.persist import (
     SWEEP_FIELDS,
@@ -84,6 +84,28 @@ def test_diagnostics_csv_rejects_foreign_file(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="bad header"):
         read_diagnostics(path)
+
+
+def _diagnostics_file(tmp_path, row):
+    path = tmp_path / "diag.csv"
+    path.write_text(",".join(DiagnosticsRecord.FIELDS) + "\n" + row + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "row", ["0,1,2", ",".join(["1.5"] * 14), ",".join(["x"] * 13)], ids=["short", "long", "not-numbers"]
+)
+def test_diagnostics_csv_refuses_a_malformed_row_by_name(tmp_path, row):
+    path = _diagnostics_file(tmp_path, row)
+    with pytest.raises(ValueError) as err:
+        read_diagnostics(path)
+    assert str(err.value) == f"{path}: not a diagnostics CSV (row {row!r} is not 13 floats)"
+
+
+def test_diagnostics_csv_reads_a_row_of_13_floats_with_nan(tmp_path):
+    path = _diagnostics_file(tmp_path, "nan," + ",".join(str(k) for k in range(12)))
+    (rec,) = read_diagnostics(path)
+    assert math.isnan(rec.t) and rec.row()[1:] == tuple(float(k) for k in range(12))
 
 
 # ---------------------------------------------------------------------------
