@@ -5,9 +5,17 @@ Every preset starts at the mean density rho0, below 1 by `RunConfig`'s rule
 genuine free boundary), adds a mean-free perturbation, and starts the
 orientation distribution isotropic with number density eta0, so the
 initial kinetic stress vanishes identically.
+
+The perturbation is drawn from Python's `random.Random(seed)`: one uniform
+`random()` per cell in C order, made mean-free and scaled to the requested
+peak.  That stream is fixed across Python versions and involves no
+transcendental function, so a seed gives the same initial state on every
+host and numpy build.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 
@@ -36,14 +44,19 @@ def _velocity_values(cfg: RunConfig, grid: Grid) -> np.ndarray:
 
 
 def build_initial_state(cfg: RunConfig) -> FluidState:
-    """Assemble the t = 0 state for `cfg`."""
+    """Assemble the t = 0 state for `cfg`.
+
+    With `perturbation` p > 0 the density is rho0 + p (d - mean d) / max|d - mean d|,
+    where d holds the first `n_cells` draws of `random.Random(seed).random()`
+    laid out in C order, clamped at 0 against an ulp of undershoot at p = rho0.
+    """
     grid = Grid(cells=cfg.cells, lengths=cfg.lengths, bc=cfg.bc)
     basis = make_sphere_basis(cfg.sphere_degree)
 
     rho_values = np.full(grid.cells, float(cfg.rho0))
     if cfg.perturbation > 0.0:
-        rng = np.random.default_rng(cfg.seed)
-        noise = rng.standard_normal(grid.cells)
+        rng = random.Random(cfg.seed)
+        noise = np.reshape([rng.random() for _ in range(grid.n_cells)], grid.cells)
         noise -= noise.mean()  # mean-preserving, so the mass stays subcritical
         peak = np.max(np.abs(noise))
         if peak > 0.0:

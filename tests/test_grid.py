@@ -246,6 +246,24 @@ def test_no_module_catches_a_float_range_error():
     assert not found, f"float-range errors caught: {found}"
 
 
+def test_no_module_uses_numpy_random():
+    # seeded noise comes from Python's random.Random, whose stream Python
+    # keeps across versions; importing numpy.random costs ~6 MB of RSS
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.startswith(("numpy.random", "np.random"))]
+    assert not found, f"numpy.random used: {found}"
+
+
 # ---------------------------------------------------------------------------
 # norms and integrals
 

@@ -480,16 +480,17 @@ def test_viscous_solve_stops_at_once_on_a_nan_right_hand_side():
 
 
 def test_dense_stiff_state_at_rest_completes_through_a_cg_restart():
-    # 4x4 periodic, rho up to ~1.4, gamma = 28.27, at rest: only the polymer
-    # bound sets dt, dt^2 gamma rho^gamma / (rho h^2) reaches ~4e5.  Under
-    # Jacobi, CG's recursive residual converged while the true one stayed at
-    # 1.1e-10, and only a restart from the true residual completed the step;
-    # the spectral preconditioner needs no restart here (the vacuum cells of
-    # test_2d_preconditioner_is_spd_and_the_solve_is_exact do)
+    # 4x4 periodic, rho from 0.515 up to 1.425, gamma = 28.27, at rest: only
+    # the polymer bound sets dt, dt^2 gamma rho^gamma / (rho h^2) reaches
+    # ~4e5.  Under Jacobi, CG's recursive residual converged while the true
+    # one stayed at 1.1e-10, and only a restart from the true residual
+    # completed the step; the spectral preconditioner restarts once here too,
+    # in the first solve (the vacuum cells of
+    # test_2d_preconditioner_is_spd_and_the_solve_is_exact also make it restart)
     cfg = RunConfig(
         dim=2, cells=(4, 4), lengths=(1.0, 1.0), preset="uniform", rho0=0.95,
         gamma=28.266985956595992, amplitude=1.0821542335388885, d_trans=1e-3, d_rot=0.1,
-        mu=0.1, lam=0.1, sphere_degree=3, perturbation=0.475, seed=11647,
+        mu=0.1, lam=0.1, sphere_degree=3, perturbation=0.475, seed=14,
     )
     state = build_initial_state(cfg)
     dt = cfl_dt(state, cfg.cfl_safety)

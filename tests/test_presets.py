@@ -1,6 +1,7 @@
 """Initial-data builders for the named flow presets."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -64,20 +65,47 @@ def test_perturbation_is_seeded_and_mean_preserving():
     assert not np.array_equal(a, c.rho.values)
 
 
+def _unclamped_density(cfg):
+    # the draw rule of build_initial_state, without its clamp at 0:
+    # rho0 + p (d - mean d) / max|d - mean d|, d the first cells draws of
+    # random.Random(seed).random() in C order
+    rng = random.Random(cfg.seed)
+    d = np.reshape([rng.random() for _ in range(math.prod(cfg.cells))], cfg.cells)
+    d -= d.mean()
+    return cfg.rho0 + cfg.perturbation * d / np.max(np.abs(d))
+
+
+def test_perturbation_is_pinned_to_the_python_random_stream():
+    # seed 1 on 8 cells: d is the first 8 draws of random.Random(1).random(),
+    # which Python keeps across versions; a change of generator fails here
+    # rather than silently moving every seeded state
+    rng = random.Random(1)
+    assert [rng.random() for _ in range(3)] == [0.13436424411240122, 0.8474337369372327, 0.763774618976614]
+    cfg = RunConfig(cells=(8,), rho0=0.6, perturbation=0.2, seed=1, sphere_degree=2)
+    assert np.array_equal(build_initial_state(cfg).rho.values, _unclamped_density(cfg))
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
         # perturbation = rho0: (perturbation * noise) / peak rounds an ulp
-        # past -rho0, which once failed as a negative density
-        RunConfig(cells=(16,), rho0=0.9, perturbation=0.9, seed=25, sphere_degree=2),
+        # past -rho0, which once failed as a negative density (seeds 5, 53
+        # and 80 reach it among the first 100)
+        RunConfig(cells=(16,), rho0=0.9, perturbation=0.9, seed=5, sphere_degree=2),
         # the mean-free noise rounds the mean onto 1, which once failed as a
-        # supercritical mean
+        # supercritical mean (seeds 1, 2 and 4 reach it among the first 5)
         RunConfig(
-            cells=(7,), rho0=float(np.nextafter(1.0, 0.0)), perturbation=0.3, seed=0, sphere_degree=2
+            cells=(7,), rho0=float(np.nextafter(1.0, 0.0)), perturbation=0.3, seed=1, sphere_degree=2
         ),
     ],
 )
 def test_every_perturbation_in_range_builds_and_runs(cfg):
+    # each case sits on its edge before the clamp
+    unclamped = _unclamped_density(cfg)
+    if cfg.perturbation == cfg.rho0:
+        assert np.min(unclamped) < 0.0
+    else:
+        assert np.mean(unclamped) >= 1.0
     state = build_initial_state(cfg)
     assert np.min(state.rho.values) >= 0.0
     assert np.mean(state.rho.values) == pytest.approx(cfg.rho0, abs=1e-15)
