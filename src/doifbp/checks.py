@@ -1,8 +1,8 @@
 """Self-contained verification suites behind the `check` subcommand.
 
 Each suite returns (name, ok, detail) and picks its own configuration, sized
-so the whole battery finishes in about 20 s (19-22 s measured on a 2-core
-machine):
+so the whole battery finishes in seconds (the README's Testing section gives
+its measured time):
 
   1. quadrature/spectral exactness of the sphere basis,
   2. discrete conservation of mass and rod number over long periodic runs,

@@ -13,41 +13,14 @@ donor-cell step; a caller that diffuses (the `eta` reference of check suite
 3) follows it with the translational-diffusion substep `grid.heat_step`, the
 composition the integrator applies to f.
 
-The momentum update is split: explicit conservative advection of m = rho u,
-built from the old velocity of the state `momentum_step` advances and the
-transported density `rho1` it is handed beside it (rho^{n+1} u^n, not
-rho^n u^n: an O(1) inconsistency that a uniform translation exposes, ROADMAP
-item 19, whose fix is local to `momentum_step`), explicit pressure-gradient
-and kinetic-stress forces, then a backward (implicit) viscous solve in which
-the part of the stiff fluid pressure that the step does not resolve is
-linearized about the density of the next step,
-
-    (rho I - dt [mu Lap + grad((lambda + dt c) div .)]) u_new = m_star,
-    c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
-
-so c <= gamma rho^gamma = rho p'(rho) acts as a variable bulk viscosity
-beside lambda (the all-speed route of Degond-Tang).  A step that resolves
-sound has c = 0 and is the explicit-pressure scheme; a longer one needs no
-acoustic bound.  The polymer pressure eta + eta^2 stays explicit.  The
-operator is applied matrix-free from the grid's stencils (`_ViscousOperator`),
-and carries the whole system the solves read: its grid, rho_hat, and the
-scalars nu = dt mu and bulk = dt (lambda + dt mean(c)).  Its `grad div` is
-the wide centered-of-centered stencil, which decouples odd and even modes
-and is kept on purpose.  The system is SPD for rho >= RHO_FLOOR.  On 1D
-grids it is solved directly, by static condensation of blocks of its five
-bands (with the periodic wrap) onto a small interface, through an index plan
-cached per grid; on 2D grids by preconditioned CG to relative residual
-1e-13, restarted from the true residual when the recursive one has drifted
-from it, preconditioned by one spectral inverse (`_spectral_preconditioner`,
-its tables cached per grid) of the constant-coefficient system
-
-    rbar I - dt [mu Lap + (lambda + dt mean(c)) grad div],
-    rbar = mean(rho_hat):
-
-exact in the Fourier basis of periodic grids; in the sine basis of Dirichlet
-grids, without the cross terms of grad div.  The cached plan and tables are
-shared read-only.  Either result is accepted only at a true residual below
-1e-10.
+The momentum update `momentum_step` is two halves.  The explicit
+`_momentum_predictor` advects the momentum and adds the pressure and stress
+forces; the implicit `_viscous_correction` solves for the new velocity, with
+the part of the stiff fluid pressure that the step does not resolve as a
+variable bulk viscosity.  Its `_ViscousOperator` is applied matrix-free and
+solved by `_viscous_solve`: directly on 1D grids (`_substructured_solve`), by
+CG under one spectral preconditioner (`_spectral_preconditioner`) on 2D
+grids.
 """
 
 from __future__ import annotations
@@ -67,6 +40,7 @@ from .grid import (
     _centered_diff,
     _pad_axis,
     as_real,
+    grad,
     upwind_divergence,
     velocity_gradient,
 )
@@ -167,10 +141,12 @@ def transport_step(s: ScalarField, u: VectorField, dt: float, flux: np.ndarray) 
 class _ViscousOperator:
     """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
 
-    `c` is the per-cell linearized part of rho p'(rho) (`momentum_step`).  In
-    the grid's zero-ghost stencils this is rho_hat - nu Lap - D_a w D_b with
-    nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered differences
-    D_a are antisymmetric, and positive definite for rho_hat > 0 and c >= 0.
+    `c` is the per-cell linearized part of rho p'(rho) (`_viscous_correction`).
+    In the grid's zero-ghost stencils this is rho_hat - nu Lap - D_a w D_b
+    with nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered
+    differences D_a are antisymmetric, and positive definite for rho_hat > 0
+    and c >= 0.  Its grad div is this wide centered-of-centered stencil, which
+    decouples odd and even modes and is kept on purpose.
     `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
     in 1D, `bands` gives its entries in closed form.  Those forms (`_centre`,
     the Dirichlet zeroing in `bands()`) hold for zero "velocity" and "bulk
@@ -417,20 +393,43 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
     return x.reshape(shape)
 
 
-def momentum_step(state, rho1: ScalarField, f1, dt: float) -> VectorField:
-    """Advance m = rho u by advection, pressure, stress, and implicit viscosity.
+def _momentum_predictor(state, rho1: ScalarField, f1, dt: float) -> tuple:
+    """The explicit half of `momentum_step`: (m_star, pi), both component-first.
 
-    `state` is the state being advanced: its velocity u, pressure law,
-    coefficients and grid.  `rho1` and `f1` are the density and distribution
-    the step has transported (`integrator.step`); rho = `rho1` multiplies u in
-    the momentum and weights the viscous operator, and the zeroth moment of
-    `f1` is the number density in the pressure.  So the advected momentum is
+    m_star is the donor-advected momentum plus dt times the explicit forces,
+    built from the velocity u of `state` and the density rho = `rho1` and
+    distribution `f1` the step has transported.  It advects
     rho^{n+1} u^n - dt div_h(rho^{n+1} u^n (x) u^n), which does not keep a
-    uniform translation over a varying density (ROADMAP item 19); rho^n
-    would be `state.rho`.  The explicit force is the edge-ghost gradient of
-    the whole total pressure at rho, plus the stress divergence.  The stiff
-    fluid pressure is then corrected toward the density the next step will
-    carry,
+    uniform translation over a varying density (ROADMAP item 19, whose fix is
+    local to this predictor); rho^n would be `state.rho`.  The force is the
+    edge-ghost gradient of the whole total pressure p = pi + eta + eta^2 at
+    rho, with eta the zeroth moment of `f1`, plus the divergence of the
+    kinetic stress of `f1`; the polymer pressure eta + eta^2 stays explicit.
+    pi = rho^gamma is returned for the correction to linearize.
+    """
+    g = state.grid
+    rho = rho1.values
+    u = state.u.values
+    last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
+    m = (rho * u).transpose(last)
+    m = m - dt * upwind_divergence(g, m, u, "velocity")
+    pi = fluid_pressure(rho, state.law)
+    p = total_pressure(pi, eta_moment(f1).values)
+    force = np.negative(grad(g, p, "pressure").transpose(last), order="C")  # C order: strided in-place adds are slow
+    sigma = stress_moment(f1)[..., : g.dim, : g.dim]
+    for j in range(g.dim):
+        force += _centered_diff(g, sigma[..., j], j, "stress")  # column j of div sigma, every row
+    m += dt * force
+    return m.transpose((g.dim,) + tuple(range(g.dim))), pi
+
+
+def _viscous_correction(state, rho: np.ndarray, pi: np.ndarray, m_star: np.ndarray, dt: float) -> VectorField:
+    """The implicit half of `momentum_step`: the new velocity from m_star.
+
+    rho weights the solve as rho_hat = max(rho, RHO_FLOOR); cells below the
+    floor are vacuum, where m_star and the new velocity are set to zero.  The
+    stiff fluid pressure pi = rho^gamma of the predictor is corrected toward
+    the density the next step will carry,
 
         p(rho - dt div(rho u_new)) ~ p(rho) - dt c div u_new,
 
@@ -442,49 +441,48 @@ def momentum_step(state, rho1: ScalarField, f1, dt: float) -> VectorField:
 
         c = (gamma rho^gamma - rho / (dt^2 sum_a h_a^-2))_+ ,
 
-    and it enters the implicit solve as a variable bulk viscosity dt c beside
-    lambda (`_ViscousOperator`).  At a step that resolves sound everywhere
-    (dt^2 gamma rho^(gamma-1) sum_a h_a^-2 <= 1) c vanishes, and the update is
-    the explicit-pressure scheme with no numerical bulk viscosity.  Beyond
-    it, the von Neumann analysis of the linearized acoustics of this split
-    (density moved by the old velocity, momentum pushed by the new density,
-    centered stencils of symbol k) has amplification determinant
-    1 / (1 + dt^2 c k^2 / rho) and is stable for any dt, because the explicit
-    remainder has Courant number at most 1; so no acoustic bound caps the
-    step.  The polymer pressure eta + eta^2 stays explicit.  Total momentum is
-    conserved on periodic grids to the solve residual (roundoff in 1D, the
-    1e-13 CG rule in 2D): fluxes telescope, and centered gradients and the
-    columns of mu Lap + grad((lambda + dt c) div .) sum to zero.
+    so c acts as a variable bulk viscosity dt c beside lambda (the all-speed
+    route of Degond-Tang) in
+
+        (rho_hat I - dt [mu Lap + grad((lambda + dt c) div .)]) u_new = m_star,
+
+    the `_ViscousOperator` that `_viscous_solve` solves.  At a step that
+    resolves sound everywhere (dt^2 gamma rho^(gamma-1) sum_a h_a^-2 <= 1) c
+    vanishes, and the update is the explicit-pressure scheme with no
+    numerical bulk viscosity.  Beyond it, the von Neumann analysis of the
+    linearized acoustics of the split (density moved by the old velocity,
+    momentum pushed by the new density, centered stencils of symbol k) has
+    amplification determinant 1 / (1 + dt^2 c k^2 / rho) and is stable for
+    any dt, because the explicit remainder has Courant number at most 1; so
+    no acoustic bound caps the step.
     """
-    g = state.grid
-    rho = rho1.values
-    u = state.u.values
-    last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
-    m = (rho * u).transpose(last)
-    m = m - dt * upwind_divergence(g, m, u, "velocity")
-
-    law, coeffs = state.law, state.coeffs
-    pi = fluid_pressure(rho, law)
-    p = total_pressure(pi, eta_moment(f1).values)
-    sigma = stress_moment(f1)[..., : g.dim, : g.dim]
-    force = np.empty(g.cells + (g.dim,))
-    for j in range(g.dim):
-        force[..., j] = -_centered_diff(g, p, j, "pressure")  # every row, before the stress adds to it
-    for j in range(g.dim):
-        force += _centered_diff(g, sigma[..., j], j, "stress")  # column j of div sigma, every row
-    m += dt * force
-
-    m = m.transpose((g.dim,) + tuple(range(g.dim)))
+    g, law, coeffs = state.grid, state.law, state.coeffs
     rho_hat = np.maximum(rho, RHO_FLOOR)
     vacuum = rho < RHO_FLOOR
     if vacuum.any():
-        m = np.where(vacuum, 0.0, m)
+        m_star = np.where(vacuum, 0.0, m_star)
     resolved = rho_hat / (dt * dt * sum(1.0 / h**2 for h in g.h))
     c = np.maximum(law.gamma * pi - resolved, 0.0)
-    u_new = _viscous_solve(_ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m)
+    u_new = _viscous_solve(_ViscousOperator(g, rho_hat, dt, coeffs.mu, coeffs.lam, c), m_star)
     if vacuum.any():
         u_new = np.where(vacuum, 0.0, u_new)
     return VectorField(g, u_new)
+
+
+def momentum_step(state, rho1: ScalarField, f1, dt: float) -> VectorField:
+    """Advance m = rho u by advection, pressure, stress, and implicit viscosity.
+
+    `state` is the state being advanced: its velocity u, pressure law,
+    coefficients and grid.  `rho1` and `f1` are the density and distribution
+    the step has transported (`integrator.step`).  The update is the explicit
+    `_momentum_predictor` followed by the `_viscous_correction` of its m_star
+    at rho = `rho1`.  Total momentum is conserved on periodic grids to the
+    solve residual (roundoff in 1D, the 1e-13 CG rule in 2D): fluxes
+    telescope, and centered gradients and the columns of
+    mu Lap + grad((lambda + dt c) div .) sum to zero.
+    """
+    m_star, pi = _momentum_predictor(state, rho1, f1, dt)
+    return _viscous_correction(state, rho1.values, pi, m_star, dt)
 
 
 def _cfl_bounds(state) -> dict:
@@ -535,9 +533,9 @@ def cfl_dt(state, safety: float) -> float:
 
     The bounds read gamma and d_trans from the state's own `law` and
     `coeffs`.  The stiff fluid pressure is implicit beyond the sound speed
-    the step resolves (`momentum_step`), so no acoustic bound caps the step.  The
-    polymer bound is the speed of the wave that the explicit gradient of
-    eta + eta^2 carries with the transported rods.  The pressure bound is the
+    the step resolves (`_viscous_correction`), so no acoustic bound caps the
+    step.  The polymer bound is the speed of the wave that the explicit
+    gradient of eta + eta^2 carries with the transported rods.  The pressure bound is the
     larger of two steps.  At the acoustic step the pressure update is wholly
     explicit, as in a scheme without the linearization.  The compression
     step 1 / (gamma max div_h(rho u) / rho) limits the relative density

@@ -241,6 +241,31 @@ def test_momentum_one_step_consistency_first_order():
     assert 1.6 <= r1 <= 2.6 and 1.6 <= r2 <= 2.6, f"ratios {r1:.2f}, {r2:.2f}"
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    n=st.integers(4, 16),
+    gamma=st.floats(2.0, 60.0),
+    dt=st.floats(1e-4, 0.1),
+    mu=st.floats(1e-3, 10.0),
+    lam=st.floats(1e-3, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_viscous_correction_keeps_a_uniform_velocity(dim, n, gamma, dt, mu, lam, seed):
+    # the implicit half of the momentum step, which the coupled step of
+    # ROADMAP item 20 iterates: a uniform u0 has no Laplacian and no
+    # divergence on a periodic grid, so m_star = rho u0 over any density
+    # solves to u0 whatever the linearized pressure c (item 19's fault is in
+    # the predictor)
+    rng = np.random.default_rng(seed)
+    g = Grid(cells=(n,) * dim, lengths=tuple(rng.uniform(0.5, 2.0, dim)))
+    state = _uniform_state(g, make_sphere_basis(2), gamma=gamma, coeffs=PhysCoeffs(mu=mu, lam=lam))
+    rho = rng.uniform(0.2, 1.1, g.cells)
+    u0 = np.broadcast_to(rng.uniform(-1.0, 1.0, (dim,) + (1,) * dim), (dim,) + g.cells)
+    u = hydro._viscous_correction(state, rho, fluid_pressure(rho, state.law), rho * u0, dt)
+    assert np.max(np.abs(u.values - u0)) <= 1e-12 * np.max(np.abs(u0))
+
+
 # ---------------------------------------------------------------------------
 # the implicit viscous operator and its solve
 

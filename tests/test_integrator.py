@@ -26,7 +26,7 @@ from doifbp import (
     make_sphere_basis,
     run,
 )
-from doifbp import grid, sphere
+from doifbp import grid, hydro, sphere
 from doifbp.grid import _ghost_index, _sin2_table, heat_step, velocity_gradient
 from doifbp.hydro import _spectral_symbols, _substructure_plan, cfl_dt
 from doifbp.integrator import FluidState, energy_total, renormalized_residual, step
@@ -269,19 +269,28 @@ def test_a_step_validates_only_the_fields_it_builds(monkeypatch):
 def test_a_step_builds_one_state(cfg, monkeypatch):
     # every FluidState holds one instant: the momentum substep is handed the
     # transported rho and f beside the state it advances, so the only state a
-    # step builds is its result
+    # step builds is its result.  The momentum predictor hands its rho^gamma
+    # to the viscous correction, so the step evaluates the fluid pressure once
     state = build_initial_state(cfg)
     dt = cfl_dt(state, 0.45)
     built = []
     check = FluidState.__post_init__
+    pressures = []
+    pressure = hydro.fluid_pressure
 
     def counted(self):
         built.append(self.t)
         return check(self)
 
+    def counted_pressure(rho, law):
+        pressures.append(law.gamma)
+        return pressure(rho, law)
+
     monkeypatch.setattr(FluidState, "__post_init__", counted)
+    monkeypatch.setattr(hydro, "fluid_pressure", counted_pressure)
     out = step(state, dt)
     assert built == [out.t]
+    assert pressures == [state.law.gamma]
 
 
 def test_step_decays_each_degree_by_its_exact_rotational_factor():
@@ -441,6 +450,81 @@ def test_every_valid_config_runs_with_its_invariants_or_fails_by_name(
     if bc == "periodic":
         for a, b in ((state.rho, final.rho), (state.eta, final.eta)):
             assert abs(integral(b) - integral(a)) <= 1e-12 * integral(a)
+
+
+def _mirrored(state):
+    # x -> L - x on a 1D state: rho and f reverse in space and u reverses
+    # with its sign.  tau_x -> -tau_x is phi -> pi - phi, which multiplies a
+    # cos member (m >= 0) of `_harmonic_tables` by (-1)^m and a sin member
+    # (m < 0) by -(-1)^m
+    g, basis = state.grid, state.f.basis
+    l = basis.l_index
+    m = np.arange(l.size) - np.searchsorted(l, l) - l  # m = -l..l within each degree
+    sign = np.where(m % 2 == 1, -1.0, 1.0) * np.where(m < 0, -1.0, 1.0)
+    return replace(
+        state,
+        rho=ScalarField(g, state.rho.values[::-1]),
+        u=VectorField(g, -state.u.values[:, ::-1]),
+        f=OrientationField(g, basis, state.f.coeffs[::-1] * sign),
+    )
+
+
+def _shifted(state, k):
+    g, basis = state.grid, state.f.basis
+    return replace(
+        state,
+        rho=ScalarField(g, np.roll(state.rho.values, k)),
+        u=VectorField(g, np.roll(state.u.values, k, axis=1)),
+        f=OrientationField(g, basis, np.roll(state.f.coeffs, k, axis=0)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    L=st.integers(2, 6),
+    gamma=st.floats(2.0, 60.0),
+    rho0=st.floats(0.3, 0.9),
+    amplitude=st.floats(-0.5, 0.5),
+    shift=st.integers(1, 39),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_steps_commute_with_the_mirror_and_with_periodic_shifts(n, L, gamma, rho0, amplitude, shift, seed):
+    # the equations commute with x -> L - x on both boundary types and with
+    # cell shifts on periodic grids; a slipped stencil, ghost or index order
+    # breaks either at O(1), roundoff does not.  Each image is stepped with
+    # the step sizes of the original
+    rng = np.random.default_rng(seed)
+    basis = make_sphere_basis(L)
+    rho = rho0 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, n))
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    u = 0.05 * rng.uniform(-1.0, 1.0, n)
+    eta = rng.uniform(0.05, 0.3, n)
+    aniso = rng.standard_normal((n, basis.n_coeff))
+    aniso[:, 0] = 0.0
+    y_max = np.sqrt((2 * basis.l_index + 1) / (4.0 * math.pi))
+    aniso *= 0.1 / np.sum(np.abs(aniso) * y_max, axis=-1, keepdims=True)  # at most 1/10 of the isotropic part
+    for bc in ("periodic", "dirichlet"):
+        g = Grid(cells=(n,), lengths=(1.0,), bc=bc)
+        wave = amplitude * np.sin(2.0 * np.pi * g.axis_centers(0) + phase)
+        state = _state(g, basis, rho, (u + wave).reshape(1, -1), eta, gamma=gamma)
+        f = state.f.coeffs + aniso * (eta / (4.0 * math.pi))[:, None]
+        state = replace(state, f=OrientationField(g, basis, f))
+        dts, final = [], state
+        for _ in range(5):
+            dts.append(cfl_dt(final, 0.45))
+            final = step(final, dts[-1])
+        images = [(_mirrored(state), _mirrored(final))]
+        if bc == "periodic":
+            k = shift % (n - 1) + 1  # 1..n-1 cells, never the identity
+            images.append((_shifted(state, k), _shifted(final, k)))
+        for start, want in images:
+            got = start
+            for dt in dts:
+                got = step(got, dt)
+            pairs = ((got.rho.values, want.rho.values), (got.u.values, want.u.values), (got.f.coeffs, want.f.coeffs))
+            for a, b in pairs:
+                assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_splitting_global_error_first_order():

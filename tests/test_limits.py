@@ -230,6 +230,76 @@ def test_stiffest_gamma_of_the_ladder_completes_with_a_bounded_pressure_integral
     assert stiff.pressure_time_integral <= 2.0 * soft.pressure_time_integral
 
 
+# ---------------------------------------------------------------------------
+# the inviscid congested limit of the colliding streams, exactly
+
+
+def _nondecreasing_fit(y):
+    # least-squares nondecreasing fit of equally weighted values by
+    # pool-adjacent-violators: each pool holds its mean and its size
+    means, sizes = [], []
+    for v in y:
+        means.append(v)
+        sizes.append(1)
+        while len(means) > 1 and means[-2] > means[-1]:
+            v, k = means.pop(), sizes.pop()
+            means[-1] = (means[-1] * sizes[-1] + v * k) / (sizes[-1] + k)
+            sizes[-1] += k
+    return np.repeat(means, sizes)
+
+
+def _sticky_streams_density(n, length, rho0, amplitude, t):
+    # the colliding_streams preset u = -a sin(2 pi x / L) over rho0, in the
+    # limit gamma -> infinity, mu -> 0 with no rods: sticky particles under
+    # rho <= 1.  In the mass coordinate s, counted from the diverging point
+    # x = L/2, the positions are X(s) = s + the nondecreasing fit of free
+    # flight X0(s) + t V0(s) - s (X_s >= 1 is rho <= 1).  Cell densities
+    # follow from the inverse map s(x) at the cell faces.
+    s = np.linspace(0.0, rho0 * length, 20001)  # converged to 1e-7 in L1
+    x0 = 0.5 * length + s / rho0
+    x = _nondecreasing_fit(x0 - t * amplitude * np.sin(2.0 * np.pi * x0 / length) - s) + s
+    h = length / n
+    faces = 0.5 * length + h * np.arange(n + 1)  # the box unrolled onto [L/2, 3L/2]
+    return np.roll(np.diff(np.interp(faces, x, s)) / h, n // 2)
+
+
+_STREAMS = RunConfig(
+    cells=(256,), lengths=(6.0,), sphere_degree=2, rho0=0.5, amplitude=2.6, eta0=0.0,
+    d_trans=1e-3, mu=1e-2, lam=1e-2, t_final=0.5,
+)
+
+
+def test_the_sticky_reference_keeps_its_mass_under_the_density_cap():
+    # the oracle itself: the mass rho0 L = 3, rho <= 1 up to the roundoff of
+    # the interpolation, and one congested block of 88 cells around the
+    # collision point x = 0, [-1.03, 1.03]
+    n, length = _STREAMS.cells[0], _STREAMS.lengths[0]
+    h = length / n
+    ref = _sticky_streams_density(n, length, _STREAMS.rho0, _STREAMS.amplitude, _STREAMS.t_final)
+    assert abs(ref.sum() * h - 3.0) <= 1e-12
+    assert ref.max() <= 1.0 + 1e-12
+    congested = np.flatnonzero(ref >= 1.0 - 1e-9)
+    assert np.array_equal(congested, np.sort(np.arange(-44, 44) % n))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP items 19 and 20: the momentum predictor advects rho^{n+1} u^n")
+def test_the_stiff_rungs_approach_the_sticky_limit_of_the_colliding_streams():
+    # the L1 distance of the final density from the exact congested limit
+    # must fall with gamma and reach 0.06 at gamma = 320.  The predictor's
+    # momentum leaves the front 5-6 cells short: 0.393 at gamma = 80 and
+    # 0.382 at 320, against 0.04 with the consistent convection
+    n, length = _STREAMS.cells[0], _STREAMS.lengths[0]
+    ref = _sticky_streams_density(n, length, _STREAMS.rho0, _STREAMS.amplitude, _STREAMS.t_final)
+    distance = []
+    for gamma in (80.0, 320.0):
+        cfg = replace(_STREAMS, gamma=gamma)
+        _, final = run(build_initial_state(cfg), cfg.t_final, record_every=10**6)
+        assert final.t == pytest.approx(cfg.t_final, rel=1e-12)
+        distance.append(float(np.sum(np.abs(final.rho.values - ref))) * length / n)
+    assert distance[1] < distance[0]
+    assert distance[1] <= 0.06, f"L1 distances {distance}"
+
+
 def test_sweep_single_gamma():
     result = gamma_sweep(QUIET_CONFIG, gamma_list=(8.0,), t_final=0.01, workers=1)
     assert len(result.rows) == 1
