@@ -93,42 +93,43 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
 
     Returns (psi, fisher_tau, fisher_x) with psi the per-cell nodal quadrature
     of f ln f (0 ln 0 = 0; nodal values in [-EPS_POS, 0) are clamped to 0,
-    `f.check_positive` rejects any below), fisher_tau = int int |grad_tau
+    `f.slabs` rejects any below), fisher_tau = int int |grad_tau
     sqrt(f)|^2 from the spectral gradient energy of the projected square-root
     field, and fisher_x = int int |grad_x sqrt(f)|^2 by nodal quadrature of
     centered spatial differences.
 
     All three read f on the hemisphere rule of the basis, one node of each
     antipodal pair with twice its weight: f, and so every function of it,
-    takes one value on each pair.  The one nodal array `check_positive`
-    synthesizes is worked on in place, on every grid: clamped, then read for
-    f ln f, then replaced by sqrt(f), then scaled by the square roots of the
-    hemisphere weights, so that fisher_x is a plain sum of squares,
+    takes one value on each pair.  They read it slab by slab, through
+    `f.slabs(halo=True)` (a bounded block of axis-0 cell rows with their two
+    neighbours), which also checks positivity.  Each slab's nodal array is
+    worked on in place: clamped, then read for f ln f on its own rows, then
+    replaced by sqrt(f), then scaled by the square roots of the hemisphere
+    weights, so that fisher_x is a plain sum of squares,
     sum_a |D_a(sqrt(w f))|^2 / (2 h_a)^2, of the undivided centered
-    differences D_a of that array.
+    differences D_a of that array: along axis 0 across the halo rows, along
+    the other axes through their ghost.
     """
     g = f.grid
     basis = f.basis
-    nodal = f.check_positive()
-    np.maximum(nodal, 0.0, out=nodal)
-    plogp = np.log(nodal, out=np.zeros_like(nodal), where=nodal > 0.0)
-    plogp *= nodal
-    psi = ScalarField(g, plogp @ basis.hemi_weights)
-    del plogp
+    psi = np.empty(g.cells)
+    fisher_tau = fisher_x = 0.0
+    for start, nodal in f.slabs(halo=True):
+        own = nodal[1:-1]  # the slab's rows; nodal[0] and nodal[-1] are their neighbours
+        np.maximum(nodal, 0.0, out=nodal)
+        plogp = np.log(own, out=np.zeros_like(own), where=own > 0.0)
+        plogp *= own
+        np.matmul(plogp, basis.hemi_weights, out=psi[start : start + own.shape[0]])
+        del plogp
 
-    np.sqrt(nodal, out=nodal)
-    s_coeffs = (nodal * basis.hemi_weights) @ basis.hemi_y
-    fisher_tau = g.cell_volume * float(np.sum((-basis.lap_eig) * s_coeffs**2))
+        np.sqrt(nodal, out=nodal)
+        s_coeffs = (own * basis.hemi_weights) @ basis.hemi_y
+        fisher_tau += float(np.sum((-basis.lap_eig) * s_coeffs**2))
 
-    nodal *= np.sqrt(basis.hemi_weights)
-    fisher_x = 0.0
-    for a in range(g.dim):
-        p = _pad_axis(g, nodal, a, "rods")
-        diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
-        fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
-        # free both before the next axis pads: with at most three nodal-size
-        # arrays alive, glibc's malloc reuses their pages (about 80 minor page
-        # faults per call at 64x64, L=7, against about 2000 otherwise)
-        del p, diff
-    fisher_x *= g.cell_volume
-    return psi, fisher_tau, fisher_x
+        nodal *= np.sqrt(basis.hemi_weights)
+        for a in range(g.dim):
+            p = nodal if a == 0 else _pad_axis(g, own, a, "rods")
+            diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
+            fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
+            del p, diff  # free both before the next axis pads
+    return ScalarField(g, psi), g.cell_volume * fisher_tau, g.cell_volume * fisher_x

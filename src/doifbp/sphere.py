@@ -34,8 +34,10 @@ Beyond the transform the basis carries:
   distribution takes one value on each antipodal pair, so keeping one node
   of each pair with twice its weight integrates any function of f (f ln f,
   sqrt f) exactly as the full rule does, on half the nodes.  The positivity
-  check and the energy ledger evaluate f there; construction and the
-  transform keep the full rule.
+  check and the energy ledger evaluate f there, in slabs of axis-0 cell
+  rows of at most SLAB_NODES values (`OrientationField.slabs`), so no
+  whole-field nodal array is built; construction and the transform keep the
+  full rule.
 
 Every table of a basis is read-only: one basis is shared by every field of a
 run, and the hemisphere tables are copies of rows of the full ones.
@@ -43,15 +45,18 @@ run, and the hemisphere tables are copies of rows of the full ones.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _check_values, as_integer
+from .grid import Grid, _check_values, _pad_axis, as_integer
 
 #: absolute tolerance for nodal negativity of orientation distributions
 EPS_POS = 1e-10
+#: node values synthesized per slab of `OrientationField.slabs`, besides its halo rows
+SLAB_NODES = 2**15
 #: the largest harmonic degree a basis is built for
 MAX_DEGREE = 64
 
@@ -277,13 +282,23 @@ def make_sphere_basis(L: int) -> SphereBasis:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _row_blocks(cells: tuple, n_nodes: int) -> tuple:
+    """(start, stop) of each slab of `OrientationField.slabs`: blocks of
+    axis-0 cell rows holding at most SLAB_NODES of `n_nodes` values per cell,
+    one row at least."""
+    rows = max(1, SLAB_NODES // (math.prod(cells[1:]) * n_nodes))
+    return tuple((start, min(start + rows, cells[0])) for start in range(0, cells[0], rows))
+
+
 @dataclass(frozen=True)
 class OrientationField:
     """Per-cell harmonic coefficient vector of an orientation distribution.
 
     Only ever a distribution: a rate of one, such as `kinetics.fp_rhs`, is a
     plain coefficient array.  Nodal positivity is checked where it matters
-    (each step's new f, snapshots, the entropy) through `check_positive`.
+    (each step's new f, snapshots, the entropy) by reading every slab of
+    `slabs`, as `check_positive` does.
     """
 
     grid: Grid
@@ -295,31 +310,57 @@ class OrientationField:
         arr = _check_values(self.coeffs, shape, "orientation coefficients")
         object.__setattr__(self, "coeffs", arr)
 
-    def nodal_values(self) -> np.ndarray:
-        """Distribution values at the hemisphere nodes, shape cells + (K/2,).
+    def _synth_rows(self, start: int, stop: int, halo: bool) -> np.ndarray:
+        """f at the hemisphere nodes of axis-0 cell rows start..stop-1.
 
-        The antipode of each node carries the same value (to roundoff), so
-        these are all the values f takes on the quadrature nodes;
-        `basis.hemi_weights` integrates them.
+        Shape (stop - start,) + cells[1:] + (K/2,); with `halo`, two rows
+        more: the neighbours of the first and the last row, the `"rods"`
+        ghost of `_pad_axis` beyond a wall.
         """
-        return self.coeffs @ self.basis.hemi_y.T
+        if halo:
+            rows = _pad_axis(self.grid, self.coeffs, 0, "rods", rows=(start, stop))
+        else:
+            rows = self.coeffs[start:stop]
+        return rows @ self.basis.hemi_y.T
 
-    def min_nodal(self) -> float:
-        return float(np.min(self.nodal_values()))
+    def slabs(self, halo: bool = False):
+        """Yield (start, nodal) for bounded blocks of axis-0 cell rows, in order.
 
-    def check_positive(self) -> np.ndarray:
-        """The nodal values; ValueError if f dips below -EPS_POS at a quadrature node."""
-        nodal = self.nodal_values()
-        worst = float(nodal.min())
-        if worst < -EPS_POS:
-            *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
+        `nodal` holds f at the hemisphere nodes of the rows from `start` on
+        (see `_synth_rows`; with `halo` their neighbours lead and trail), and
+        is the reader's to overwrite.  The antipode of each node carries the
+        same value (to roundoff), so these are all the values f takes on the
+        quadrature nodes; `basis.hemi_weights` integrates them.  Once the
+        last slab is read, ValueError if f dips below -EPS_POS at a node of
+        any row (halo rows aside), naming the lowest node: a reader of every
+        slab has checked positivity, and a reader that stops early has not.
+        """
+        worst = None  # (value, cell, node) of the lowest dip, first in C order
+        for start, stop in _row_blocks(self.grid.cells, self.basis.hemi_index.size):
+            nodal = self._synth_rows(start, stop, halo)
+            own = nodal[1:-1] if halo else nodal
+            low = float(own.min())
+            if low < -EPS_POS and (worst is None or low < worst[0]):
+                row, *cell, k = np.unravel_index(np.argmin(own), own.shape)
+                worst = (low, (start + row, *cell), k)
+            yield start, nodal
+        if worst is not None:
+            low, cell, k = worst
             tau = self.basis.nodes[self.basis.hemi_index[k]]
             raise ValueError(
-                f"orientation distribution dips to {worst:.3e} at a quadrature node, below "
+                f"orientation distribution dips to {low:.3e} at a quadrature node, below "
                 f"-{EPS_POS:.1e}: cell {tuple(int(c) for c in cell)}, "
                 f"tau = +-({tau[0]:.3f}, {tau[1]:.3f}, {tau[2]:.3f})"
             )
-        return nodal
+
+    def min_nodal(self) -> float:
+        blocks = _row_blocks(self.grid.cells, self.basis.hemi_index.size)
+        return min(float(self._synth_rows(start, stop, False).min()) for start, stop in blocks)
+
+    def check_positive(self) -> None:
+        """ValueError if f dips below -EPS_POS at a quadrature node (see `slabs`)."""
+        for _ in self.slabs():
+            pass
 
 
 def uniform_orientation(grid: Grid, basis: SphereBasis, density: float) -> OrientationField:

@@ -246,6 +246,26 @@ def test_no_module_catches_a_float_range_error():
     assert not found, f"float-range errors caught: {found}"
 
 
+def test_only_sphere_synthesizes_f_at_the_nodes():
+    # coefficients -> nodes is a product with hemi_y.T (or basis.synth);
+    # anywhere but sphere.py it would rebuild a whole-field nodal array
+    # behind the bounded slabs of `OrientationField.slabs`
+    found = []
+    for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
+        if path.name == "sphere.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "synth":
+                found.append(f"{path.name}:{node.lineno} synth")
+            elif isinstance(node, ast.Attribute) and node.attr in ("T", "transpose"):
+                if getattr(node.value, "attr", None) == "hemi_y":
+                    found.append(f"{path.name}:{node.lineno} hemi_y.{node.attr}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "transpose":
+                if any(getattr(arg, "attr", None) == "hemi_y" for arg in node.args):
+                    found.append(f"{path.name}:{node.lineno} transpose(hemi_y)")
+    assert not found, f"f synthesized at the nodes outside sphere.py: {found}"
+
+
 def test_no_module_uses_numpy_random():
     # seeded noise comes from Python's random.Random, whose stream Python
     # keeps across versions; importing numpy.random costs ~6 MB of RSS

@@ -1,6 +1,7 @@
 """Kinetic operators: the Fokker-Planck right-hand side, moment maps, entropy, Fisher terms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from doifbp import (
     make_sphere_basis,
     run,
 )
-from doifbp.grid import _centered_diff, heat_step, upwind_divergence, velocity_gradient
+from doifbp.grid import _centered_diff, _pad_axis, heat_step, upwind_divergence, velocity_gradient
 from doifbp.integrator import FluidState, energy_total
 from doifbp.kinetics import SQRT_4PI, _drift_coefficients, entropy_and_fisher, fp_rhs, stress_moment
-from doifbp.sphere import uniform_orientation
+from doifbp.sphere import _row_blocks, uniform_orientation
 
 
 def _basis_and_grid(L=4, n=4):
@@ -177,16 +178,19 @@ def test_energy_ledger_names_the_cell_where_f_dips():
         energy_total(state)
 
 
-def _reference_entropy_and_fisher(f, rule="hemisphere"):
+def _reference_entropy_and_fisher(f, rule="hemisphere", nodal=None):
     # the ledger formula with full-size temporaries, written as the
     # definition: clamp, f ln f with 0 ln 0 = 0, sqrt, and the nodal
     # quadrature of the squared centered differences of sqrt(f); by default
-    # on the hemisphere rule that the ledger reads, or on the full rule
+    # on the hemisphere rule that the ledger reads, from the whole-field
+    # synthesis of f or the given `nodal` values, or on the full rule
     g, basis = f.grid, f.basis
     if rule == "full":
         nodal, y, w, nodes = basis.synth(f.coeffs), basis.y, basis.weights, basis.nodes
     else:
-        nodal, y, w = f.nodal_values(), basis.hemi_y, basis.hemi_weights
+        if nodal is None:
+            nodal = f.coeffs @ basis.hemi_y.T
+        y, w = basis.hemi_y, basis.hemi_weights
         nodes = basis.nodes[basis.hemi_index]
     worst = float(np.min(nodal))
     if worst < -EPS_POS:
@@ -210,6 +214,17 @@ def _reference_entropy_and_fisher(f, rule="hemisphere"):
     return psi, fisher_tau, fisher_x
 
 
+def _pinned_rows(nodal):
+    # a slab source that serves the given whole-field nodal values, halo
+    # rows through the same ghost, in place of the synthesis of f
+    def rows(self, start, stop, halo):
+        if halo:
+            return _pad_axis(self.grid, nodal, 0, "rods", rows=(start, stop))
+        return nodal[start:stop].copy()
+
+    return rows
+
+
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
@@ -224,7 +239,7 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
     )
     _, state = run(build_initial_state(cfg), 2e-3)
     f = state.f
-    nodal = f.nodal_values()
+    nodal = f.coeffs @ f.basis.hemi_y.T
     assert np.min(nodal) > 0.0
     rng = np.random.default_rng(7 + dim)
     pick = rng.random(nodal.shape)
@@ -232,9 +247,9 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
     nodal[pick > 0.9] = -EPS_POS * rng.random(np.count_nonzero(pick > 0.9))
     nodal.flat[0] = -EPS_POS
     coeffs = f.coeffs.copy()
-    monkeypatch.setattr(OrientationField, "nodal_values", lambda self: nodal.copy())
+    monkeypatch.setattr(OrientationField, "_synth_rows", _pinned_rows(nodal))
     psi, fisher_tau, fisher_x = entropy_and_fisher(f)
-    want_psi, want_tau, want_x = _reference_entropy_and_fisher(f)
+    want_psi, want_tau, want_x = _reference_entropy_and_fisher(f, nodal=nodal)
     assert np.array_equal(psi.values, want_psi)
     assert fisher_tau == want_tau
     assert fisher_x > 0.0
@@ -245,11 +260,82 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
     with pytest.raises(ValueError) as got:
         entropy_and_fisher(f)
     with pytest.raises(ValueError) as want:
-        _reference_entropy_and_fisher(f)
+        _reference_entropy_and_fisher(f, nodal=nodal)
     message = "orientation distribution dips to -1.500e-10 at a quadrature node, below -1.0e-10"
     last = tuple(n - 1 for n in cfg.cells)
     assert str(got.value) == str(want.value)
     assert str(got.value).startswith(f"{message}: cell {last}, tau = +-(")
+
+
+def _multi_slab_field(dim, bc):
+    # a positive degree-7 distribution on a grid that the slabs cut into
+    # several blocks of axis-0 rows: 3 in 1D, 8 at 64 x 64
+    grid = Grid(cells=((1200,), (64, 64))[dim - 1], lengths=(1.0, 0.8)[:dim], bc=bc)
+    basis = make_sphere_basis(7)
+    rng = np.random.default_rng(11 + dim)
+    coeffs = 0.05 * rng.standard_normal(grid.cells + (basis.n_coeff,))
+    lift = rng.uniform(0.01, 0.1, grid.cells) - np.min(coeffs @ basis.hemi_y.T, axis=-1)
+    coeffs[..., 0] += SQRT_4PI * lift
+    f = OrientationField(grid, basis, coeffs)
+    assert len(_row_blocks(grid.cells, basis.hemi_index.size)) == (3, 8)[dim - 1]
+    return f
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_the_streamed_ledger_matches_the_reference_on_multi_slab_grids(dim, bc):
+    # psi is read cell by cell, so it is bit-identical to the whole-field
+    # formula; fisher_tau and fisher_x are added slab by slab, so they move
+    # by roundoff; the minimum over the slabs is the whole-field minimum
+    f = _multi_slab_field(dim, bc)
+    psi, fisher_tau, fisher_x = entropy_and_fisher(f)
+    want_psi, want_tau, want_x = _reference_entropy_and_fisher(f)
+    assert np.array_equal(psi.values, want_psi)
+    assert abs(fisher_tau - want_tau) <= 1e-13 * want_tau
+    assert fisher_x > 0.0
+    assert abs(fisher_x - want_x) <= 1e-13 * want_x
+    assert f.min_nodal() == np.min(f.coeffs @ f.basis.hemi_y.T)
+
+
+@pytest.mark.parametrize("where", ["last slab", "before a slab edge", "after a slab edge"])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_a_dip_on_a_multi_slab_grid_names_the_global_worst_node(dim, bc, where):
+    # a shallow dip in the first slab and the deepest one in the last
+    # slab's last row or beside the first slab edge: both readers of the
+    # slabs name the deepest, as the whole-field formula does
+    f = _multi_slab_field(dim, bc)
+    blocks = _row_blocks(f.grid.cells, f.basis.hemi_index.size)
+    row = {"last slab": blocks[-1][1] - 1, "before a slab edge": blocks[0][1] - 1,
+           "after a slab edge": blocks[1][0]}[where]
+    shallow, deep = (1,) + (3,) * (dim - 1), (row,) + (5,) * (dim - 1)
+    y20 = f.basis.index(2, 0)
+    f.coeffs[shallow + (y20,)] = 1.0
+    f.coeffs[deep + (y20,)] = 3.0
+    with pytest.raises(ValueError) as want:
+        _reference_entropy_and_fisher(f)
+    assert f"cell {deep}, tau = " in str(want.value)
+    for read in (OrientationField.check_positive, entropy_and_fisher):
+        with pytest.raises(ValueError) as got:
+            read(f)
+        assert str(got.value) == str(want.value)
+
+
+def test_the_ledger_and_the_positivity_check_build_no_whole_field_nodal_array():
+    # at 128 x 128, L = 7 f's hemisphere values take 8.4 MB; read in slabs
+    # of SLAB_NODES values, neither call may trace a peak above 2.5 MB
+    cfg = RunConfig(dim=2, cells=(128, 128), lengths=(1.0, 1.0), sphere_degree=7,
+                    preset="taylor_vortex", perturbation=0.05)
+    state = build_initial_state(cfg)
+    for call in (energy_total, lambda s: s.f.check_positive()):
+        call(state)  # the cached velocity gradient and eta, and first calls, outside the trace
+        tracemalloc.start()
+        try:
+            call(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5e6
 
 
 @settings(max_examples=60, deadline=None)

@@ -158,6 +158,18 @@ def test_fit_recovers_exact_power_law():
     assert fit_l2_slope(rows) == pytest.approx(-0.5, abs=1e-12)
 
 
+def test_fit_equals_the_least_squares_line_on_random_ladders():
+    # the closed-form slope is np.polyfit's degree-1 coefficient over the
+    # top three rows, to roundoff
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        gammas = np.sort(rng.uniform(1.6, 500.0, 3 + rng.integers(3)))
+        norms = np.exp(rng.normal(-3.0, 2.0, gammas.size))
+        rows = [_diag(g, n) for g, n in zip(gammas, norms)]
+        want = np.polyfit(np.log(gammas[-3:]), np.log(norms[-3:]), 1)[0]
+        assert fit_l2_slope(rows) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_fit_undefined_cases():
     assert fit_l2_slope([_diag(5.0, 0.1), _diag(10.0, 0.05)]) is None
     rows = [_diag(5.0, 0.1), _diag(10.0, 0.05), _diag(20.0, 0.0)]
