@@ -31,6 +31,7 @@ from .grid import Grid, ScalarField, VectorField, heat_step, integral, upwind_di
 from .hydro import PhysCoeffs, PressureLaw, cfl_dt, transport_step
 from .integrator import FluidState, renormalized_residual, run, step
 from .kinetics import SQRT_4PI, eta_moment, stress_moment
+from .limits import loglog_slope
 from .presets import build_initial_state
 from .sphere import OrientationField, make_sphere_basis
 
@@ -121,7 +122,7 @@ def check_moment_consistency() -> tuple:
         g = state.grid
         eta_ref = ScalarField(g, np.full(g.cells, cfg.eta0))
         for _ in range(n_steps):
-            flux = upwind_divergence(g, eta_ref.values, state.u.values, "rods")
+            flux = upwind_divergence(eta_ref.values, state.u, "rods")
             eta_star = transport_step(eta_ref, state.u, dt, flux).values
             eta_ref = ScalarField(g, heat_step(g, eta_star, dt * state.coeffs.d_trans))
             state = step(state, dt)
@@ -231,7 +232,7 @@ def check_renormalized() -> tuple:
         s0, s1 = _one_step_pair(cfg_k, dt)
         resid.append(renormalized_residual(s0, s1, b, db))
         hs.append(1.0 / n)
-    slope = float(np.polyfit(np.log(hs), np.log(resid), 1)[0])
+    slope = loglog_slope(hs, resid)
     ok = r_id <= 1e-12 and slope >= 0.7
     return (
         "renormalized-transport",

@@ -2,8 +2,9 @@
 
 Physical space is a periodic or Dirichlet box in one or two dimensions,
 discretized with uniform cell-centered volumes.  The operators take a grid
-and arrays and return an array (`div` takes the velocity field whose cached
-gradient it reads); fields hold only a state's unknowns.  Gradient,
+and arrays and return an array (`div` and `upwind_divergence` take the
+velocity field whose cached derivatives they read); fields hold only a
+state's unknowns.  Gradient,
 divergence, and Laplacian use second-order centered stencils; on periodic grids grad and div
 are exact negative adjoints under the cell-sum inner product.  The one
 derivative of a velocity is `velocity_gradient`, computed once per field and
@@ -11,16 +12,20 @@ kept on it, read-only; `div` is its trace, so the sphere drift, the step
 bound, the energy ledger and the incompressibility defect all read one
 discrete grad u.  The donor-cell upwind divergence that every transport
 equation shares also lives here, so density, number density, momentum, and
-harmonic coefficient channels are all advected with one flux definition.
+harmonic coefficient channels are all advected with one flux definition; its
+donor pattern, the signed parts of the face velocities, is likewise built
+once per velocity field and kept on it (`_donor_faces`).
 
-Every stencil reads its neighbours through one ghost fill, `_pad_axis`: a
+Every stencil reads its neighbours through one ghost gather, `_pad_axis`: a
 single gather along one axis through an index cached per (axis length,
 periodic or not), which attaches one ghost cell at each end and returns the
 array with that axis in front, so a stencil is a difference of slices.  That
 index and the sine table of `heat_step` (cached per line length) are shared
 read-only.  The stencils act on cells-first arrays, shaped grid.cells plus
 any trailing channels that share one stencil.  The implicit viscous operator
-of `hydro` applies these same stencils matrix-free.
+of `hydro` applies these same stencils matrix-free, as shifted slices of a
+buffer that carries a ghost frame on every cell axis at once; `_fill_ghosts`
+fills that frame by the same rule.
 
 On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
 it is the quantity's entry in `WALL_GHOST`, the one place that declares it.
@@ -201,7 +206,8 @@ def _sin2_table(n: int) -> np.ndarray:
 def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str, rows=None) -> np.ndarray:
     """`arr` with one ghost cell on each side of `axis`, that axis moved to the front.
 
-    The one ghost fill of the package: a gather through the cached
+    The ghost gather of every stencil on a cells-first array (`_fill_ghosts`
+    frames a buffer by the same rule): a gather through the cached
     `_ghost_index`, after which a zero `WALL_GHOST` of `quantity` overwrites
     the two end slabs of a Dirichlet grid.  Callers slice the front axis
     (`p[2:]`, `p[:-2]`) and swap it back.  With `rows = (start, stop)` only
@@ -225,6 +231,49 @@ def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str, rows=None) 
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _frame_slabs(ndim: int, dim: int) -> tuple:
+    """Per cell axis of an ndim-axis array whose last dim axes are framed:
+    the index of its slabs 0, 1, -2 and -1 along that axis."""
+    return tuple(tuple((slice(None),) * a + (k,) for k in (0, 1, -2, -1)) for a in range(ndim - dim, ndim))
+
+
+def _fill_ghosts(grid: Grid, p: np.ndarray, quantity: str) -> None:
+    """Fill, in place, the ghost frame of `p` from its interior cells.
+
+    `p` holds one cell array with one ghost cell at each end of every cell
+    axis: its last grid.dim axes are the cell counts plus 2, after any
+    leading component axes.  The ghosts are those of `_pad_axis`: the
+    wrapped-around cell on a periodic grid, the `WALL_GHOST` entry of
+    `quantity` on a Dirichlet one.  Corner ghosts are left as they are: a
+    stencil along one axis never reads them.
+    """
+    ghost = WALL_GHOST.get(quantity)
+    if ghost is None:
+        raise ValueError(f"unknown quantity {quantity!r}")
+    for lo, first, last, hi in _frame_slabs(p.ndim, grid.dim):
+        if grid.bc == PERIODIC:
+            p[lo], p[hi] = p[last], p[first]
+        elif ghost == "edge":
+            p[lo], p[hi] = p[first], p[last]
+        else:
+            p[lo] = p[hi] = 0.0
+
+
+def _ghost_frame(grid: Grid, lead: tuple = ()) -> tuple:
+    """(p, cells, shifted): a zero array p shaped lead + (n_a + 2 per cell
+    axis), whose frame `_fill_ghosts` fills, and views of it: `cells` its
+    cells, shifted[a] = (up, down) their neighbours one cell up and one down
+    along axis a."""
+    p = np.zeros(lead + tuple(n + 2 for n in grid.cells))
+    inner = (slice(1, -1),) * grid.dim
+    shifted = tuple(
+        tuple(p[(...,) + inner[:a] + (step,) + inner[a + 1 :]] for step in (slice(2, None), slice(None, -2)))
+        for a in range(grid.dim)
+    )
+    return p, p[(...,) + inner], shifted
+
+
 def _centered_diff(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarray:
     """Centered difference along `axis` of `arr`, shaped grid.cells + channels."""
     p = _pad_axis(grid, arr, axis, quantity)
@@ -235,7 +284,11 @@ def _second_diff(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.nd
     """3-point second difference along `axis` of `arr`, shaped grid.cells + channels."""
     h = grid.h[axis]
     p = _pad_axis(grid, arr, axis, quantity)
-    return ((p[2:] - 2.0 * p[1:-1] + p[:-2]) / (h * h)).swapaxes(0, axis)
+    d = np.multiply(p[1:-1], 2.0)
+    np.subtract(p[2:], d, out=d)  # (p[2:] - 2 p[1:-1] + p[:-2]) / h^2 with one temporary
+    d += p[:-2]
+    d /= h * h
+    return d.swapaxes(0, axis)
 
 
 def velocity_gradient(u: VectorField) -> np.ndarray:
@@ -256,6 +309,41 @@ def velocity_gradient(u: VectorField) -> np.ndarray:
         out.flags.writeable = False
         object.__setattr__(u, "_gradient", out)
     return out
+
+
+def _split_faces(u: VectorField) -> tuple:
+    """Per axis a, the positive and negative parts of u_a on the faces normal to a.
+
+    The face values are two-point averages of the cells on either side, the
+    end faces taking the "velocity" ghost; each part is shaped like the cells
+    with axis a in front and one face more along it, and is read-only.
+    """
+    g = u.grid
+    faces = []
+    for a in range(g.dim):
+        up = _pad_axis(g, u.values[a], a, "velocity")
+        uf = up[:-1] + up[1:]  # one face per interior cell pair, ends included
+        uf *= 0.5
+        wp = np.maximum(uf, 0.0)
+        wm = np.minimum(uf, 0.0, out=uf)
+        wp.flags.writeable = wm.flags.writeable = False
+        faces.append((wp, wm))
+    return tuple(faces)
+
+
+def _donor_faces(u: VectorField) -> tuple:
+    """The `_split_faces` of `u`, computed once per field and kept on it.
+
+    Every donor flux of one velocity (the density, f and momentum of a step)
+    reads this one pattern, as the derivatives of u read `velocity_gradient`;
+    a field whose array is edited in place after the first call keeps its
+    old faces.
+    """
+    faces = vars(u).get("_faces")
+    if faces is None:
+        faces = _split_faces(u)
+        object.__setattr__(u, "_faces", faces)
+    return faces
 
 
 def heat_step(grid: Grid, q: np.ndarray, t: float) -> np.ndarray:
@@ -334,35 +422,43 @@ def integral(s: ScalarField) -> float:
     return float(np.sum(s.values)) * s.grid.cell_volume
 
 
-def upwind_divergence(grid: Grid, q: np.ndarray, u: np.ndarray, quantity: str) -> np.ndarray:
+def upwind_divergence(q: np.ndarray, u: VectorField, quantity: str) -> np.ndarray:
     """Donor-cell divergence of the flux q*u, div_h(q u).
 
     Face velocities are two-point averages of the cell velocities; the donor
-    cell is selected by the face-velocity sign.  On periodic grids the two
+    cell is selected by the face-velocity sign.  Both come from the
+    `_donor_faces` of `u`, cached on the field, so the array of `u` must not
+    be changed in place after the call.  On periodic grids the two
     copies of each wrap-around face are computed from identical inputs, so the
     cell sum of the result telescopes to zero exactly and transported mass is
     conserved to roundoff.
 
     Parameters
     ----------
-    q : ndarray, shape grid.cells + channels
+    q : ndarray, shape u.grid.cells + channels
         Transported quantity; trailing axes are independent channels sharing
         the same donor pattern (used for harmonic coefficients and momentum).
-    u : ndarray, shape (dim,) + grid.cells
+    u : VectorField
         Advecting velocity.
     quantity : str
         The `WALL_GHOST` entry of q; u reads the "velocity" entry.
     """
+    grid = u.grid
     dim = grid.dim
     n_extra = q.ndim - dim
     if q.shape[:dim] != grid.cells or n_extra < 0:
         raise ValueError(f"transported array shaped {q.shape} does not match grid {grid.cells}")
+    channels = (1,) * n_extra
     out = np.zeros(q.shape)
-    for a in range(dim):
-        up = _pad_axis(grid, u[a], a, "velocity")
+    for a, (wp, wm) in enumerate(_donor_faces(u)):
+        # qp is this call's own padded copy: once flux has read its donors on
+        # the left, it takes the right donor terms and then the differences
         qp = _pad_axis(grid, q, a, quantity)
-        uf = 0.5 * (up[:-1] + up[1:])  # one face per interior cell pair, ends included
-        uf = uf.reshape(uf.shape + (1,) * n_extra)
-        flux = np.maximum(uf, 0.0) * qp[:-1] + np.minimum(uf, 0.0) * qp[1:]
-        out += ((flux[1:] - flux[:-1]) / grid.h[a]).swapaxes(0, a)
+        flux = wp.reshape(wp.shape + channels) * qp[:-1]
+        right = np.multiply(wm.reshape(wm.shape + channels), qp[1:], out=qp[1:])
+        flux += right
+        d = np.subtract(flux[1:], flux[:-1], out=qp[1:-1])
+        del flux
+        d /= grid.h[a]
+        out += d.swapaxes(0, a)
     return out

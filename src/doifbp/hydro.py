@@ -38,6 +38,8 @@ from .grid import (
     ScalarField,
     VectorField,
     _centered_diff,
+    _fill_ghosts,
+    _ghost_frame,
     _pad_axis,
     as_real,
     grad,
@@ -115,9 +117,11 @@ def total_pressure(pi: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def transport_step(s: ScalarField, u: VectorField, dt: float, flux: np.ndarray) -> ScalarField:
     """One explicit donor-cell upwind step of d_t s + div(s u) = 0.
 
-    `flux` is the donor divergence upwind_divergence(s, u, quantity) of these
-    fields, computed by the caller.  Conservative (exact cell sum on periodic
-    grids), monotone, and nonnegativity-preserving under the advective CFL bound.
+    `flux` is the donor divergence upwind_divergence(s.values, u, quantity)
+    of these fields, computed by the caller; it reads the donor faces cached
+    on `u`, which the step's other fluxes share.  Conservative (exact cell sum
+    on periodic grids), monotone, and nonnegativity-preserving under the
+    advective CFL bound.
     """
     if s.grid != u.grid:
         raise ValueError("transported field and velocity live on different grids")
@@ -138,6 +142,16 @@ def transport_step(s: ScalarField, u: VectorField, dt: float, flux: np.ndarray) 
     return ScalarField(g, out)
 
 
+@functools.lru_cache(maxsize=16)
+def _apply_workspace(grid) -> tuple:
+    """The scratch arrays of `_ViscousOperator.__matmul__` on one grid, shared
+    by every operator on it (an apply runs to its end before the next begins):
+    the `grid._ghost_frame` of the velocity and that of w div u, then two
+    pairs of cell arrays for the neighbour sums and differences."""
+    return (_ghost_frame(grid, (grid.dim,)), _ghost_frame(grid),
+            tuple(np.empty((2, grid.dim) + grid.cells)), tuple(np.empty((2,) + grid.cells)))
+
+
 class _ViscousOperator:
     """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
 
@@ -147,10 +161,15 @@ class _ViscousOperator:
     differences D_a are antisymmetric, and positive definite for rho_hat > 0
     and c >= 0.  Its grad div is this wide centered-of-centered stencil, which
     decouples odd and even modes and is kept on purpose.
-    `a @ x` applies it matrix-free to a flat velocity through `_pad_axis`;
-    in 1D, `bands` gives its entries in closed form.  Those forms (`_centre`,
-    the Dirichlet zeroing in `bands()`) hold for zero "velocity" and "bulk
-    stress" entries of `grid.WALL_GHOST`.  It keeps `rho_hat` and
+    `a @ x` applies it matrix-free to a flat velocity.  It copies the
+    velocity into the interior of one buffer with a ghost frame on every
+    cell axis, which `grid._fill_ghosts` fills by the "velocity" ghost, and
+    reads each neighbour sum and difference as shifted slices of it; w div u
+    takes a second such buffer, filled by the "bulk stress" ghost.  Both
+    buffers, their views and the apply's temporaries are allocated once per
+    grid (`_apply_workspace`).  In 1D, `bands` gives its entries in closed
+    form.  Those forms (`_centre`, the Dirichlet zeroing in `bands()`) hold
+    for zero "velocity" and "bulk stress" entries of `grid.WALL_GHOST`.  It keeps `rho_hat` and
     bulk = dt (lam + dt mean(c)), which with `nu` set the constant-coefficient
     preconditioner of `_viscous_solve`.
     """
@@ -163,28 +182,32 @@ class _ViscousOperator:
         self.w = dt * lam + (dt * dt) * c
         self._centre = rho_hat + self.nu * sum(2.0 / (h * h) for h in grid.h)
         self._w_quarter = self.w * (0.25 / grid.h[0] ** 2)
+        self._work = _apply_workspace(grid)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # side sums neighbours in units of 1 / h_0^2, dv = 2 h_0 div u and
         # q = w div u / (2 h_0); unit rescalings (square cells) are skipped
         g, h0 = self.grid, self.grid.h[0]
+        (u_pad, u_inner, u_shifted), (q_pad, q_inner, q_shifted), (side, side_a), (dv, d_a) = self._work
         u = x.reshape((g.dim,) + g.cells)
-        for a, h in enumerate(g.h):
-            p = _pad_axis(g, u, a + 1, "velocity")  # every component, padded along axis a
-            s = (p[2:] + p[:-2]).swapaxes(0, a + 1)
-            pa = p.swapaxes(0, a + 1)[a].swapaxes(0, a)  # component a alone
-            d = (pa[2:] - pa[:-2]).swapaxes(0, a)
+        u_inner[...] = u
+        _fill_ghosts(g, u_pad, "velocity")
+        for a, (h, (u_up, u_down)) in enumerate(zip(g.h, u_shifted)):
+            s = np.add(u_up, u_down, out=side_a if a else side)
+            d = np.subtract(u_up[a], u_down[a], out=d_a if a else dv)  # component a alone
             if h != h0:
                 s *= (h0 / h) ** 2
                 d *= h0 / h
-            side, dv = (s, d) if a == 0 else (side + s, dv + d)
+            if a:
+                side += s
+                dv += d
         side *= self.nu / (h0 * h0)
         out = self._centre * u
         out -= side
-        q = self._w_quarter * dv
-        for a, h in enumerate(g.h):
-            p = _pad_axis(g, q, a, "bulk stress")
-            gq = (p[2:] - p[:-2]).swapaxes(0, a)
+        np.multiply(self._w_quarter, dv, out=q_inner)
+        _fill_ghosts(g, q_pad, "bulk stress")
+        for a, (h, (q_up, q_down)) in enumerate(zip(g.h, q_shifted)):
+            gq = np.subtract(q_up, q_down, out=d_a)
             if h != h0:
                 gq *= h0 / h
             out[a] -= gq
@@ -370,6 +393,7 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
         precondition = _spectral_preconditioner(a)
         x = b / np.broadcast_to(a.rho_hat, shape).ravel()
         r = b - a @ x
+        work = np.empty_like(b)  # alpha p, then alpha a p: x and r are updated in place
         budget = _CG_MAX_ITER
         while True:
             p, rz = np.zeros_like(b), 1.0  # so the first search direction is z
@@ -381,8 +405,8 @@ def _viscous_solve(a, b: np.ndarray) -> np.ndarray:
                 p += z
                 ap = a @ p
                 alpha = rz / (p @ ap)
-                x += alpha * p
-                r -= alpha * ap
+                x += np.multiply(alpha, p, out=work)
+                r -= np.multiply(alpha, ap, out=work)
             r = b - a @ x
             res = math.sqrt(r.dot(r))
             if res <= 1e-10 * b_norm or budget == 0 or not np.isfinite(res):
@@ -409,10 +433,9 @@ def _momentum_predictor(state, rho1: ScalarField, f1, dt: float) -> tuple:
     """
     g = state.grid
     rho = rho1.values
-    u = state.u.values
     last = tuple(range(1, g.dim + 1)) + (0,)  # channels-last for the shared donor flux
-    m = (rho * u).transpose(last)
-    m = m - dt * upwind_divergence(g, m, u, "velocity")
+    m = (rho * state.u.values).transpose(last)
+    m = m - dt * upwind_divergence(m, state.u, "velocity")
     pi = fluid_pressure(rho, state.law)
     p = total_pressure(pi, eta_moment(f1).values)
     force = np.negative(grad(g, p, "pressure").transpose(last), order="C")  # C order: strided in-place adds are slow

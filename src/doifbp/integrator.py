@@ -91,7 +91,7 @@ class FluidState:
         Read by both the pressure bound of `cfl_dt` and `step`, so it is
         computed once per state, and is read-only.
         """
-        flux = upwind_divergence(self.grid, self.rho.values, self.u.values, "density")
+        flux = upwind_divergence(self.rho.values, self.u, "density")
         flux.flags.writeable = False
         return flux
 
@@ -289,6 +289,6 @@ def renormalized_residual(s0: FluidState, s1: FluidState, b, db) -> float:
     g = s0.grid
     rho0 = s0.rho.values
     rho1 = s1.rho.values
-    flux_div = upwind_divergence(g, b(rho0), s0.u.values, "density")
+    flux_div = upwind_divergence(b(rho0), s0.u, "density")
     resid = (b(rho1) - b(rho0)) / dt + flux_div + (db(rho0) * rho0 - b(rho0)) * div(s0.u)
     return lp_norm(g, np.abs(resid), 1)

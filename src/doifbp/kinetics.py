@@ -67,9 +67,10 @@ def fp_rhs(f: OrientationField, u: VectorField) -> np.ndarray:
     """
     if f.grid != u.grid:
         raise ValueError("orientation field and velocity live on different grids")
-    adv = upwind_divergence(f.grid, f.coeffs, u.values, "rods")
+    # the drift's wide intermediate is freed before the donor flux is built
     drift = _drift_coefficients(f.basis, velocity_gradient(u), f.coeffs)
-    return drift - adv
+    drift -= upwind_divergence(f.coeffs, u, "rods")
+    return drift
 
 
 def eta_moment(f: OrientationField) -> ScalarField:

@@ -182,11 +182,15 @@ def fit_l2_slope(rows) -> object:
     top = rows[-3:]
     if any(r.excess_l2 <= 0.0 for r in top):
         return None
-    lg = np.log([r.gamma for r in top])
-    ln = np.log([r.excess_l2 for r in top])
-    # the least-squares slope in closed form: np.polyfit would page in LAPACK
-    dg = lg - lg.mean()
-    return float(dg @ (ln - ln.mean()) / (dg @ dg))
+    return loglog_slope([r.gamma for r in top], [r.excess_l2 for r in top])
+
+
+def loglog_slope(x, y) -> float:
+    """Least-squares slope of ln y against ln x, in closed form: np.polyfit
+    would page in LAPACK's least-squares solver for one 2-parameter fit."""
+    lx, ly = np.log(x), np.log(y)
+    dx = lx - lx.mean()
+    return float(dx @ (ly - ly.mean()) / (dx @ dx))
 
 
 def gamma_sweep(template_config: RunConfig, gamma_list=None, t_final=None, workers=None) -> SweepResult:

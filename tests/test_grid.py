@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 
 import doifbp
 from doifbp import Grid, NumericalError, ScalarField, VectorField, integral
-from doifbp.grid import WALL_GHOST, div, grad, heat_step, laplacian, lp_norm, upwind_divergence
+from doifbp.grid import (
+    WALL_GHOST,
+    _donor_faces,
+    _fill_ghosts,
+    _pad_axis,
+    _split_faces,
+    div,
+    grad,
+    heat_step,
+    laplacian,
+    lp_norm,
+    upwind_divergence,
+)
 from doifbp.hydro import transport_step
 
 
@@ -190,8 +202,56 @@ def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
     for quantity in [name for name, mode in WALL_GHOST.items() if mode == ghost]:
         assert np.array_equal(grad(g, s, quantity), want_grad)
         assert np.array_equal(laplacian(g, s, quantity), want_lap)
-        assert np.array_equal(upwind_divergence(g, q, v, quantity), want_up)
+        assert np.array_equal(upwind_divergence(q, VectorField(g, v), quantity), want_up)
     assert np.array_equal(div(VectorField(g, v)), want_div)
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5)])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_donor_faces_are_cached_read_only_and_equal_a_fresh_split(shape, bc):
+    # face a of the cells holds 0.5 (u_{i-1} + u_i) for faces 0..n-1 and the
+    # last face 0.5 (u_{n-1} + ghost); the cache is built once and frozen
+    rng = np.random.default_rng(23)
+    g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
+    v = rng.standard_normal((g.dim,) + shape)
+    u = VectorField(g, v)
+    faces = _donor_faces(u)
+    assert _donor_faces(u) is faces
+    assert len(faces) == g.dim
+    ghost = WALL_GHOST["velocity"]
+    for a, (wp, wm) in enumerate(faces):
+        lower = 0.5 * (_neighbour(v[a], a, -1, bc, ghost) + v[a])
+        last = np.take(0.5 * (v[a] + _neighbour(v[a], a, 1, bc, ghost)), [shape[a] - 1], axis=a)
+        uf = np.moveaxis(np.concatenate((lower, last), axis=a), a, 0)
+        for part, want in ((wp, np.maximum(uf, 0.0)), (wm, np.minimum(uf, 0.0))):
+            assert not part.flags.writeable
+            assert np.array_equal(part, want)
+        with pytest.raises(ValueError, match="read-only"):
+            wp[0] = 1.0
+    fresh = _split_faces(VectorField(g, v.copy()))
+    assert all(np.array_equal(x, y) for pair, again in zip(faces, fresh) for x, y in zip(pair, again))
+
+
+@pytest.mark.parametrize("shape", [(7,), (6, 5)])
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("quantity", sorted(WALL_GHOST))
+def test_the_ghost_frame_holds_the_ghosts_of_pad_axis(shape, bc, quantity):
+    # a buffer framed on every cell axis, behind a leading component axis,
+    # carries along each axis the ghosts that `_pad_axis` attaches
+    rng = np.random.default_rng(29)
+    g = Grid(cells=shape, lengths=(1.0,) * len(shape), bc=bc)
+    vals = rng.standard_normal((2,) + shape)
+    p = np.full((2,) + tuple(n + 2 for n in shape), np.nan)
+    p[(slice(None),) + (slice(1, -1),) * g.dim] = vals
+    _fill_ghosts(g, p, quantity)
+    for c in range(2):
+        for a in range(g.dim):
+            along = [slice(1, -1)] * g.dim
+            along[a] = slice(None)
+            framed = np.moveaxis(p[c][tuple(along)], a, 0)
+            assert np.array_equal(framed, _pad_axis(g, vals[c], a, quantity))
+    with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
+        _fill_ghosts(g, p, "vorticity")
 
 
 def test_unknown_ghost_policy_is_rejected():
@@ -200,7 +260,7 @@ def test_unknown_ghost_policy_is_rejected():
         with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
             grad(g, np.ones(8), "vorticity")
         with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
-            upwind_divergence(g, np.ones(8), np.ones((1, 8)), "vorticity")
+            upwind_divergence(np.ones(8), VectorField(g, np.ones((1, 8))), "vorticity")
 
 
 def test_only_grid_declares_wall_ghosts():
@@ -340,7 +400,7 @@ def test_square_pulse_one_full_period():
     dt = 0.5 * g.h[0]
     mass0 = integral(s)
     for _ in range(2 * n):  # 2n steps x h/2 per step = one period
-        s = transport_step(s, u, dt, upwind_divergence(g, s.values, u.values, "density"))
+        s = transport_step(s, u, dt, upwind_divergence(s.values, u, "density"))
     assert abs(integral(s) - mass0) <= 1e-13 * abs(mass0)
     assert np.max(s.values) <= 1.0 + 1e-13
     assert np.min(s.values) >= -1e-13
@@ -350,7 +410,7 @@ def test_transport_u_zero_is_identity():
     g = Grid(cells=(8,), lengths=(1.0,))
     s = ScalarField(g, np.linspace(0.1, 1.0, 8))
     u = VectorField(g, np.zeros((1, 8)))
-    out = transport_step(s, u, 1e-3, upwind_divergence(g, s.values, u.values, "density"))
+    out = transport_step(s, u, 1e-3, upwind_divergence(s.values, u, "density"))
     assert np.array_equal(out.values, s.values)
 
 
@@ -363,7 +423,7 @@ def test_transport_of_uniform_field_under_divergence_free_velocity():
     u[0] = np.cos(2.0 * np.pi * my)
     u[1] = np.sin(2.0 * np.pi * mx)
     s = ScalarField(g, np.full(g.cells, 0.8))
-    out = transport_step(s, VectorField(g, u), 1e-3, upwind_divergence(g, s.values, u, "density"))
+    out = transport_step(s, VectorField(g, u), 1e-3, upwind_divergence(s.values, VectorField(g, u), "density"))
     assert np.max(np.abs(out.values - 0.8)) < 1e-12
 
 
@@ -372,7 +432,7 @@ def test_transport_rejects_cfl_violation():
     s = ScalarField(g, np.ones(8))
     u = VectorField(g, np.ones((1, 8)))
     with pytest.raises(NumericalError, match="CFL"):
-        transport_step(s, u, 3.0 * g.h[0], upwind_divergence(g, s.values, u.values, "density"))
+        transport_step(s, u, 3.0 * g.h[0], upwind_divergence(s.values, u, "density"))
 
 
 def test_transport_rejects_negative_input():
@@ -380,7 +440,7 @@ def test_transport_rejects_negative_input():
     s = ScalarField(g, np.full(8, -0.1))
     u = VectorField(g, np.zeros((1, 8)))
     with pytest.raises(ValueError, match="negative"):
-        transport_step(s, u, 1e-4, upwind_divergence(g, s.values, u.values, "density"))
+        transport_step(s, u, 1e-4, upwind_divergence(s.values, u, "density"))
 
 
 def test_transport_rejects_a_velocity_on_another_grid():
@@ -399,7 +459,7 @@ def test_transport_clamps_a_roundoff_undershoot_and_rejects_a_real_one():
     u = VectorField(g, np.full((1, 4), speed))
     s = ScalarField(g, np.array([0.0, 3.0326450980871584, 0.0, 0.0]))
     dt = g.h[0] / speed
-    flux = upwind_divergence(g, s.values, u.values, "density")
+    flux = upwind_divergence(s.values, u, "density")
     assert np.min(s.values - dt * flux) < 0.0
     out = transport_step(s, u, dt, flux)
     assert out.values[1] == 0.0 and np.min(out.values) >= 0.0
@@ -413,7 +473,7 @@ def test_transport_clamps_a_roundoff_undershoot_and_rejects_a_real_one():
 def test_upwind_divergence_rejects_an_array_off_the_grid():
     g = Grid(cells=(8,), lengths=(1.0,))
     with pytest.raises(ValueError, match=r"^transported array shaped \(7,\) does not match grid \(8,\)"):
-        upwind_divergence(g, np.ones(7), np.ones((1, 8)), "density")
+        upwind_divergence(np.ones(7), VectorField(g, np.ones((1, 8))), "density")
 
 
 def test_upwind_divergence_telescopes_with_channels():
@@ -422,7 +482,7 @@ def test_upwind_divergence_telescopes_with_channels():
     g = Grid(cells=(24,), lengths=(1.0,))
     q = rng.random((24, 5))
     u = rng.standard_normal((1, 24))
-    out = upwind_divergence(g, q, u, "rods")
+    out = upwind_divergence(q, VectorField(g, u), "rods")
     sums = np.abs(np.sum(out, axis=0))
     assert np.max(sums) < 1e-12 * np.max(np.abs(q)) * 24 / g.h[0]
 

@@ -293,6 +293,27 @@ def test_a_step_builds_one_state(cfg, monkeypatch):
     assert pressures == [state.law.gamma]
 
 
+@pytest.mark.parametrize("cfg", [
+    RunConfig(cells=(32,), lengths=(2.0,), sphere_degree=2),
+    RunConfig(dim=2, cells=(8, 8), lengths=(1.0, 1.0), bc="dirichlet", preset="taylor_vortex", sphere_degree=2),
+], ids=["periodic-1d", "dirichlet-2d"])
+def test_a_step_builds_the_donor_faces_of_its_velocity_once(cfg, monkeypatch):
+    # the density flux, the advection of f and that of the momentum read one
+    # donor pattern, cached on the velocity field the step advects with
+    state = build_initial_state(cfg)
+    dt = cfl_dt(build_initial_state(cfg), 0.45)  # a twin: this state's velocity has no faces yet
+    built = []
+    split = grid._split_faces
+
+    def counted(u):
+        built.append(u)
+        return split(u)
+
+    monkeypatch.setattr(grid, "_split_faces", counted)
+    step(state, dt)
+    assert len(built) == 1 and built[0] is state.u
+
+
 def test_step_decays_each_degree_by_its_exact_rotational_factor():
     # space-uniform f at rest: only rotational diffusion acts on it
     basis = make_sphere_basis(4)

@@ -446,7 +446,7 @@ def test_fp_rhs_number_density_moment_is_scalar_transport(dim, bc, n, L, stiffne
     f = OrientationField(grid, basis, basis.analyze(nodal))
     u = VectorField(grid, rng.uniform(-2.0, 2.0, (dim,) + grid.cells))
     eta = eta_moment(f)
-    advection = -upwind_divergence(grid, eta.values, u.values, "rods")
+    advection = -upwind_divergence(eta.values, u, "rods")
     got = SQRT_4PI * fp_rhs(f, u)[..., 0]
     assert np.max(np.abs(got - advection)) <= 1e-12 * np.max(np.abs(advection))
 

@@ -29,6 +29,7 @@ from doifbp.limits import (
     excess_density_norms,
     fit_l2_slope,
     incompressibility_defect,
+    loglog_slope,
 )
 from doifbp.sphere import uniform_orientation
 
@@ -168,6 +169,16 @@ def test_fit_equals_the_least_squares_line_on_random_ladders():
         rows = [_diag(g, n) for g, n in zip(gammas, norms)]
         want = np.polyfit(np.log(gammas[-3:]), np.log(norms[-3:]), 1)[0]
         assert fit_l2_slope(rows) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_the_suite_7_slope_is_the_least_squares_line_on_refinement_ladders():
+    # check suite 7 fits its three-level residuals by the same closed form
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        hs = 1.0 / (32.0 * 2.0 ** np.arange(3)) * rng.uniform(0.5, 2.0)
+        resid = np.exp(rng.normal(-5.0, 3.0, 3))
+        want = np.polyfit(np.log(hs), np.log(resid), 1)[0]
+        assert loglog_slope(hs, resid) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_fit_undefined_cases():
