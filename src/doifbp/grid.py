@@ -203,31 +203,22 @@ def _sin2_table(n: int) -> np.ndarray:
     return table
 
 
-def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str, rows=None) -> np.ndarray:
+def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarray:
     """`arr` with one ghost cell on each side of `axis`, that axis moved to the front.
 
     The ghost gather of every stencil on a cells-first array (`_fill_ghosts`
     frames a buffer by the same rule): a gather through the cached
     `_ghost_index`, after which a zero `WALL_GHOST` of `quantity` overwrites
     the two end slabs of a Dirichlet grid.  Callers slice the front axis
-    (`p[2:]`, `p[:-2]`) and swap it back.  With `rows = (start, stop)` only
-    cells start..stop-1 of `axis` are gathered, each with both neighbours:
-    padded rows start..stop+1, a wall ghost only where the window meets a
-    wall.
+    (`p[2:]`, `p[:-2]`) and swap it back.
     """
     ghost = WALL_GHOST.get(quantity)
     if ghost is None:
         raise ValueError(f"unknown quantity {quantity!r}")
     periodic = grid.bc == PERIODIC
-    index = _ghost_index(arr.shape[axis], periodic)
-    if rows is not None:
-        index = index[rows[0] : rows[1] + 2]
-    p = arr.take(index, axis=axis).swapaxes(0, axis)
+    p = arr.take(_ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
     if ghost == "zero" and not periodic:
-        if rows is None or rows[0] == 0:
-            p[0] = 0.0
-        if rows is None or rows[1] == arr.shape[axis]:
-            p[-1] = 0.0
+        p[0] = p[-1] = 0.0
     return p
 
 

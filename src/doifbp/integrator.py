@@ -196,13 +196,14 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
 
     A ValueError or NumericalError raised inside a substep is re-raised as
     NumericalError("substep '<name>' failed at t=<t>: <cause>"), naming
-    'density transport', 'orientation fokker-planck' or 'momentum'.  An
-    orientation failure also states the alignment number Wi and the highest
-    harmonic degree held: a dip of f is a truncation the basis cannot hold.
+    'density transport', 'orientation fokker-planck' or 'momentum'.  A dip
+    of the new f also states the alignment number Wi and the highest
+    harmonic degree held: it is a truncation the basis cannot hold.
     """
     if not 0.0 < dt < np.inf:
         raise ValueError(f"step size must be positive and finite, got {dt}")
     t, f, u, law, coeffs = state.t, state.f, state.u, state.law, state.coeffs
+    f1 = None  # once built, only its positivity check can fail: a dip
     try:
         substep = "density transport"
         rho1 = transport_step(state.rho, u, dt, state.density_flux)
@@ -217,7 +218,7 @@ def step(state: FluidState, dt: float, freeze_velocity: bool = False) -> FluidSt
         u1 = u if freeze_velocity else momentum_step(state, rho1, f1, dt)
     except (ValueError, NumericalError) as err:
         cause = f"substep '{substep}' failed at t={t:.9g}: {err}"
-        if substep == "orientation fokker-planck":
+        if substep == "orientation fokker-planck" and f1 is not None:
             gv = velocity_gradient(u)  # the Frobenius norm the drift bound of `cfl_dt` reads
             wi = float(np.sqrt((gv * gv).sum(axis=(-2, -1))).max()) / coeffs.d_rot
             cause += (f"; alignment number Wi = max|grad u| / d_rot = {wi:.3g} with harmonics "

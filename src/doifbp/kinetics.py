@@ -89,6 +89,12 @@ def stress_moment(f: OrientationField) -> np.ndarray:
     return (f.coeffs.reshape(-1, q) @ f.basis.stress_map.reshape(q, 9)).reshape(f.grid.cells + (3, 3))
 
 
+def _centered_sq(p: np.ndarray, h: float) -> float:
+    """sum |p[i+1] - p[i-1]|^2 / (2 h)^2 over the inner rows i of p's front axis."""
+    diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for a swapped axis
+    return float(np.vdot(diff, diff)) / (2.0 * h) ** 2
+
+
 def entropy_and_fisher(f: OrientationField) -> tuple:
     """Entropy density and the two Fisher-information integrals.
 
@@ -101,36 +107,40 @@ def entropy_and_fisher(f: OrientationField) -> tuple:
 
     All three read f on the hemisphere rule of the basis, one node of each
     antipodal pair with twice its weight: f, and so every function of it,
-    takes one value on each pair.  They read it slab by slab, through
-    `f.slabs(halo=True)` (a bounded block of axis-0 cell rows with their two
-    neighbours), which also checks positivity.  Each slab's nodal array is
-    worked on in place: clamped, then read for f ln f on its own rows, then
-    replaced by sqrt(f), then scaled by the square roots of the hemisphere
-    weights, so that fisher_x is a plain sum of squares,
-    sum_a |D_a(sqrt(w f))|^2 / (2 h_a)^2, of the undivided centered
-    differences D_a of that array: along axis 0 across the halo rows, along
-    the other axes through their ghost.
+    takes one value on each pair.  They read it slab by slab through
+    `f.slabs()`, which also checks positivity.  Each slab's nodal array is
+    worked on in place: clamped, then read for f ln f, then replaced by
+    sqrt(f), then scaled by the square roots of the hemisphere weights, so
+    that fisher_x is a plain sum of squares, sum_a |D_a(sqrt(w f))|^2 /
+    (2 h_a)^2, of the undivided centered differences D_a of that array:
+    along the axes a >= 1 through the `"rods"` ghost of `_pad_axis`; along
+    axis 0 inside a slab, across a slab edge against the two rows carried
+    from before, and at the grid's ends through the ghost of its four end
+    rows.
     """
     g = f.grid
     basis = f.basis
     psi = np.empty(g.cells)
     fisher_tau = fisher_x = 0.0
-    for start, nodal in f.slabs(halo=True):
-        own = nodal[1:-1]  # the slab's rows; nodal[0] and nodal[-1] are their neighbours
+    head = carry = np.empty((0,) + g.cells[1:] + basis.hemi_weights.shape)  # the first and the last two rows
+    for start, nodal in f.slabs():
         np.maximum(nodal, 0.0, out=nodal)
-        plogp = np.log(own, out=np.zeros_like(own), where=own > 0.0)
-        plogp *= own
-        np.matmul(plogp, basis.hemi_weights, out=psi[start : start + own.shape[0]])
+        plogp = np.log(nodal, out=np.zeros_like(nodal), where=nodal > 0.0)
+        plogp *= nodal
+        np.matmul(plogp, basis.hemi_weights, out=psi[start : start + nodal.shape[0]])
         del plogp
 
         np.sqrt(nodal, out=nodal)
-        s_coeffs = (own * basis.hemi_weights) @ basis.hemi_y
+        s_coeffs = (nodal * basis.hemi_weights) @ basis.hemi_y
         fisher_tau += float(np.sum((-basis.lap_eig) * s_coeffs**2))
 
         nodal *= np.sqrt(basis.hemi_weights)
-        for a in range(g.dim):
-            p = nodal if a == 0 else _pad_axis(g, own, a, "rods")
-            diff = (p[2:] - p[:-2]).ravel("K")  # a view: no copy for the swapped axes
-            fisher_x += float(np.vdot(diff, diff)) / (2.0 * g.h[a]) ** 2
-            del p, diff  # free both before the next axis pads
+        fisher_x += _centered_sq(nodal, g.h[0]) + _centered_sq(np.concatenate((carry, nodal[:2])), g.h[0])
+        for a in range(1, g.dim):
+            fisher_x += _centered_sq(_pad_axis(g, nodal, a, "rods"), g.h[a])
+        if len(head) < 2:
+            head = np.concatenate((head, nodal[: 2 - len(head)]))
+        carry = np.concatenate((carry, nodal[-2:]))[-2:]
+    ends = _pad_axis(g, np.concatenate((head, carry)), 0, "rods")  # ghost, rows 0, 1, N-2, N-1, ghost
+    fisher_x += _centered_sq(ends[[0, 3, 2, 5]], g.h[0])  # rows 1 - ghost and ghost - (N-2)
     return ScalarField(g, psi), g.cell_volume * fisher_tau, g.cell_volume * fisher_x

@@ -35,9 +35,9 @@ Beyond the transform the basis carries:
   of each pair with twice its weight integrates any function of f (f ln f,
   sqrt f) exactly as the full rule does, on half the nodes.  The positivity
   check and the energy ledger evaluate f there, in slabs of axis-0 cell
-  rows of at most SLAB_NODES values (`OrientationField.slabs`), so no
-  whole-field nodal array is built; construction and the transform keep the
-  full rule.
+  rows of at most SLAB_NODES values (`OrientationField.slabs`), each row
+  synthesized once, so no whole-field nodal array is built; construction
+  and the transform keep the full rule.
 
 Every table of a basis is read-only: one basis is shared by every field of a
 run, and the hemisphere tables are copies of rows of the full ones.
@@ -51,11 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, _check_values, _pad_axis, as_integer
+from .grid import Grid, _check_values, as_integer
 
 #: absolute tolerance for nodal negativity of orientation distributions
 EPS_POS = 1e-10
-#: node values synthesized per slab of `OrientationField.slabs`, besides its halo rows
+#: node values synthesized per slab of `OrientationField.slabs` (one row at least)
 SLAB_NODES = 2**15
 #: the largest harmonic degree a basis is built for
 MAX_DEGREE = 64
@@ -310,38 +310,29 @@ class OrientationField:
         arr = _check_values(self.coeffs, shape, "orientation coefficients")
         object.__setattr__(self, "coeffs", arr)
 
-    def _synth_rows(self, start: int, stop: int, halo: bool) -> np.ndarray:
-        """f at the hemisphere nodes of axis-0 cell rows start..stop-1.
+    def _synth_rows(self, start: int, stop: int) -> np.ndarray:
+        """f at the hemisphere nodes of axis-0 cell rows start..stop-1,
+        shaped (stop - start,) + cells[1:] + (K/2,)."""
+        return self.coeffs[start:stop] @ self.basis.hemi_y.T
 
-        Shape (stop - start,) + cells[1:] + (K/2,); with `halo`, two rows
-        more: the neighbours of the first and the last row, the `"rods"`
-        ghost of `_pad_axis` beyond a wall.
-        """
-        if halo:
-            rows = _pad_axis(self.grid, self.coeffs, 0, "rods", rows=(start, stop))
-        else:
-            rows = self.coeffs[start:stop]
-        return rows @ self.basis.hemi_y.T
-
-    def slabs(self, halo: bool = False):
+    def slabs(self):
         """Yield (start, nodal) for bounded blocks of axis-0 cell rows, in order.
 
         `nodal` holds f at the hemisphere nodes of the rows from `start` on
-        (see `_synth_rows`; with `halo` their neighbours lead and trail), and
-        is the reader's to overwrite.  The antipode of each node carries the
-        same value (to roundoff), so these are all the values f takes on the
-        quadrature nodes; `basis.hemi_weights` integrates them.  Once the
-        last slab is read, ValueError if f dips below -EPS_POS at a node of
-        any row (halo rows aside), naming the lowest node: a reader of every
-        slab has checked positivity, and a reader that stops early has not.
+        (`_synth_rows`), each row synthesized once, and is the reader's to
+        overwrite.  The antipode of each node carries the same value (to
+        roundoff), so these are all the values f takes on the quadrature
+        nodes; `basis.hemi_weights` integrates them.  Once the last slab is
+        read, ValueError if f dips below -EPS_POS at a node of any row,
+        naming the lowest node: a reader of every slab has checked
+        positivity, and a reader that stops early has not.
         """
         worst = None  # (value, cell, node) of the lowest dip, first in C order
         for start, stop in _row_blocks(self.grid.cells, self.basis.hemi_index.size):
-            nodal = self._synth_rows(start, stop, halo)
-            own = nodal[1:-1] if halo else nodal
-            low = float(own.min())
+            nodal = self._synth_rows(start, stop)
+            low = float(nodal.min())
             if low < -EPS_POS and (worst is None or low < worst[0]):
-                row, *cell, k = np.unravel_index(np.argmin(own), own.shape)
+                row, *cell, k = np.unravel_index(np.argmin(nodal), nodal.shape)
                 worst = (low, (start + row, *cell), k)
             yield start, nodal
         if worst is not None:
@@ -355,7 +346,7 @@ class OrientationField:
 
     def min_nodal(self) -> float:
         blocks = _row_blocks(self.grid.cells, self.basis.hemi_index.size)
-        return min(float(self._synth_rows(start, stop, False).min()) for start, stop in blocks)
+        return min(float(self._synth_rows(start, stop).min()) for start, stop in blocks)
 
     def check_positive(self) -> None:
         """ValueError if f dips below -EPS_POS at a quadrature node (see `slabs`)."""

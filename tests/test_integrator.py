@@ -180,6 +180,16 @@ def test_step_names_the_fokker_planck_substep_when_f_dips():
         step(state, g.h[0])
 
 
+def test_an_unstable_explicit_diffusion_is_not_blamed_on_the_harmonic_degree():
+    # dt = 0.05 is past the Dirichlet diffusive bound h^2 / 2 = 2.0e-3 and f
+    # is zero: the orientation substep fails before any positivity check, so
+    # its message names the diffusion alone, with no Wi and no sphere_degree
+    cfg = RunConfig(dim=1, cells=(16,), bc="dirichlet", eta0=0.0, sphere_degree=2)
+    match = r"^substep 'orientation fokker-planck' failed at t=0: explicit diffusion unstable for t=5\.000e-02$"
+    with pytest.raises(NumericalError, match=match):
+        step(build_initial_state(cfg), 0.05)
+
+
 @pytest.mark.parametrize(
     ("bc", "cells", "amplitude", "degree", "t_fail", "wi", "min_f"),
     [

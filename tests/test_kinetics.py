@@ -23,7 +23,7 @@ from doifbp import (
     make_sphere_basis,
     run,
 )
-from doifbp.grid import _centered_diff, _pad_axis, heat_step, upwind_divergence, velocity_gradient
+from doifbp.grid import _centered_diff, heat_step, upwind_divergence, velocity_gradient
 from doifbp.integrator import FluidState, energy_total
 from doifbp.kinetics import SQRT_4PI, _drift_coefficients, entropy_and_fisher, fp_rhs, stress_moment
 from doifbp.sphere import _row_blocks, uniform_orientation
@@ -215,11 +215,9 @@ def _reference_entropy_and_fisher(f, rule="hemisphere", nodal=None):
 
 
 def _pinned_rows(nodal):
-    # a slab source that serves the given whole-field nodal values, halo
-    # rows through the same ghost, in place of the synthesis of f
-    def rows(self, start, stop, halo):
-        if halo:
-            return _pad_axis(self.grid, nodal, 0, "rods", rows=(start, stop))
+    # a slab source that serves the given whole-field nodal values in place
+    # of the synthesis of f
+    def rows(self, start, stop):
         return nodal[start:stop].copy()
 
     return rows
@@ -267,27 +265,35 @@ def test_entropy_and_fisher_match_the_reference_formula(monkeypatch, dim, bc):
     assert str(got.value).startswith(f"{message}: cell {last}, tau = +-(")
 
 
-def _multi_slab_field(dim, bc):
-    # a positive degree-7 distribution on a grid that the slabs cut into
-    # several blocks of axis-0 rows: 3 in 1D, 8 at 64 x 64
-    grid = Grid(cells=((1200,), (64, 64))[dim - 1], lengths=(1.0, 0.8)[:dim], bc=bc)
+#: grids that the slabs of a degree-7 field cut into several blocks of
+#: axis-0 rows, by test id: the cells and the block count (512 rows a
+#: block, 8, and a single row)
+MULTI_SLAB_GRIDS = {"1": ((1200,), 3), "2": ((64, 64), 8), "one-row-slabs": ((5, 520), 5)}
+
+
+def _multi_slab_field(grid_id, bc):
+    # a positive degree-7 distribution on one of the MULTI_SLAB_GRIDS
+    cells, n_blocks = MULTI_SLAB_GRIDS[grid_id]
+    dim = len(cells)
+    grid = Grid(cells=cells, lengths=(1.0, 0.8)[:dim], bc=bc)
     basis = make_sphere_basis(7)
     rng = np.random.default_rng(11 + dim)
     coeffs = 0.05 * rng.standard_normal(grid.cells + (basis.n_coeff,))
     lift = rng.uniform(0.01, 0.1, grid.cells) - np.min(coeffs @ basis.hemi_y.T, axis=-1)
     coeffs[..., 0] += SQRT_4PI * lift
     f = OrientationField(grid, basis, coeffs)
-    assert len(_row_blocks(grid.cells, basis.hemi_index.size)) == (3, 8)[dim - 1]
+    assert len(_row_blocks(grid.cells, basis.hemi_index.size)) == n_blocks
     return f
 
 
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("dim", [1, 2])
-def test_the_streamed_ledger_matches_the_reference_on_multi_slab_grids(dim, bc):
+@pytest.mark.parametrize("grid_id", list(MULTI_SLAB_GRIDS))
+def test_the_streamed_ledger_matches_the_reference_on_multi_slab_grids(grid_id, bc):
     # psi is read cell by cell, so it is bit-identical to the whole-field
     # formula; fisher_tau and fisher_x are added slab by slab, so they move
-    # by roundoff; the minimum over the slabs is the whole-field minimum
-    f = _multi_slab_field(dim, bc)
+    # by roundoff; the minimum over the slabs is the whole-field minimum.
+    # On 5 x 520 every slab is a single row
+    f = _multi_slab_field(grid_id, bc)
     psi, fisher_tau, fisher_x = entropy_and_fisher(f)
     want_psi, want_tau, want_x = _reference_entropy_and_fisher(f)
     assert np.array_equal(psi.values, want_psi)
@@ -304,7 +310,7 @@ def test_a_dip_on_a_multi_slab_grid_names_the_global_worst_node(dim, bc, where):
     # a shallow dip in the first slab and the deepest one in the last
     # slab's last row or beside the first slab edge: both readers of the
     # slabs name the deepest, as the whole-field formula does
-    f = _multi_slab_field(dim, bc)
+    f = _multi_slab_field(str(dim), bc)
     blocks = _row_blocks(f.grid.cells, f.basis.hemi_index.size)
     row = {"last slab": blocks[-1][1] - 1, "before a slab edge": blocks[0][1] - 1,
            "after a slab edge": blocks[1][0]}[where]
@@ -319,6 +325,28 @@ def test_a_dip_on_a_multi_slab_grid_names_the_global_worst_node(dim, bc, where):
         with pytest.raises(ValueError) as got:
             read(f)
         assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+@pytest.mark.parametrize("grid_id", list(MULTI_SLAB_GRIDS))
+def test_the_ledger_synthesizes_each_row_of_f_once(monkeypatch, grid_id, bc):
+    # one ledger call asks the synthesis for every axis-0 row exactly once:
+    # no neighbour row is synthesized a second time for the centered
+    # differences across a slab edge or a wall
+    f = _multi_slab_field(grid_id, bc)
+    synth = OrientationField._synth_rows
+    served = []
+
+    def counted(self, *args):
+        nodal = synth(self, *args)
+        served.append(nodal.shape[0])
+        return nodal
+
+    monkeypatch.setattr(OrientationField, "_synth_rows", counted)
+    entropy_and_fisher(f)
+    cells, n_blocks = MULTI_SLAB_GRIDS[grid_id]
+    assert len(served) == n_blocks
+    assert sum(served) == cells[0]
 
 
 def test_the_ledger_and_the_positivity_check_build_no_whole_field_nodal_array():
