@@ -28,7 +28,8 @@ buffer that carries a ghost frame on every cell axis at once; `_fill_ghosts`
 fills that frame by the same rule.
 
 On periodic grids the ghost is the wrapped-around cell.  On Dirichlet grids
-it is the quantity's entry in `WALL_GHOST`, the one place that declares it.
+it is s times the adjacent cell, s the quantity's sign in `WALL_GHOST`, the
+one place that declares it.
 """
 
 from __future__ import annotations
@@ -45,15 +46,17 @@ from .errors import NumericalError
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
-#: The Dirichlet ghost of each quantity a stencil names: "zero" imposes the
-#: boundary value 0, "edge" copies the adjacent cell (zero normal gradient).
+#: The Dirichlet ghost of each quantity a stencil names, as a sign s: the
+#: ghost is s times the adjacent cell (0: the value 0; 1: zero normal
+#: gradient; -1: the value 0 on the wall face).  The viscous operator is
+#: symmetric when the "bulk stress" sign is minus the "velocity" one.
 WALL_GHOST = {
-    "velocity": "zero",  # u and the momentum rho u
-    "rods": "zero",  # f, its nodal values and eta
-    "stress": "zero",
-    "bulk stress": "zero",  # w div u of the implicit solve and its coefficient w
-    "density": "edge",
-    "pressure": "edge",
+    "velocity": 0.0,  # u and the momentum rho u
+    "rods": 0.0,  # f, its nodal values and eta
+    "stress": 0.0,
+    "bulk stress": 0.0,  # w div u of the implicit solve and its coefficient w
+    "density": 1.0,
+    "pressure": 1.0,
 }
 #: relative slack of the explicit stability bounds, so a step at the bound passes
 _CFL_SLACK = 1.0 + 1e-12
@@ -208,25 +211,28 @@ def _pad_axis(grid: Grid, arr: np.ndarray, axis: int, quantity: str) -> np.ndarr
 
     The ghost gather of every stencil on a cells-first array (`_fill_ghosts`
     frames a buffer by the same rule): a gather through the cached
-    `_ghost_index`, after which a zero `WALL_GHOST` of `quantity` overwrites
-    the two end slabs of a Dirichlet grid.  Callers slice the front axis
-    (`p[2:]`, `p[:-2]`) and swap it back.
+    `_ghost_index` (the wrapped-around cell, or the end cell on a Dirichlet
+    grid, where the `WALL_GHOST` sign of `quantity` then scales both ghost
+    slabs).  Callers slice the front axis (`p[2:]`, `p[:-2]`) and swap it
+    back.
     """
-    ghost = WALL_GHOST.get(quantity)
-    if ghost is None:
+    sign = WALL_GHOST.get(quantity)
+    if sign is None:
         raise ValueError(f"unknown quantity {quantity!r}")
     periodic = grid.bc == PERIODIC
     p = arr.take(_ghost_index(arr.shape[axis], periodic), axis=axis).swapaxes(0, axis)
-    if ghost == "zero" and not periodic:
-        p[0] = p[-1] = 0.0
+    if sign != 1.0 and not periodic:  # both ghost slabs, as one strided view; a zero sign is a fill
+        p[:: p.shape[0] - 1] = sign * p[:: p.shape[0] - 1] if sign else 0.0
     return p
 
 
 @functools.lru_cache(maxsize=None)
-def _frame_slabs(ndim: int, dim: int) -> tuple:
-    """Per cell axis of an ndim-axis array whose last dim axes are framed:
-    the index of its slabs 0, 1, -2 and -1 along that axis."""
-    return tuple(tuple((slice(None),) * a + (k,) for k in (0, 1, -2, -1)) for a in range(ndim - dim, ndim))
+def _frame_slabs(shape: tuple, dim: int) -> tuple:
+    """Per framed axis (the last dim of `shape`): the index of its two ghost
+    slabs, of the cells next to them, and of those cells reversed, each a
+    strided view."""
+    pairs = [(slice(0, None, n - 1), slice(1, -1, n - 3), slice(-2, 0, 3 - n)) for n in shape[-dim:]]
+    return tuple(tuple((slice(None),) * a + (k,) for k in axis) for a, axis in enumerate(pairs, len(shape) - dim))
 
 
 def _fill_ghosts(grid: Grid, p: np.ndarray, quantity: str) -> None:
@@ -235,20 +241,18 @@ def _fill_ghosts(grid: Grid, p: np.ndarray, quantity: str) -> None:
     `p` holds one cell array with one ghost cell at each end of every cell
     axis: its last grid.dim axes are the cell counts plus 2, after any
     leading component axes.  The ghosts are those of `_pad_axis`: the
-    wrapped-around cell on a periodic grid, the `WALL_GHOST` entry of
-    `quantity` on a Dirichlet one.  Corner ghosts are left as they are: a
-    stencil along one axis never reads them.
+    wrapped-around cell on a periodic grid, the end cell times the
+    `WALL_GHOST` sign of `quantity` on a Dirichlet one.  Corner ghosts are
+    left as they are: a stencil along one axis never reads them.
     """
-    ghost = WALL_GHOST.get(quantity)
-    if ghost is None:
+    sign = WALL_GHOST.get(quantity)
+    if sign is None:
         raise ValueError(f"unknown quantity {quantity!r}")
-    for lo, first, last, hi in _frame_slabs(p.ndim, grid.dim):
+    for ghosts, cells, wrapped in _frame_slabs(p.shape, grid.dim):
         if grid.bc == PERIODIC:
-            p[lo], p[hi] = p[last], p[first]
-        elif ghost == "edge":
-            p[lo], p[hi] = p[first], p[last]
-        else:
-            p[lo] = p[hi] = 0.0
+            p[ghosts] = p[wrapped]
+        else:  # a zero sign is a fill, cheaper than the product
+            p[ghosts] = sign * p[cells] if sign else 0.0
 
 
 def _ghost_frame(grid: Grid, lead: tuple = ()) -> tuple:

@@ -35,6 +35,7 @@ from .errors import NumericalError
 from .grid import (
     _CFL_SLACK,
     PERIODIC,
+    WALL_GHOST,
     ScalarField,
     VectorField,
     _centered_diff,
@@ -156,11 +157,12 @@ class _ViscousOperator:
     """rho_hat I - dt (mu Lap + grad((lam + dt c) div .)) on the stacked components.
 
     `c` is the per-cell linearized part of rho p'(rho) (`_viscous_correction`).
-    In the grid's zero-ghost stencils this is rho_hat - nu Lap - D_a w D_b
-    with nu = dt mu and w = dt lam + dt^2 c: symmetric, as the centered
-    differences D_a are antisymmetric, and positive definite for rho_hat > 0
-    and c >= 0.  Its grad div is this wide centered-of-centered stencil, which
-    decouples odd and even modes and is kept on purpose.
+    In the grid's stencils this is rho_hat - nu Lap - D'_a w D_b with
+    nu = dt mu, w = dt lam + dt^2 c, D and D' by the "velocity" and "bulk
+    stress" ghosts: symmetric when their signs are opposite (D' = -D^T), and
+    positive definite for rho_hat > 0 and c >= 0.  Its grad div is this wide
+    centered-of-centered stencil, which decouples odd and even modes and is
+    kept on purpose.
     `a @ x` applies it matrix-free to a flat velocity.  It copies the
     velocity into the interior of one buffer with a ghost frame on every
     cell axis, which `grid._fill_ghosts` fills by the "velocity" ghost, and
@@ -168,10 +170,8 @@ class _ViscousOperator:
     takes a second such buffer, filled by the "bulk stress" ghost.  Both
     buffers, their views and the apply's temporaries are allocated once per
     grid (`_apply_workspace`).  In 1D, `bands` gives its entries in closed
-    form.  Those forms (`_centre`, the Dirichlet zeroing in `bands()`) hold
-    for zero "velocity" and "bulk stress" entries of `grid.WALL_GHOST`.  It keeps `rho_hat` and
-    bulk = dt (lam + dt mean(c)), which with `nu` set the constant-coefficient
-    preconditioner of `_viscous_solve`.
+    form.  It keeps `rho_hat` and bulk = dt (lam + dt mean(c)), which with
+    `nu` set the constant-coefficient preconditioner of `_viscous_solve`.
     """
 
     def __init__(self, grid, rho_hat, dt, mu, lam, c):
@@ -216,18 +216,26 @@ class _ViscousOperator:
     def bands(self) -> np.ndarray:
         """(5, n) on a 1D grid: row k holds the entries (i, i + k - 2 mod n), zero
         past a Dirichlet end; on 4 periodic cells the +-2 entries share a column.
-        Symmetric entry for entry: band 4 at row i and band 0 at row i + 2 are
-        the same floats, as are bands 3 and 1, and the Dirichlet zeros come in
-        pairs.  Its flat `base` ends in the zero `_substructured_solve` reads
-        off the bands."""
+        At a Dirichlet end the entries past it fold back onto the cells by the
+        apply's ghosts: u_-1 = s u_0 (s the "velocity" sign), and w div u's
+        ghost, signed by the padded w, reads u_1 - s u_0 for u_0 - u_-2.  Symmetric entry for entry when
+        the "bulk stress" sign is -s: band 4 at row i and band 0 at row i + 2
+        are the same floats, as are bands 3 and 1, and the Dirichlet zeros come
+        in pairs.  Its flat `base` ends in the zero `_substructured_solve`
+        reads off the bands."""
         (h,), n = self.grid.h, self.grid.n_cells
         w = _pad_axis(self.grid, self.w, 0, "bulk stress")
         bands = np.zeros(5 * n + 1)[:-1].reshape(5, n)
         bands[0], bands[4] = -w[:-2] / (4.0 * h * h), -w[2:] / (4.0 * h * h)
         bands[1] = bands[3] = -self.nu / (h * h)
         bands[2] = self._centre + (w[2:] + w[:-2]) / (4.0 * h * h)
-        if self.grid.bc != PERIODIC:  # (band, row) of each column past an end
-            bands[(0, 0, 1, 3, 4, 4), (0, 1, 0, -1, -2, -1)] = 0.0
+        if self.grid.bc != PERIODIC:
+            s = WALL_GHOST["velocity"]
+            for b in (bands, bands[::-1, ::-1]):  # the lower end, then the upper one in mirror
+                b[2, 0] += s * b[1, 0] + (1.0 + s) * b[0, 0]  # columns -1 and -2 of row 0
+                b[3, 0] -= b[0, 0]
+                b[1, 1] += s * b[0, 1]  # column -1 of row 1
+            bands[(0, 0, 1, 3, 4, 4), (0, 1, 0, -1, -2, -1)] = 0.0  # (band, row) of each column past an end
         return bands
 
 

@@ -55,6 +55,9 @@ from .hydro import PhysCoeffs, PressureLaw, cfl_dt, fluid_pressure, momentum_ste
 from .kinetics import entropy_and_fisher, eta_moment, fp_rhs
 from .sphere import OrientationField
 
+#: tries of one step under the velocity-change rule of `run` before it fails
+_STEP_TRIES = 10
+
 
 @dataclass(frozen=True)
 class FluidState:
@@ -245,6 +248,11 @@ def run(
     the whole trajectory is a deterministic function of the inputs.  An
     optional `observer(step_index, state)` is called after every step; it
     never influences the trajectory.
+
+    A step of the `cfl_dt` size whose velocity change has dt max|du| >
+    safety h_min (a fluid at rest has no finite bound) is redone with dt
+    times 0.9 sqrt(safety h_min / (dt max|du|)); after `_STEP_TRIES` tries
+    it is a NumericalError naming dt and max|du|.
     """
     if not np.isfinite(t_final):
         raise ValueError(f"t_final must be finite, got {t_final}")
@@ -261,9 +269,19 @@ def run(
     k = 0
     recorded = True
     eps_t = 1e-12 * max(1.0, abs(t_final))
+    reach = safety * min(initial.grid.h)
     while t_final - state.t > eps_t:
         dt = min(cfl_dt(state, safety), t_final - state.t)
-        state = step(state, dt, freeze_velocity=freeze_velocity)
+        for tries in range(1, _STEP_TRIES + 1):
+            new = step(state, dt, freeze_velocity=freeze_velocity)
+            du = float(np.abs(new.u.values - state.u.values).max())
+            if dt * du <= reach:
+                break
+            if tries == _STEP_TRIES:
+                raise NumericalError(f"step at t={state.t:.9g} still moves u by max|du| = {du:.3e} "
+                                     f"at dt = {dt:.3e} after {tries} tries")
+            dt *= 0.9 * (reach / (dt * du)) ** 0.5
+        state = new
         k += 1
         if observer is not None:
             observer(k, state)

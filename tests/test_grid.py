@@ -154,9 +154,14 @@ def test_grad_div_negative_adjoint():
     assert abs(pair) * g.cell_volume < 1e-12 * scale
 
 
-def _neighbour(q, axis, step, bc, ghost):
+#: the wall-ghost signs by name: the adjacent cell copied, 0, or mirrored
+#: with a flipped sign (the value 0 on the wall face)
+SIGNS = {"edge": 1.0, "zero": 0.0, "odd": -1.0}
+
+
+def _neighbour(q, axis, step, bc, sign):
     """q at cell i + step along `axis` for every cell i, by the ghost policy:
-    the wrapped cell on periodic grids, else the cell itself ("edge") or 0."""
+    the wrapped cell on periodic grids, else `sign` times the cell itself."""
     n = q.shape[axis]
     src = np.moveaxis(q, axis, 0)
     out = np.empty_like(src)
@@ -167,39 +172,43 @@ def _neighbour(q, axis, step, bc, ghost):
         elif bc == "periodic":
             out[i] = src[j % n]
         else:
-            out[i] = src[i] if ghost == "edge" else 0.0
+            out[i] = sign * src[i]
     return np.moveaxis(out, 0, axis)
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 5)])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
-@pytest.mark.parametrize("ghost", sorted(set(WALL_GHOST.values())))
-def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost):
-    # every quantity of WALL_GHOST whose ghost is `ghost`; div and the donor
-    # face velocities read the "velocity" entry
-    u_ghost = WALL_GHOST["velocity"]
+@pytest.mark.parametrize("ghost", sorted(SIGNS))
+def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost, monkeypatch):
+    # every quantity of a table whose entries but the velocity's take the
+    # sign `ghost`; div and the donor face velocities read the "velocity"
+    # entry, which takes the next sign, so the donor flux meets mixed walls
+    sign = SIGNS[ghost]
+    u_ghost = {1.0: 0.0, 0.0: -1.0, -1.0: 1.0}[sign]
+    for name in WALL_GHOST:
+        monkeypatch.setitem(WALL_GHOST, name, u_ghost if name == "velocity" else sign)
     rng = np.random.default_rng(19)
     g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
     s = rng.standard_normal(shape)
     v = rng.standard_normal((g.dim,) + shape)
     q = rng.standard_normal(shape + (3,))  # trailing channels
     want_grad = np.stack([
-        (_neighbour(s, a, 1, bc, ghost) - _neighbour(s, a, -1, bc, ghost)) / (2.0 * g.h[a])
+        (_neighbour(s, a, 1, bc, sign) - _neighbour(s, a, -1, bc, sign)) / (2.0 * g.h[a])
         for a in range(g.dim)
     ])
     want_div, want_lap, want_up = np.zeros(shape), np.zeros(shape), np.zeros(q.shape)
     for a in range(g.dim):
         h = g.h[a]
         want_div += (_neighbour(v[a], a, 1, bc, u_ghost) - _neighbour(v[a], a, -1, bc, u_ghost)) / (2.0 * h)
-        want_lap += (_neighbour(s, a, 1, bc, ghost) - 2.0 * s + _neighbour(s, a, -1, bc, ghost)) / (h * h)
+        want_lap += (_neighbour(s, a, 1, bc, sign) - 2.0 * s + _neighbour(s, a, -1, bc, sign)) / (h * h)
         # faces i - 1/2 and i + 1/2 of cell i
         u_lo, u_hi = _neighbour(v[a], a, -1, bc, u_ghost), _neighbour(v[a], a, 1, bc, u_ghost)
         uf_lo, uf_hi = (0.5 * (u_lo + v[a]))[..., None], (0.5 * (v[a] + u_hi))[..., None]
-        q_lo, q_hi = _neighbour(q, a, -1, bc, ghost), _neighbour(q, a, 1, bc, ghost)
+        q_lo, q_hi = _neighbour(q, a, -1, bc, sign), _neighbour(q, a, 1, bc, sign)
         flux_lo = np.maximum(uf_lo, 0.0) * q_lo + np.minimum(uf_lo, 0.0) * q
         flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
         want_up += (flux_hi - flux_lo) / h
-    for quantity in [name for name, mode in WALL_GHOST.items() if mode == ghost]:
+    for quantity in [name for name in WALL_GHOST if name != "velocity"]:
         assert np.array_equal(grad(g, s, quantity), want_grad)
         assert np.array_equal(laplacian(g, s, quantity), want_lap)
         assert np.array_equal(upwind_divergence(q, VectorField(g, v), quantity), want_up)
@@ -235,21 +244,29 @@ def test_donor_faces_are_cached_read_only_and_equal_a_fresh_split(shape, bc):
 @pytest.mark.parametrize("shape", [(7,), (6, 5)])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("quantity", sorted(WALL_GHOST))
-def test_the_ghost_frame_holds_the_ghosts_of_pad_axis(shape, bc, quantity):
-    # a buffer framed on every cell axis, behind a leading component axis,
-    # carries along each axis the ghosts that `_pad_axis` attaches
+def test_the_ghost_frame_holds_the_ghosts_of_pad_axis(shape, bc, quantity, monkeypatch):
+    # a buffer framed on every cell axis, behind a leading component axis or
+    # none, carries along each axis the ghosts that `_pad_axis` attaches,
+    # under the shipped sign of `quantity` and under each other sign
     rng = np.random.default_rng(29)
     g = Grid(cells=shape, lengths=(1.0,) * len(shape), bc=bc)
-    vals = rng.standard_normal((2,) + shape)
-    p = np.full((2,) + tuple(n + 2 for n in shape), np.nan)
-    p[(slice(None),) + (slice(1, -1),) * g.dim] = vals
-    _fill_ghosts(g, p, quantity)
-    for c in range(2):
-        for a in range(g.dim):
-            along = [slice(1, -1)] * g.dim
-            along[a] = slice(None)
-            framed = np.moveaxis(p[c][tuple(along)], a, 0)
-            assert np.array_equal(framed, _pad_axis(g, vals[c], a, quantity))
+    for sign in [WALL_GHOST[quantity]] + sorted(SIGNS.values()):
+        monkeypatch.setitem(WALL_GHOST, quantity, sign)
+        for lead in ((2,), ()):
+            vals = rng.standard_normal(lead + shape)
+            p = np.full(lead + tuple(n + 2 for n in shape), np.nan)
+            p[(...,) + (slice(1, -1),) * g.dim] = vals
+            _fill_ghosts(g, p, quantity)
+            for c in np.ndindex(lead):
+                for a in range(g.dim):
+                    along = [slice(1, -1)] * g.dim
+                    along[a] = slice(None)
+                    framed = np.moveaxis(p[c][tuple(along)], a, 0)
+                    padded = _pad_axis(g, vals[c], a, quantity)
+                    assert np.array_equal(framed, padded)
+                    if bc == "dirichlet":
+                        ends = np.moveaxis(vals[c], a, 0)[[0, -1]]
+                        assert np.array_equal(padded[[0, -1]], sign * ends)
     with pytest.raises(ValueError, match="unknown quantity 'vorticity'"):
         _fill_ghosts(g, p, "vorticity")
 
@@ -264,16 +281,32 @@ def test_unknown_ghost_policy_is_rejected():
 
 
 def test_only_grid_declares_wall_ghosts():
-    # a "zero" or "edge" literal elsewhere would be a second declaration of
-    # some quantity's wall condition, which WALL_GHOST alone holds
+    # a wall mode named elsewhere, or an entry of WALL_GHOST written, deleted
+    # or mutated elsewhere, would be a second declaration of some quantity's
+    # wall condition, which WALL_GHOST alone holds; other modules only read
+    # its signs, by subscript
     found = []
     for path in sorted(Path(doifbp.__file__).parent.glob("*.py")):
         if path.name == "grid.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Constant) and node.value in ("zero", "edge"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and node.value in ("zero", "edge", "odd"):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "WALL_GHOST" and not isinstance(parents[node], ast.ImportFrom):
+                use = parents[node]
+                if not (isinstance(use, ast.Subscript) and isinstance(use.ctx, ast.Load)):
+                    found.append(f"{path.name}:{node.lineno} WALL_GHOST not read by subscript")
     assert not found, f"wall ghosts declared outside grid.py: {found}"
+
+
+def test_the_shipped_walls_keep_the_viscous_operator_symmetric():
+    # the 1D direct solve reads each window's rows as its columns transposed,
+    # and CG needs a symmetric operator: both hold exactly when the bulk
+    # stress ghost has the opposite sign of the velocity ghost
+    assert WALL_GHOST["bulk stress"] == -WALL_GHOST["velocity"]
+    assert set(WALL_GHOST.values()) <= set(SIGNS.values())
 
 
 def test_only_grid_differentiates_the_velocity():

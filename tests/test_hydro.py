@@ -27,7 +27,7 @@ from doifbp import (
     run,
 )
 from doifbp import hydro
-from doifbp.grid import _pad_axis, div, grad, laplacian, velocity_gradient
+from doifbp.grid import WALL_GHOST, _pad_axis, div, grad, laplacian, velocity_gradient
 from doifbp.hydro import cfl_dt, fluid_pressure, momentum_step, total_pressure
 from doifbp.integrator import FluidState, step
 from doifbp.sphere import uniform_orientation
@@ -270,6 +270,11 @@ def test_the_viscous_correction_keeps_a_uniform_velocity(dim, n, gamma, dt, mu, 
 # the implicit viscous operator and its solve
 
 
+#: the face-wall ghosts of ROADMAP item 3 (u = 0 on the wall face, zero
+#: normal gradient for the rest), which a test patches into `WALL_GHOST`
+FACE_WALL = {"velocity": -1.0, "rods": 1.0, "stress": 1.0, "bulk stress": 1.0}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     dim=st.sampled_from((1, 2)),
@@ -281,16 +286,29 @@ def test_the_viscous_correction_keeps_a_uniform_velocity(dim, n, gamma, dt, mu, 
     dt=st.floats(1e-4, 1.0),
     c_scale=st.sampled_from((0.0, 1.0, 1e3)),
     seed=st.integers(0, 2**32 - 1),
+    face_wall=st.booleans(),
 )
 # on 4 periodic cells the +-2 offsets of the wide grad-div stencil wrap onto
-# each other, so their pattern positions coincide
-@example(dim=1, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
-@example(dim=2, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=1)
-def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, dt, c_scale, seed):
+# each other, so their pattern positions coincide; the face wall on the
+# smallest and on odd Dirichlet boxes, in both dimensions
+@example(dim=1, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0, face_wall=False)
+@example(dim=2, bc="periodic", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=1, face_wall=False)
+@example(dim=1, bc="dirichlet", nx=4, ny=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=2, face_wall=True)
+@example(dim=1, bc="dirichlet", nx=11, ny=4, mu=0.3, lam=2.0, dt=0.5, c_scale=1e3, seed=3, face_wall=True)
+@example(dim=2, bc="dirichlet", nx=5, ny=7, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=4, face_wall=True)
+def test_viscous_matrix_matches_grid_stencils_and_is_symmetric(dim, bc, nx, ny, mu, lam, dt, c_scale, seed, face_wall):
     # the operator must apply rho_hat - dt (mu Lap + grad((lam + dt c) div))
-    # from the grid's own zero-ghost stencils, and be symmetric, which is the
-    # premise of the conjugate-gradient solve; on 1D grids its five bands
-    # must be the entries of that same matrix
+    # from the grid's own stencils, and be symmetric, which is the premise of
+    # the conjugate-gradient solve; on 1D grids its five bands must be the
+    # entries of that same matrix.  All of it under the shipped wall ghosts
+    # and under item 3's face wall
+    with pytest.MonkeyPatch.context() as mp:
+        for name, sign in FACE_WALL.items() if face_wall else ():
+            mp.setitem(WALL_GHOST, name, sign)
+        _check_viscous_matrix(dim, bc, nx, ny, mu, lam, dt, c_scale, seed)
+
+
+def _check_viscous_matrix(dim, bc, nx, ny, mu, lam, dt, c_scale, seed):
     rng = np.random.default_rng(seed)
     g = Grid(cells=(nx, ny)[:dim], lengths=tuple(rng.uniform(0.5, 2.0, dim)), bc=bc)
     rho_hat = rng.uniform(0.1, 2.0, g.cells)
@@ -379,24 +397,36 @@ def test_the_buffered_apply_equals_the_per_axis_gather_bit_for_bit(bc, cells, le
     dt=st.floats(1e-4, 1.0),
     c_scale=st.sampled_from((0.0, 1.0, 1e3)),
     seed=st.integers(0, 2**32 - 1),
+    face_wall=st.booleans(),
 )
 # no interior block (dense interface only), one block whose two windows are
 # the same two cells, one whose windows share one cell, the first size whose
-# windows are distinct, exactly two blocks, and two blocks plus 15 leftover cells
-@example(bc="periodic", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
-@example(bc="dirichlet", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0)
-@example(bc="periodic", n=16, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=2)
-@example(bc="periodic", n=17, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=5)
-@example(bc="periodic", n=18, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=6)
-@example(bc="periodic", n=32, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=3)
-@example(bc="dirichlet", n=47, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=4)
-def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, seed):
+# windows are distinct, exactly two blocks, and two blocks plus 15 leftover cells;
+# then the face wall of item 3 on the smallest box and on two blocks
+@example(bc="periodic", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0, face_wall=False)
+@example(bc="dirichlet", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0, face_wall=False)
+@example(bc="periodic", n=16, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=2, face_wall=False)
+@example(bc="periodic", n=17, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=5, face_wall=False)
+@example(bc="periodic", n=18, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=6, face_wall=False)
+@example(bc="periodic", n=32, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=3, face_wall=False)
+@example(bc="dirichlet", n=47, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=4, face_wall=False)
+@example(bc="dirichlet", n=4, mu=1.0, lam=1.0, dt=0.1, c_scale=1.0, seed=0, face_wall=True)
+@example(bc="dirichlet", n=47, mu=1.0, lam=1.0, dt=0.1, c_scale=1e3, seed=4, face_wall=True)
+def test_1d_viscous_solve_is_the_exact_solution(bc, n, mu, lam, dt, c_scale, seed, face_wall):
     # the 1D direct solve must agree with a dense LAPACK solve of the same
     # system to 1e-12, or where the system is ill-conditioned to its
     # forward-error bound cond(a) eps, which any backward-stable solve has
     # (dense LAPACK itself misses a manufactured solution by up to 0.4 cond(a)
     # eps on these draws); the right-hand side is a applied to a velocity,
-    # the form of the momentum, so the true residual sits at roundoff
+    # the form of the momentum, so the true residual sits at roundoff.  Under
+    # the shipped wall ghosts and under item 3's face wall
+    with pytest.MonkeyPatch.context() as mp:
+        for name, sign in FACE_WALL.items() if face_wall else ():
+            mp.setitem(WALL_GHOST, name, sign)
+        _check_1d_solve(bc, n, mu, lam, dt, c_scale, seed)
+
+
+def _check_1d_solve(bc, n, mu, lam, dt, c_scale, seed):
     rng = np.random.default_rng(seed)
     g = Grid(cells=(n,), lengths=(rng.uniform(0.5, 2.0),), bc=bc)
     rho_hat = rng.uniform(0.1, 2.0, n)

@@ -26,7 +26,7 @@ from doifbp import (
     make_sphere_basis,
     run,
 )
-from doifbp import grid, hydro, sphere
+from doifbp import grid, hydro, integrator, sphere
 from doifbp.grid import _ghost_index, _sin2_table, heat_step, velocity_gradient
 from doifbp.hydro import _spectral_symbols, _substructure_plan, cfl_dt
 from doifbp.integrator import FluidState, energy_total, renormalized_residual, step
@@ -558,6 +558,59 @@ def test_steps_commute_with_the_mirror_and_with_periodic_shifts(n, L, gamma, rho
                 assert np.max(np.abs(a - b)) <= 1e-13
 
 
+def _swap_map(basis):
+    """R[q', q] = sum_k w_k Y_q'(tau_k) Y_q(S tau_k), the coefficient map of
+    f -> f o S for the swap S: (tau_x, tau_y) -> (tau_y, tau_x), which is
+    phi -> pi/2 - phi; it mixes the cos and sin members of odd m."""
+    L = basis.degree
+    theta, phi, _, _ = sphere._gauss_product_nodes(L + 1, 2 * L + 2)
+    y_swapped, _, _ = sphere._harmonic_tables(range(0, L + 1, 2), theta, 0.5 * np.pi - phi)
+    return (basis.weights[:, None] * basis.y).T @ y_swapped
+
+
+def _swapped(state, r):
+    # x <-> y on a square 2D state: every field transposes in space, u's
+    # two components trade places, and f's coefficients go through R
+    g = state.grid
+    return replace(
+        state,
+        rho=ScalarField(g, state.rho.values.T),
+        u=VectorField(g, state.u.values[::-1].transpose(0, 2, 1)),
+        f=OrientationField(g, state.f.basis, state.f.coeffs.transpose(1, 0, 2) @ r.T),
+    )
+
+
+@pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
+def test_steps_commute_with_the_swap_of_the_axes(bc):
+    # on a square box the equations commute with x <-> y, tau_x <-> tau_y;
+    # an axis-dependent slip in a stencil, a ghost, the viscous apply or the
+    # sphere drift breaks that at O(1).  The swapped state is stepped with
+    # the step sizes of the original
+    rng = np.random.default_rng(41)
+    n, basis = 16, make_sphere_basis(4)
+    r = _swap_map(basis)
+    assert np.max(np.abs(r @ r.T - np.eye(basis.n_coeff))) <= 1e-13
+    g = Grid(cells=(n, n), lengths=(1.0, 1.0), bc=bc)
+    rho = 0.6 * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, g.cells))
+    u = 0.1 * rng.uniform(-1.0, 1.0, (2,) + g.cells)
+    eta = rng.uniform(0.05, 0.3, g.cells)
+    state = _state(g, basis, rho, u, eta, gamma=10.0, coeffs=PhysCoeffs(mu=0.1, lam=0.1, d_trans=0.01, d_rot=1.0))
+    aniso = rng.standard_normal(g.cells + (basis.n_coeff,))
+    aniso[..., 0] = 0.0
+    y_max = np.sqrt((2 * basis.l_index + 1) / (4.0 * math.pi))
+    aniso *= 0.1 / np.sum(np.abs(aniso) * y_max, axis=-1, keepdims=True)  # at most 1/10 of the isotropic part
+    state = replace(state, f=OrientationField(g, basis, state.f.coeffs + aniso * (eta / (4.0 * math.pi))[..., None]))
+    dts, final = [], state
+    for _ in range(5):
+        dts.append(cfl_dt(final, 0.45))
+        final = step(final, dts[-1])
+    got, want = _swapped(state, r), _swapped(final, r)
+    for dt in dts:
+        got = step(got, dt)
+    for a, b in ((got.rho.values, want.rho.values), (got.u.values, want.u.values), (got.f.coeffs, want.f.coeffs)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
 def test_splitting_global_error_first_order():
     # fixed-step integrations against a small-step reference: halving dt
     # should halve the final-time error of the first-order splitting
@@ -642,6 +695,44 @@ def test_a_uniform_translation_keeps_its_velocity():
     _, final = run(state, 0.2)
     assert final.t == pytest.approx(0.2, rel=1e-12)
     assert np.max(np.abs(final.u.values - 1.0)) < 1e-6
+
+
+def _at_rest():
+    # a periodic fluid at rest over a perturbed density, with no rods
+    cfg = RunConfig(
+        dim=1, cells=(64,), preset="uniform", rho0=0.5, perturbation=0.1, gamma=2.0,
+        mu=0.01, lam=0.01, eta0=0.0, seed=1, sphere_degree=2,
+    )
+    return build_initial_state(cfg)
+
+
+def test_a_fluid_at_rest_refines_with_the_safety_factor():
+    # ROADMAP item 23: every bound of `cfl_dt` is infinite at rest, so `run`
+    # once took one step to t = 1 at any safety and left the density where
+    # it started, in [0.4045, 0.6]; the velocity-change rule redoes such a
+    # step, so the step count grows like 1 / safety (100, 198, 393 measured)
+    # and the final density converges (mean distances 3.9e-4, then 8.2e-5)
+    state = _at_rest()
+    assert cfl_dt(state, 0.45) == math.inf
+    counts, finals = [], []
+    for safety in (0.025, 0.0125, 0.00625):
+        steps = []
+        _, final = run(state, 1.0, record_every=10**6, safety=safety, observer=lambda k, s: steps.append(k))
+        assert final.t == pytest.approx(1.0, rel=1e-12)
+        counts.append(len(steps))
+        finals.append(final.rho.values)
+    assert all(1.6 <= b / a <= 2.4 for a, b in zip(counts, counts[1:])), counts
+    gaps = [np.mean(np.abs(b - a)) for a, b in zip(finals, finals[1:])]
+    assert gaps[1] <= 0.5 * gaps[0], gaps
+    assert np.ptp(finals[-1]) < 0.03  # from 0.195 at rest
+
+
+def test_a_step_that_keeps_moving_too_far_fails_by_name(monkeypatch):
+    # the velocity-change rule retries a fixed number of times, then names
+    # the step size and the velocity change it could not bring down
+    monkeypatch.setattr(integrator, "_STEP_TRIES", 1)
+    with pytest.raises(NumericalError, match=r"^step at t=0 still moves u by max\|du\| = \S+ at dt = 1\.000e\+00 after 1 tries$"):
+        run(_at_rest(), 1.0)
 
 
 def test_run_validates_arguments():
