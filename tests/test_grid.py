@@ -180,39 +180,47 @@ def _neighbour(q, axis, step, bc, sign):
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("ghost", sorted(SIGNS))
 def test_stencils_follow_the_ghost_policy_cell_by_cell(shape, bc, ghost, monkeypatch):
-    # every quantity of a table whose entries but the velocity's take the
-    # sign `ghost`; div and the donor face velocities read the "velocity"
-    # entry, which takes the next sign, so the donor flux meets mixed walls
-    sign = SIGNS[ghost]
-    u_ghost = {1.0: 0.0, 0.0: -1.0, -1.0: 1.0}[sign]
-    for name in WALL_GHOST:
-        monkeypatch.setitem(WALL_GHOST, name, u_ghost if name == "velocity" else sign)
+    # every quantity of WALL_GHOST, "velocity" too, first under the shipped
+    # table, then with every entry but the velocity's at the sign `ghost` and
+    # the velocity's at each sign in turn, so the donor flux meets every
+    # pairing of the two walls; div and the donor face velocities read the
+    # "velocity" entry
     rng = np.random.default_rng(19)
     g = Grid(cells=shape, lengths=tuple(rng.uniform(0.5, 2.0, len(shape))), bc=bc)
     s = rng.standard_normal(shape)
     v = rng.standard_normal((g.dim,) + shape)
     q = rng.standard_normal(shape + (3,))  # trailing channels
-    want_grad = np.stack([
-        (_neighbour(s, a, 1, bc, sign) - _neighbour(s, a, -1, bc, sign)) / (2.0 * g.h[a])
-        for a in range(g.dim)
-    ])
-    want_div, want_lap, want_up = np.zeros(shape), np.zeros(shape), np.zeros(q.shape)
-    for a in range(g.dim):
-        h = g.h[a]
-        want_div += (_neighbour(v[a], a, 1, bc, u_ghost) - _neighbour(v[a], a, -1, bc, u_ghost)) / (2.0 * h)
-        want_lap += (_neighbour(s, a, 1, bc, sign) - 2.0 * s + _neighbour(s, a, -1, bc, sign)) / (h * h)
-        # faces i - 1/2 and i + 1/2 of cell i
-        u_lo, u_hi = _neighbour(v[a], a, -1, bc, u_ghost), _neighbour(v[a], a, 1, bc, u_ghost)
-        uf_lo, uf_hi = (0.5 * (u_lo + v[a]))[..., None], (0.5 * (v[a] + u_hi))[..., None]
-        q_lo, q_hi = _neighbour(q, a, -1, bc, sign), _neighbour(q, a, 1, bc, sign)
-        flux_lo = np.maximum(uf_lo, 0.0) * q_lo + np.minimum(uf_lo, 0.0) * q
-        flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
-        want_up += (flux_hi - flux_lo) / h
-    for quantity in [name for name in WALL_GHOST if name != "velocity"]:
-        assert np.array_equal(grad(g, s, quantity), want_grad)
-        assert np.array_equal(laplacian(g, s, quantity), want_lap)
-        assert np.array_equal(upwind_divergence(q, VectorField(g, v), quantity), want_up)
-    assert np.array_equal(div(VectorField(g, v)), want_div)
+    tables = [dict(WALL_GHOST)] + [
+        {name: u_ghost if name == "velocity" else SIGNS[ghost] for name in WALL_GHOST}
+        for u_ghost in sorted(SIGNS.values())
+    ]
+    for table in tables:
+        for name, sign in table.items():
+            monkeypatch.setitem(WALL_GHOST, name, sign)
+        u_ghost = table["velocity"]
+        want_div = np.zeros(shape)
+        for a in range(g.dim):
+            want_div += (_neighbour(v[a], a, 1, bc, u_ghost) - _neighbour(v[a], a, -1, bc, u_ghost)) / (2.0 * g.h[a])
+        assert np.array_equal(div(VectorField(g, v)), want_div)
+        for quantity, sign in table.items():
+            want_grad = np.stack([
+                (_neighbour(s, a, 1, bc, sign) - _neighbour(s, a, -1, bc, sign)) / (2.0 * g.h[a])
+                for a in range(g.dim)
+            ])
+            want_lap, want_up = np.zeros(shape), np.zeros(q.shape)
+            for a in range(g.dim):
+                h = g.h[a]
+                want_lap += (_neighbour(s, a, 1, bc, sign) - 2.0 * s + _neighbour(s, a, -1, bc, sign)) / (h * h)
+                # faces i - 1/2 and i + 1/2 of cell i
+                u_lo, u_hi = _neighbour(v[a], a, -1, bc, u_ghost), _neighbour(v[a], a, 1, bc, u_ghost)
+                uf_lo, uf_hi = (0.5 * (u_lo + v[a]))[..., None], (0.5 * (v[a] + u_hi))[..., None]
+                q_lo, q_hi = _neighbour(q, a, -1, bc, sign), _neighbour(q, a, 1, bc, sign)
+                flux_lo = np.maximum(uf_lo, 0.0) * q_lo + np.minimum(uf_lo, 0.0) * q
+                flux_hi = np.maximum(uf_hi, 0.0) * q + np.minimum(uf_hi, 0.0) * q_hi
+                want_up += (flux_hi - flux_lo) / h
+            assert np.array_equal(grad(g, s, quantity), want_grad)
+            assert np.array_equal(laplacian(g, s, quantity), want_lap)
+            assert np.array_equal(upwind_divergence(q, VectorField(g, v), quantity), want_up)
 
 
 @pytest.mark.parametrize("shape", [(7,), (6, 5)])

@@ -1,6 +1,6 @@
 """Print the bit-exactness fingerprint of a source tree.
 
-Usage: python3 tools/fingerprint.py [--root DIR] [--skip-check]
+Usage: python3 tools/fingerprint.py [--root DIR]
 
 Runs from the tree at DIR (default: the checkout this script lives in), with
 BLAS pinned to one thread as the benchmark pins it, and prints
@@ -9,8 +9,7 @@ BLAS pinned to one thread as the benchmark pins it, and prints
 - the seed-1 state digest of each benchmark workload, through
   `perfbench/workloads.py` `setup` + `execute` at full size;
 - the SHA-256 of walls2d's `final.bin` and `diagnostics.csv`;
-- the SHA-256 of the standard output of `doifbp check` (skipped with
-  `--skip-check`, which saves about 12 s).
+- the SHA-256 of the standard output of `doifbp check`.
 
 Two trees that print the same lines on one host step bit for bit alike.
 Unpinned BLAS threads change the summation order of numpy's matrix
@@ -41,7 +40,6 @@ def _sha256(data: bytes) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
-    parser.add_argument("--skip-check", action="store_true", help="do not run `doifbp check`")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -66,12 +64,11 @@ def main(argv=None) -> int:
         out = Path(tmp) / "walls2d" / "out"
         for file in ("final.bin", "diagnostics.csv"):
             print(f"walls2d {file} sha256: {_sha256((out / file).read_bytes())}")
-    if not args.skip_check:
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        env.pop("DOIFBP_THREADS", None)
-        done = subprocess.run([sys.executable, "-m", "doifbp", "check"], env=env, cwd=root,
-                              capture_output=True, check=False)
-        print(f"doifbp check stdout sha256: {_sha256(done.stdout)} (exit code {done.returncode})")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("DOIFBP_THREADS", None)
+    done = subprocess.run([sys.executable, "-m", "doifbp", "check"], env=env, cwd=root,
+                          capture_output=True, check=False)
+    print(f"doifbp check stdout sha256: {_sha256(done.stdout)} (exit code {done.returncode})")
     return 0
 
 
